@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .braille import BrailleGroup, build_dataset, label_to_group
-from .config import ConfigError, SimConfig, config_hash, load_config
+from .config import ConfigError, SimConfig, config_hash, load_config, read_assignments
 from .cost_model import CostTable, compare, default_table, estimate, reports_to_csv
 from .crossbar import (
     Readout,
@@ -39,14 +39,14 @@ from .pipeline import (
     NetworkArch,
     TrainHyper,
     TrainingError,
-    _arch_for,
+    arch_for,
     build_sensor_crossbar,
     evaluate,
     eval_report_to_csv,
     network_from_json,
     network_to_json,
+    run_sweep,
     split_holdout,
-    sweep_point,
     train,
 )
 
@@ -161,7 +161,7 @@ def _train_network(args, cfg: SimConfig):
     groups_arg = "fusion" if "fusion" in groups else groups
     dataset = build_dataset(groups_arg, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
     train_items, test_items = split_holdout(dataset, copies=args.copies, holdout=1)
-    arch = _arch_for(groups)
+    arch = arch_for(groups)
     sigma2 = _parse_sigma2(args.sigma2)
     if len(sigma2) != 1:
         raise UsageError("train takes exactly one --sigma2 value")
@@ -213,12 +213,8 @@ def _cmd_sweep(args, cfg: SimConfig) -> int:
     group_rows = _parse_groups(args.groups)
     grid = _parse_sigma2(args.sigma2)
     modes = ("analog", "binary") if args.mode == "both" else (args.mode,)
-    results: dict[tuple[str, str, float], float] = {}
-    for token in group_rows:
-        for mode in modes:
-            for sigma2 in grid:
-                row = sweep_point([token], sigma2, mode, args.seed, cfg, copies=args.copies)
-                results[(token, mode, sigma2)] = row.accuracy
+    rows = run_sweep([[token] for token in group_rows], grid, modes, [args.seed], cfg, copies=args.copies)
+    results = {(row.group_set, row.mode, row.sigma2): row.accuracy for row in rows}
     header = ["group"] + [f"{mode}_sigma2={s:g}" for mode in modes for s in grid]
     lines = [_header_lines(cfg, args.seed).rstrip("\n"), ",".join(header)]
     for token in group_rows:
@@ -305,31 +301,9 @@ def _cmd_leakage(args, cfg: SimConfig) -> int:
     return EXIT_OK
 
 
-_TABLE_FIELDS = set(CostTable.__dataclass_fields__)
-
-
-def _load_table_overrides(path: str) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"bad cost table line {raw!r}; expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _TABLE_FIELDS:
-            raise UsageError(f"unknown cost table entry {key!r}")
-        try:
-            overrides[key] = float(value.strip())
-        except ValueError as exc:
-            raise UsageError(f"bad number for {key}: {exc}") from exc
-    return overrides
-
-
 def _cmd_cost(args, cfg: SimConfig) -> int:
-    overrides = _load_table_overrides(args.table) if args.table else {}
-    arch = _arch_for(["fusion"])
+    overrides = read_assignments(args.table, CostTable.__dataclass_fields__) if args.table else {}
+    arch = arch_for(["fusion"])
     reports = []
     for style in ("analog", "binary"):
         for processing in ("parallel", "serial"):
@@ -429,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args, cfg)
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, OSError, ValueError, RuntimeError) as exc:

@@ -12,6 +12,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection
 
 from .analog_blocks import SoftmaxParams
 from .devices import MemristorModel, SensorModel
@@ -25,6 +26,7 @@ __all__ = [
     "ENV_PREFIX",
     "load_config",
     "config_hash",
+    "read_assignments",
 ]
 
 ENV_PREFIX = "TMSIM_"
@@ -150,9 +152,16 @@ def _parse_value(key: str, text: str, source: str) -> float | int:
     return number
 
 
-def _parse_file(path: Path) -> dict[str, float | int]:
+def read_assignments(path: str | Path, known: Collection[str]) -> dict[str, float | int]:
+    """Numbers from a flat ``key = value`` file with ``#`` comments.
+
+    Raises:
+        ConfigError: on a line without ``=``, a key not in ``known``, or a
+            value that is not a number (an integer for integer config keys).
+        OSError: if the file cannot be read.
+    """
     overrides: dict[str, float | int] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -160,8 +169,8 @@ def _parse_file(path: Path) -> dict[str, float | int]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         overrides[key] = _parse_value(key, value.strip(), f"{path}:{lineno}")
     return overrides
 
@@ -185,7 +194,7 @@ def load_config(path: str | Path | None = None, environ: dict[str, str] | None =
         file_path = Path(path)
         if not file_path.exists():
             raise ConfigError(f"config file not found: {file_path}")
-        values.update(_parse_file(file_path))
+        values.update(read_assignments(file_path, DEFAULTS))
     env = os.environ if environ is None else environ
     values.update(_env_overrides(dict(env)))
     return SimConfig.from_values(values)

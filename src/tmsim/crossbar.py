@@ -151,13 +151,7 @@ def _selected_on_conductance(cell: CellState, line: str) -> float:
     """Series conductance with the line's switch forced on; 0 if deselected."""
     switch = cell.hl_switch if (cell.config is CellConfig.TWO_T1M1S and line == "hl") else cell.vl_switch
     assert switch is not None
-    if not switch.selected:
-        return 0.0
-    parts = [memristor_conductance(cell.memristor), switch.g_on]
-    if cell.sensor is not None:
-        assert cell.force_f is not None
-        parts.append(fsr_conductance(cell.sensor, cell.force_f))
-    return series_conductance(*parts)
+    return cell_conductance(cell, line) if switch.selected else 0.0
 
 
 def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:

@@ -9,7 +9,7 @@ softmax chain forms the output layer.
 Training happens on the software twin of this stack with plain mini-batch
 gradient descent.  The eight sensor-layer memristor states are free
 parameters constrained to [0, 1]; their gradient flows through the series
-conductance composition, differentiated by central differences.  Dense
+conductance composition, differentiated in closed form.  Dense
 weights map onto conductance pairs afterwards (``map_network``); the dense
 biases are realized as line-amplifier output offsets rather than extra
 conductances.
@@ -32,22 +32,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .analog_blocks import SoftmaxParams
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
-from .crossbar import (
-    CrossbarSpec,
-    Readout,
-    ReadoutVector,
-    ideal_dual_readout,
-    solve_nodal,
-    weights_to_differential,
-)
-from .devices import CellConfig, CellState, MemristorModel, SwitchModel
+from .crossbar import CrossbarSpec, Readout, solve_nodal, weights_to_differential
+from .devices import CellConfig, CellState, SwitchModel
 
 __all__ = [
     "NetworkArch",
@@ -67,6 +60,7 @@ __all__ = [
     "forward",
     "evaluate",
     "split_holdout",
+    "arch_for",
     "sweep_point",
     "run_sweep",
     "SweepRow",
@@ -254,20 +248,32 @@ def sensor_layer_forward(
     """Raw line currents of the sensor array: 2 column readouts then 4 row readouts."""
     if fidelity not in ("ideal", "nodal"):
         raise ValueError(f"fidelity must be 'ideal' or 'nodal', got {fidelity!r}")
-    spec = build_sensor_crossbar(forces, states, cfg, parasitic=(fidelity == "nodal"))
     if fidelity == "ideal":
-        rv = ideal_dual_readout(cfg.sensor.v_supply, spec)
-    else:
-        rv = solve_nodal(spec, cfg.sensor.v_supply)
-    return rv.concatenated()
+        return _line_currents(*_check_sensor_arrays(forces, states), cfg)
+    spec = build_sensor_crossbar(forces, states, cfg, parasitic=True)
+    return solve_nodal(spec, cfg.sensor.v_supply).concatenated()
+
+
+def _memristor_g(states, cfg: SimConfig):
+    g_off = 1.0 / cfg.memristor.r_off
+    return g_off + states * (1.0 / cfg.memristor.r_on - g_off)
 
 
 def _cell_u(states, force, cfg: SimConfig):
     """Series cell conductance, vectorized over states/forces arrays."""
     g_s = cfg.sensor.sensitivity_k * force + cfg.sensor.bias_c
-    g_off = 1.0 / cfg.memristor.r_off
-    g_m = g_off + states * (1.0 / cfg.memristor.r_on - g_off)
-    return 1.0 / (1.0 / g_s + 1.0 / g_m + 1.0 / cfg.switch_g_on)
+    return 1.0 / (1.0 / g_s + 1.0 / _memristor_g(states, cfg) + 1.0 / cfg.switch_g_on)
+
+
+def _line_currents(forces: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Ideal readouts of force grids (..., 4, 2): 2 column sums then 4 row sums.
+
+    The array form of ``ideal_dual_readout`` on ``build_sensor_crossbar``:
+    every cell's series conductance sums onto its column line and its row
+    line.
+    """
+    conduct = _cell_u(states, forces, cfg)
+    return np.concatenate([conduct.sum(axis=-2), conduct.sum(axis=-1)], axis=-1) * cfg.sensor.v_supply
 
 
 def feature_norm_current(cfg: SimConfig) -> float:
@@ -281,17 +287,9 @@ def feature_norm_current(cfg: SimConfig) -> float:
     return cfg.sensor.v_supply * (u_on - u_off) / cfg.dot_gain
 
 
-def _batch_features(dots: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Normalized sensor features for a batch of dot masks, shape (N, 6).
-
-    Algebraically identical to running ``sensor_layer_forward`` per item and
-    normalizing, but in one broadcast evaluation.
-    """
-    u_on = _cell_u(states, cfg.f_press, cfg)
-    u_off = _cell_u(states, 0.0, cfg)
-    conduct = dots * u_on + (1.0 - dots) * u_off  # (N, 4, 2)
-    raw = np.concatenate([conduct.sum(axis=1), conduct.sum(axis=2)], axis=1) * cfg.sensor.v_supply
-    return raw / feature_norm_current(cfg)
+def _batch_features(forces: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Normalized sensor features of force grids (N, 4, 2), shape (N, 6)."""
+    return _line_currents(forces, states, cfg) / feature_norm_current(cfg)
 
 
 def add_noise(x: np.ndarray, noise: NoiseSpec) -> np.ndarray:
@@ -325,14 +323,23 @@ def _dataset_arrays(dataset, arch: NetworkArch) -> tuple[np.ndarray, np.ndarray]
 
 
 def _stable_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-# central-difference step for the memristor state gradient, relative to the
-# unit-width state range
-_STATE_DIFF_STEP = 1.0e-6
+def _network_input(x: np.ndarray, mode: str, threshold: np.ndarray | None, dot_gain: float) -> np.ndarray:
+    """Dense-layer input from noisy normalized features.
+
+    Binary mode thresholds each feature into a bit; analog mode divides by
+    ``dot_gain`` so one pressed dot adds one unit.
+    """
+    if mode != "binary":
+        return x / dot_gain
+    if threshold is None:
+        raise ValueError("a binary network needs a binary_threshold")
+    return (x >= threshold).astype(float)
+
 
 # The sensor states follow the dense weights with a damped step.  The bulk of
 # the loss pushes every state toward full conductance (more signal); the few
@@ -361,9 +368,9 @@ def _state_increment_ladder(cfg: SimConfig, rng: np.random.Generator) -> np.ndar
 
 
 def _state_sensitivity(states: np.ndarray, force: float, cfg: SimConfig) -> np.ndarray:
-    up = _cell_u(states + _STATE_DIFF_STEP, force, cfg)
-    down = _cell_u(states - _STATE_DIFF_STEP, force, cfg)
-    return (up - down) / (2.0 * _STATE_DIFF_STEP)
+    """Exact d(_cell_u)/d(state): u^2 / g_m^2 * (g_on - g_off) of the memristor."""
+    span = 1.0 / cfg.memristor.r_on - 1.0 / cfg.memristor.r_off
+    return (_cell_u(states, force, cfg) / _memristor_g(states, cfg)) ** 2 * span
 
 
 def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> TrainedNetwork:
@@ -379,6 +386,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
             mismatch.
     """
     dots, targets = _dataset_arrays(dataset, arch)
+    forces = dots * cfg.f_press
     n_items = len(dataset)
     rng = np.random.default_rng(hyper.seed)
 
@@ -392,7 +400,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
         threshold = None
     else:
         states = np.ones((SENSOR_ROWS, SENSOR_COLS))
-        noiseless = _batch_features(dots, states, cfg)
+        noiseless = _batch_features(forces, states, cfg)
         threshold = 0.5 * noiseless.max(axis=0)
 
     sigma = np.sqrt(hyper.sigma2)
@@ -407,12 +415,9 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
         for start in range(0, n_items, hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
             a = dots[batch]
-            feats = _batch_features(a, states, cfg)
+            feats = _batch_features(forces[batch], states, cfg)
             x = feats if sigma == 0.0 else feats + sigma * rng.standard_normal(feats.shape)
-            if threshold is not None:
-                x = (x >= threshold).astype(float)
-            else:
-                x = x / cfg.dot_gain
+            x = _network_input(x, hyper.mode, threshold, cfg.dot_gain)
 
             pre1 = x @ w1 + b1
             hidden = np.maximum(pre1, 0.0)
@@ -514,10 +519,14 @@ def _hardware_logits(hw: HardwareNetwork, x: np.ndarray) -> np.ndarray:
 
 def _circuit_probabilities(logits: np.ndarray, params: SoftmaxParams) -> np.ndarray:
     """Batched equivalent of the analog softmax chain, normalized by r_f * i_s."""
-    scaled = logits / params.v_t
-    shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return (params.r_sum / params.r_f) * e / e.sum(axis=-1, keepdims=True)
+    return (params.r_sum / params.r_f) * _stable_softmax(logits / params.v_t)
+
+
+def _hardware_probabilities(hw: HardwareNetwork, feats: np.ndarray) -> np.ndarray:
+    """Softmax-circuit outputs of the mapped network for noisy normalized features (N, 6)."""
+    tn = hw.network
+    x = _network_input(feats, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
+    return _circuit_probabilities(_hardware_logits(hw, x), hw.cfg.softmax)
 
 
 def forward(
@@ -534,17 +543,11 @@ def forward(
     tn = hw.network
     if mode is not None and mode != tn.mode:
         raise ValueError(f"network was trained in {tn.mode!r} mode, cannot run {mode!r}")
-    raw = sensor_layer_forward(forces, tn.sensor_states, hw.cfg)
-    x = raw / feature_norm_current(hw.cfg)
+    forces, states = _check_sensor_arrays(forces, tn.sensor_states)
+    x = _batch_features(forces[None], states, hw.cfg)
     if noise is not None:
         x = add_noise(x, noise)
-    if tn.mode == "binary":
-        assert tn.binary_threshold is not None
-        x = (x >= tn.binary_threshold).astype(float)
-    else:
-        x = x / hw.cfg.dot_gain
-    logits = _hardware_logits(hw, x[None, :])[0]
-    probs = _circuit_probabilities(logits, hw.cfg.softmax)
+    probs = _hardware_probabilities(hw, x)[0]
     return probs, tn.arch.labels[int(np.argmax(probs))]
 
 
@@ -580,7 +583,7 @@ def evaluate(
     dots, targets = _dataset_arrays(dataset, tn.arch)
     labels = [label for _, label in dataset]
     groups = [label_to_group(label).value for label in labels]
-    feats = _batch_features(dots, tn.sensor_states, hw.cfg)
+    feats = _batch_features(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg)
 
     entries: list[EvalEntry] = []
     for j, sigma2 in enumerate(sigma2_grid):
@@ -588,14 +591,7 @@ def evaluate(
             raise ValueError(f"sigma2 must be non-negative, got {sigma2}")
         rng = np.random.default_rng([seed, j])
         x = feats + np.sqrt(sigma2) * rng.standard_normal(feats.shape) if sigma2 > 0.0 else feats
-        if tn.mode == "binary":
-            assert tn.binary_threshold is not None
-            x = (x >= tn.binary_threshold).astype(float)
-        else:
-            x = x / hw.cfg.dot_gain
-        logits = _hardware_logits(hw, x)
-        probs = _circuit_probabilities(logits, hw.cfg.softmax)
-        predicted_idx = probs.argmax(axis=1)
+        predicted_idx = _hardware_probabilities(hw, x).argmax(axis=1)
         predicted = [tn.arch.labels[i] for i in predicted_idx]
         correct = predicted_idx == targets
 
@@ -641,7 +637,8 @@ def split_holdout(dataset, copies: int, holdout: int = 1):
     return train_items, test_items
 
 
-def _arch_for(group_names: Sequence[str]) -> NetworkArch:
+def arch_for(group_names: Sequence[str]) -> NetworkArch:
+    """Architecture whose outputs are every symbol of the named groups ("fusion": all)."""
     selected = list(BrailleGroup) if "fusion" in group_names else [BrailleGroup(g) for g in group_names]
     labels = tuple(sym.label for g in selected for sym in symbols(g))
     return NetworkArch(labels=labels)
@@ -662,7 +659,7 @@ def sweep_point(
     groups_arg = "fusion" if "fusion" in group_names else list(group_names)
     dataset = build_dataset(groups_arg, copies=copies, seed=seed, f_press=cfg.f_press)
     train_items, test_items = split_holdout(dataset, copies=copies, holdout=holdout)
-    arch = _arch_for(group_names)
+    arch = arch_for(group_names)
     hyper = TrainHyper.from_config(cfg, seed=seed, sigma2=sigma2, mode=mode)
     tn = train(train_items, arch, hyper, cfg)
     report = evaluate(tn, test_items, [sigma2], seed=seed, cfg=cfg)

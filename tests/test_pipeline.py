@@ -13,13 +13,17 @@ import pytest
 
 from tmsim.braille import BrailleGroup, build_dataset, encode, symbol_to_forces, symbols
 from tmsim.config import load_config
+from tmsim.crossbar import ideal_dual_readout
 from tmsim.pipeline import (
     NetworkArch,
     NoiseSpec,
     TrainHyper,
     TrainedNetwork,
     TrainingError,
+    _cell_u,
+    _state_sensitivity,
     add_noise,
+    build_sensor_crossbar,
     evaluate,
     eval_report_to_csv,
     feature_norm_current,
@@ -126,6 +130,18 @@ class TestSensorLayer:
     def test_norm_current_frozen_value(self, cfg):
         assert feature_norm_current(cfg) == pytest.approx(2.4149047690515002e-06, rel=1e-12)
 
+    def test_ideal_matches_the_cellwise_crossbar_readout(self, cfg):
+        # the scalar CellState chain is the reference for the array path
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            forces = rng.uniform(0.0, 2.0 * cfg.f_press, (4, 2))
+            states = rng.uniform(0.0, 1.0, (4, 2))
+            reference = ideal_dual_readout(
+                cfg.sensor.v_supply, build_sensor_crossbar(forces, states, cfg)
+            ).concatenated()
+            np.testing.assert_allclose(sensor_layer_forward(forces, states, cfg), reference,
+                                       rtol=1e-12, atol=0.0)
+
     def test_input_validation(self, cfg):
         with pytest.raises(ValueError):
             sensor_layer_forward(np.zeros((3, 2)), ONES, cfg)
@@ -197,6 +213,13 @@ class TestTraining:
         assert np.all((states >= 0.0) & (states <= 1.0))
         assert states.std() > 0.01
         assert g2_net.binary_threshold is None
+
+    def test_state_sensitivity_matches_central_difference(self, cfg):
+        states = np.linspace(0.01, 0.99, 99)
+        step = 1e-6
+        for force in (0.0, cfg.f_press):
+            numeric = (_cell_u(states + step, force, cfg) - _cell_u(states - step, force, cfg)) / (2 * step)
+            np.testing.assert_allclose(_state_sensitivity(states, force, cfg), numeric, rtol=1e-6)
 
     def test_binary_mode_fixes_states_and_sets_threshold(self, cfg):
         dataset = build_dataset(BrailleGroup.GROUP2, copies=2, seed=0, f_press=cfg.f_press)
@@ -313,6 +336,11 @@ class TestForward:
         grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
         with pytest.raises(ValueError):
             forward(hw, grid, mode="binary")
+
+    def test_binary_network_without_threshold_rejected(self, cfg):
+        hw = map_network(_random_network(["a", "b"], mode="binary"), cfg)
+        with pytest.raises(ValueError, match="binary_threshold"):
+            forward(hw, np.zeros((4, 2)))
 
 
 class TestEvaluate:
