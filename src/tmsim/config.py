@@ -156,12 +156,17 @@ def read_assignments(path: str | Path, known: Collection[str]) -> dict[str, floa
     """Numbers from a flat ``key = value`` file with ``#`` comments.
 
     Raises:
-        ConfigError: on a line without ``=``, a key not in ``known``, or a
-            value that is not a number (an integer for integer config keys).
-        OSError: if the file cannot be read.
+        ConfigError: if the file does not exist; on a line without ``=``, a
+            key not in ``known``, or a value that is not a number (an
+            integer for integer config keys).
+        OSError: if the file exists but cannot be read.
     """
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"file not found: {path}") from exc
     overrides: dict[str, float | int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -191,10 +196,7 @@ def load_config(path: str | Path | None = None, environ: dict[str, str] | None =
     """Defaults, overridden by an optional config file, then by environment."""
     values = dict(DEFAULTS)
     if path is not None:
-        file_path = Path(path)
-        if not file_path.exists():
-            raise ConfigError(f"config file not found: {file_path}")
-        values.update(read_assignments(file_path, DEFAULTS))
+        values.update(read_assignments(path, DEFAULTS))
     env = os.environ if environ is None else environ
     values.update(_env_overrides(dict(env)))
     return SimConfig.from_values(values)

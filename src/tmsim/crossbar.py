@@ -18,9 +18,10 @@ the loss-free algebra the network should approach as parasitics vanish.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -185,90 +186,111 @@ def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
 # nodal analysis
 
 
+def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0], y[0], x[1], y[1], ...: both ends of each branch, in branch order."""
+    return np.stack((x, y), axis=1).ravel()
+
+
 class _Network:
-    """Resistive network with union-find node merging and a dense direct solve."""
+    """Resistive network on integer nodes with a dense direct solve.
+
+    Nodes are the integers 0, 1, 2, ...; naming a node creates it and every
+    node below it.  Shorts merge nodes in a union-find whose root is the
+    lowest member, fixed potentials live in one array (NaN where unknown,
+    read at the roots) and branches are the arrays ``(a, b, g)``.
+    """
 
     def __init__(self) -> None:
-        self._parent: dict[Hashable, Hashable] = {}
-        self._order: list[Hashable] = []
-        self._branches: list[tuple[Hashable, Hashable, float]] = []
-        self._fixed: dict[Hashable, float] = {}
+        self._parent: list[int] = []
+        self._volts: list[float] = []
+        self._branches = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
 
-    def _find(self, key: Hashable) -> Hashable:
-        if key not in self._parent:
-            self._parent[key] = key
-            self._order.append(key)
-            return key
-        root = key
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[key] != root:
-            self._parent[key], key = root, self._parent[key]
+    def nodes(self, count: int, volts=np.nan) -> np.ndarray:
+        """Create ``count`` nodes fixed at ``volts`` (scalar or per node; NaN leaves them unknown)."""
+        start = len(self._parent)
+        self._parent.extend(range(start, start + count))
+        self._volts.extend(np.ravel(volts).tolist() if np.ndim(volts) else [float(volts)] * count)
+        return np.arange(start, start + count)
+
+    def _find(self, node: int) -> int:
+        if node >= len(self._parent):
+            self.nodes(node + 1 - len(self._parent))
+        parent = self._parent
+        root = node
+        while parent[root] != root:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
         return root
 
-    def fix(self, key: Hashable, volts: float) -> None:
-        root = self._find(key)
-        existing = self._fixed.get(root)
-        if existing is not None and existing != volts:
-            raise ValueError(f"node {key!r} already fixed at {existing} V, cannot refix at {volts} V")
-        self._fixed[root] = volts
+    def fix(self, node: int, volts: float) -> None:
+        root = self._find(node)
+        existing = self._volts[root]
+        if not math.isnan(existing) and existing != volts:
+            raise ValueError(f"node {node!r} already fixed at {existing} V, cannot refix at {volts} V")
+        self._volts[root] = float(volts)
 
-    def short(self, a: Hashable, b: Hashable) -> None:
+    def short(self, a: int, b: int) -> None:
         """Merge two nodes through an ideal (zero-resistance) connection."""
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return
-        va, vb = self._fixed.get(ra), self._fixed.get(rb)
-        if va is not None and vb is not None and va != vb:
+        va, vb = self._volts[ra], self._volts[rb]
+        if va != vb and not (math.isnan(va) or math.isnan(vb)):
             raise ValueError(f"cannot short nodes fixed at {va} V and {vb} V")
-        self._parent[rb] = ra
-        if vb is not None:
-            self._fixed[ra] = vb
-            del self._fixed[rb]
+        low, high = min(ra, rb), max(ra, rb)
+        self._parent[high] = low
+        if math.isnan(self._volts[low]):
+            self._volts[low] = self._volts[high]
 
-    def branch(self, a: Hashable, b: Hashable, conductance: float) -> None:
-        if conductance < 0.0:
-            raise ValueError(f"branch conductance must be non-negative, got {conductance}")
-        self._find(a)
-        self._find(b)
-        if conductance > 0.0:
-            self._branches.append((a, b, conductance))
+    def branch(self, a, b, conductance) -> None:
+        """Add branches ``a[i]--b[i]`` of ``conductance[i]`` (a scalar applies to all)."""
+        a, b = np.ravel(a), np.ravel(b)
+        g = np.ravel(conductance) if np.ndim(conductance) else np.full(a.size, float(conductance))
+        if (g < 0.0).any():
+            raise ValueError(f"branch conductance must be non-negative, got {g.min()}")
+        self._branches.append((a, b, g))
 
-    def solve(self) -> dict[Hashable, float]:
-        """Node potentials by dense nodal analysis of the unknown nodes."""
-        roots: list[Hashable] = []
-        seen: set[Hashable] = set()
-        for key in self._order:
-            root = self._find(key)
-            if root not in seen:
-                seen.add(root)
-                roots.append(root)
-        unknowns = [r for r in roots if r not in self._fixed]
-        index = {r: i for i, r in enumerate(unknowns)}
+    def solve(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Dense nodal analysis of the unknown nodes.
 
-        g_mat = np.zeros((len(unknowns), len(unknowns)))
-        rhs = np.zeros(len(unknowns))
-        for a, b, g in self._branches:
-            ra, rb = self._find(a), self._find(b)
-            if ra == rb:
-                continue  # branch closed into a loop by shorts; carries no KCL info
-            ia, ib = index.get(ra), index.get(rb)
-            if ia is not None:
-                g_mat[ia, ia] += g
-            if ib is not None:
-                g_mat[ib, ib] += g
-            if ia is not None and ib is not None:
-                g_mat[ia, ib] -= g
-                g_mat[ib, ia] -= g
-            elif ia is not None:
-                rhs[ia] += g * self._fixed[rb]
-            elif ib is not None:
-                rhs[ib] += g * self._fixed[ra]
+        Returns the potential and the net branch current flowing into
+        (positive = absorbed by) every node, and the number of unknowns.
+        Sums run in branch order, so a rebuilt network reproduces its
+        results bit for bit.
+        """
+        a, b, g = (np.concatenate(parts) for parts in zip(*self._branches))
+        if a.size:
+            self._find(int(max(a.max(), b.max())))  # creates nodes named only by a branch
+        count = len(self._parent)
+        root = np.array(self._parent, dtype=np.intp)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        volts = np.array(self._volts, dtype=float)
+        unknowns = np.flatnonzero((root == np.arange(count)) & np.isnan(volts))
+        size = unknowns.size
+        index = np.full(count, -1)
+        index[unknowns] = np.arange(size)
 
-        if unknowns:
-            isolated = [r for i, r in enumerate(unknowns) if g_mat[i, i] == 0.0]
-            if isolated:
-                raise SingularNetworkError(f"isolated nodes with no conductive path: {isolated!r}")
+        ra, rb = root[a], root[b]
+        live = (g > 0.0) & (ra != rb)  # a branch closed into a loop by shorts carries no KCL info
+        ra, rb, g = ra[live], rb[live], g[live]
+        ia, ib = index[ra], index[rb]
+        ends = _interleave(ia, ib)
+        free = ends >= 0
+        g_mat = np.zeros((size, size))
+        g_mat.flat[:: size + 1] = np.bincount(ends[free], weights=np.repeat(g, 2)[free], minlength=size)
+        both = (ia >= 0) & (ib >= 0)
+        np.add.at(g_mat, (_interleave(ia[both], ib[both]), _interleave(ib[both], ia[both])),
+                  -np.repeat(g[both], 2))
+        one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
+        rhs = np.bincount(np.where(ia >= 0, ia, ib)[one],
+                          weights=(g * np.where(ia >= 0, volts[rb], volts[ra]))[one], minlength=size)
+
+        if size:
+            isolated = unknowns[g_mat.diagonal() == 0.0]
+            if isolated.size:
+                raise SingularNetworkError(f"isolated nodes with no conductive path: {isolated.tolist()!r}")
             try:
                 u = np.linalg.solve(g_mat, rhs)
             except np.linalg.LinAlgError as exc:
@@ -279,30 +301,11 @@ class _Network:
                 raise SingularNetworkError(
                     f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A"
                 )
-        else:
-            u = np.zeros(0)
+            volts[unknowns] = u
 
-        potentials = dict(self._fixed)
-        for root, value in zip(unknowns, u):
-            potentials[root] = float(value)
-        return potentials
-
-    def potential(self, potentials: dict[Hashable, float], key: Hashable) -> float:
-        return potentials[self._find(key)]
-
-    def current_into(self, potentials: dict[Hashable, float], key: Hashable) -> float:
-        """Net branch current flowing into a node (positive = absorbed)."""
-        root = self._find(key)
-        total = 0.0
-        for a, b, g in self._branches:
-            ra, rb = self._find(a), self._find(b)
-            if ra == rb:
-                continue
-            if ra == root:
-                total += g * (potentials[rb] - potentials[root])
-            elif rb == root:
-                total += g * (potentials[ra] - potentials[root])
-        return total
+        current = g * (volts[rb] - volts[ra])  # flowing from b into a
+        inflow = np.bincount(_interleave(ra, rb), weights=_interleave(current, -current), minlength=count)
+        return volts[root], inflow[root], size
 
 
 @dataclass(frozen=True)
@@ -311,111 +314,89 @@ class NodalDetail:
 
     injected: float  # A, net current delivered by the drive sources
     absorbed: float  # A, net current sunk by grounds and terminations
-    unknown_nodes: int
+    unknown_nodes: int  # unknown potentials solved for, summed over readout phases
 
 
-def _line_scaffold(net: _Network, spec: CrossbarSpec, prefix: str, count: int, length: int) -> list[Hashable]:
-    """Wire one line set: chain of crossing nodes ending in a sense termination.
+def _line_set(net: _Network, ends: np.ndarray, length: int, at: int, g_end: float | None, rw: float) -> np.ndarray:
+    """Lay out one line per end node; returns the crossing nodes, shape (lines, length).
 
-    Returns the terminal node of each line (where the termination attaches).
+    Neighbouring crossings are joined by wire segments of resistance ``rw``;
+    ideal wires (``rw == 0``) make each line a single node.  Crossing ``at``
+    of line i connects to ``ends[i]`` through ``g_end``, or through one more
+    wire segment when ``g_end`` is None, which merges an ideal line into its
+    end node.
     """
-    rw = spec.wire_resistance_per_segment
-    terminals: list[Hashable] = []
-    for i in range(count):
-        nodes = [(prefix, i, j) for j in range(length)]
-        if rw > 0.0:
-            gw = 1.0 / rw
-            for a, b in zip(nodes, nodes[1:]):
-                net.branch(a, b, gw)
-        else:
-            for node in nodes[1:]:
-                net.short(nodes[0], node)
-        terminal = nodes[-1]
-        net.branch(terminal, ("gnd",), spec.termination_conductance)
-        terminals.append(terminal)
-    return terminals
+    count = ends.size
+    if rw > 0.0:
+        nodes = net.nodes(count * length).reshape(count, length)
+        net.branch(nodes[:, :-1], nodes[:, 1:], 1.0 / rw)
+        net.branch(nodes[:, at], ends, 1.0 / rw if g_end is None else g_end)
+        return nodes
+    lines = ends if g_end is None else net.nodes(count)
+    if g_end is not None:
+        net.branch(lines, ends, g_end)
+    return np.repeat(lines[:, None], length, axis=1)
 
 
-def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail, _Network, dict]:
+def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
+    """Horizontal lines driven at their first crossing, vertical lines grounded after their last."""
     net = _Network()
     rw = spec.wire_resistance_per_segment
-    for k in range(spec.m):
-        source = ("src", k)
-        net.fix(source, float(drive[k]))
-        nodes = [("h", k, j) for j in range(spec.n)]
-        if rw > 0.0:
-            gw = 1.0 / rw
-            net.branch(source, nodes[0], gw)
-            for a, b in zip(nodes, nodes[1:]):
-                net.branch(a, b, gw)
-        else:
-            for node in nodes:
-                net.short(source, node)
-    for l in range(spec.n):
-        ground = ("gnd_vl", l)
-        net.fix(ground, 0.0)
-        nodes = [("v", k, l) for k in range(spec.m)]
-        if rw > 0.0:
-            gw = 1.0 / rw
-            for a, b in zip(nodes, nodes[1:]):
-                net.branch(a, b, gw)
-            net.branch(nodes[-1], ground, gw)
-        else:
-            for node in nodes:
-                net.short(ground, node)
-    for k, row in enumerate(spec.cells):
-        for l, cell in enumerate(row):
-            net.branch(("h", k, l), ("v", k, l), cell_conductance(cell, "vl"))
+    sources = net.nodes(spec.m, drive)
+    hl = _line_set(net, sources, spec.n, 0, None, rw)
+    grounds = net.nodes(spec.n, 0.0)
+    vl = _line_set(net, grounds, spec.m, -1, None, rw)
+    net.branch(hl, vl.T, conductance_matrix(spec, "vl"))
 
-    potentials = net.solve()
-    vl = np.array([net.current_into(potentials, ("gnd_vl", l)) for l in range(spec.n)])
-    injected = -sum(net.current_into(potentials, ("src", k)) for k in range(spec.m))
-    absorbed = float(vl.sum())
-    detail = NodalDetail(injected=injected, absorbed=absorbed, unknown_nodes=len(potentials) - spec.m - spec.n)
-    return ReadoutVector(vl_currents=vl, hl_currents=np.zeros(0)), detail, net, potentials
+    _, inflow, unknowns = net.solve()
+    sensed = inflow[grounds]
+    detail = NodalDetail(injected=-float(inflow[sources].sum()), absorbed=float(sensed.sum()),
+                         unknown_nodes=unknowns)
+    return ReadoutVector(vl_currents=sensed, hl_currents=np.zeros(0)), detail
 
 
-def _solve_dual_phase(spec: CrossbarSpec, drive: np.ndarray, active_line: str) -> tuple[np.ndarray, float, float]:
-    """One phase of the 2T1M1S dual readout; returns currents on the active line set.
+def _dual_lines(spec: CrossbarSpec) -> tuple[_Network, int, dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Both line sets of a dual readout, every line ending in a sense termination to ground.
+
+    Returns the network, the ground node, the node of each line set at
+    every cell (row-major) and the terminal node of each line.
+    """
+    net = _Network()
+    rw, g_term = spec.wire_resistance_per_segment, spec.termination_conductance
+    gnd = net.nodes(1, 0.0)
+    vl = _line_set(net, np.repeat(gnd, spec.n), spec.m, -1, g_term, rw)
+    hl = _line_set(net, np.repeat(gnd, spec.m), spec.n, -1, g_term, rw)
+    return net, int(gnd[0]), {"vl": vl.T.ravel(), "hl": hl.ravel()}, {"vl": vl[:, -1], "hl": hl[:, -1]}
+
+
+def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
+    """2T1M1S dual readout: a column phase, then a row phase.
 
     During a phase the other line set's switches are driven off, so they
     contribute only their off-state leakage, which drains into that line
     set's terminations and is lost to the measurement.
     """
-    net = _Network()
-    net.fix(("gnd",), 0.0)
-    vl_terminals = _line_scaffold(net, spec, "v", spec.n, spec.m)
-    hl_terminals = _line_scaffold(net, spec, "h", spec.m, spec.n)
-    for k, row in enumerate(spec.cells):
-        for l, cell in enumerate(row):
-            assert cell.sensor is not None and cell.force_f is not None and cell.hl_switch is not None
-            source = ("cell_src", k, l)
-            mid = ("cell_out", k, l)
-            net.fix(source, float(drive[k, l]))
-            g_body = series_conductance(
-                fsr_conductance(cell.sensor, cell.force_f),
-                memristor_conductance(cell.memristor),
-            )
-            net.branch(source, mid, g_body)
-            if active_line == "vl":
-                net.branch(mid, ("v", l, k), switch_conductance(cell.vl_switch))
-                net.branch(mid, ("h", k, l), cell.hl_switch.g_off)
-            else:
-                net.branch(mid, ("h", k, l), switch_conductance(cell.hl_switch))
-                net.branch(mid, ("v", l, k), cell.vl_switch.g_off)
-
-    potentials = net.solve()
-    terminals = vl_terminals if active_line == "vl" else hl_terminals
-    currents = np.array(
-        [spec.termination_conductance * net.potential(potentials, t) for t in terminals]
-    )
-    injected = -sum(
-        net.current_into(potentials, ("cell_src", k, l))
-        for k in range(spec.m)
-        for l in range(spec.n)
-    )
-    absorbed = net.current_into(potentials, ("gnd",))
-    return currents, injected, absorbed
+    cells = [cell for row in spec.cells for cell in row]
+    g_body = [series_conductance(fsr_conductance(c.sensor, c.force_f), memristor_conductance(c.memristor))
+              for c in cells]
+    switches = {"vl": [c.vl_switch for c in cells], "hl": [c.hl_switch for c in cells]}
+    sensed = {}
+    injected = absorbed = 0.0
+    unknowns = 0
+    for active, idle in (("vl", "hl"), ("hl", "vl")):
+        net, gnd, at, terminals = _dual_lines(spec)
+        sources = net.nodes(spec.m * spec.n, drive.ravel())
+        outs = net.nodes(spec.m * spec.n)
+        net.branch(sources, outs, g_body)
+        net.branch(outs, at[active], [switch_conductance(s) for s in switches[active]])
+        net.branch(outs, at[idle], [s.g_off for s in switches[idle]])
+        potential, inflow, size = net.solve()
+        sensed[active] = spec.termination_conductance * potential[terminals[active]]
+        injected -= inflow[sources].sum()
+        absorbed += inflow[gnd]
+        unknowns += size
+    detail = NodalDetail(injected=float(injected), absorbed=float(absorbed), unknown_nodes=unknowns)
+    return ReadoutVector(vl_currents=sensed["vl"], hl_currents=sensed["hl"]), detail
 
 
 def _solve_dual_shorted(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
@@ -425,39 +406,29 @@ def _solve_dual_shorted(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutV
     both its vertical and horizontal line, so every cell shorts the two
     line sets together and the sensed currents smear across all lines.
     """
-    net = _Network()
-    net.fix(("gnd",), 0.0)
-    vl_terminals = _line_scaffold(net, spec, "v", spec.n, spec.m)
-    hl_terminals = _line_scaffold(net, spec, "h", spec.m, spec.n)
+    net, gnd, at, terminals = _dual_lines(spec)
     rw = spec.wire_resistance_per_segment
-    for k, row in enumerate(spec.cells):
-        for l, cell in enumerate(row):
-            mid = ("cell_out", k, l)
-            g_stack = cell_conductance(cell, "vl")
-            if g_stack > 0.0:
-                source = ("cell_src", k, l)
-                net.fix(source, float(drive[k, l]))
-                net.branch(source, mid, g_stack)
-            if rw > 0.0:
-                gw = 1.0 / rw
-                net.branch(mid, ("v", l, k), gw)
-                net.branch(mid, ("h", k, l), gw)
-            else:
-                net.short(mid, ("v", l, k))
-                net.short(mid, ("h", k, l))
+    if rw > 0.0:
+        outs = net.nodes(spec.m * spec.n)
+    else:
+        outs = at["vl"]
+        for vl, hl in zip(outs.tolist(), at["hl"].tolist()):
+            net.short(vl, hl)
+    g_stack = conductance_matrix(spec, "vl").ravel()
+    live = g_stack > 0.0
+    sources = net.nodes(int(live.sum()), drive.ravel()[live])
+    net.branch(sources, outs[live], g_stack[live])
+    if rw > 0.0:
+        net.branch(outs, at["vl"], 1.0 / rw)
+        net.branch(outs, at["hl"], 1.0 / rw)
 
-    potentials = net.solve()
+    potential, inflow, unknowns = net.solve()
     g_term = spec.termination_conductance
-    vl = np.array([g_term * net.potential(potentials, t) for t in vl_terminals])
-    hl = np.array([g_term * net.potential(potentials, t) for t in hl_terminals])
-    injected = 0.0
-    for k in range(spec.m):
-        for l in range(spec.n):
-            if (("cell_src", k, l)) in net._parent:
-                injected -= net.current_into(potentials, ("cell_src", k, l))
-    absorbed = net.current_into(potentials, ("gnd",))
-    detail = NodalDetail(injected=injected, absorbed=absorbed, unknown_nodes=0)
-    return ReadoutVector(vl_currents=vl, hl_currents=hl), detail
+    readouts = ReadoutVector(vl_currents=g_term * potential[terminals["vl"]],
+                             hl_currents=g_term * potential[terminals["hl"]])
+    detail = NodalDetail(injected=-float(inflow[sources].sum()), absorbed=float(inflow[gnd]),
+                         unknown_nodes=unknowns)
+    return readouts, detail
 
 
 def _dual_drive(spec: CrossbarSpec, drive) -> np.ndarray:
@@ -474,16 +445,12 @@ def solve_nodal_detail(spec: CrossbarSpec, drive, readout_mode: Readout | str | 
     mode = Readout(readout_mode) if readout_mode is not None else spec.readout
     if mode is Readout.VL_ONLY:
         drive_arr = np.broadcast_to(np.asarray(drive, dtype=float), (spec.m,))
-        readouts, detail, _, _ = _solve_vl_only(spec, drive_arr)
-        return readouts, detail
+        return _solve_vl_only(spec, drive_arr)
 
     configs = {cell.config for row in spec.cells for cell in row}
     drive_arr = _dual_drive(spec, drive)
     if configs == {CellConfig.TWO_T1M1S}:
-        vl, inj_v, abs_v = _solve_dual_phase(spec, drive_arr, "vl")
-        hl, inj_h, abs_h = _solve_dual_phase(spec, drive_arr, "hl")
-        detail = NodalDetail(injected=inj_v + inj_h, absorbed=abs_v + abs_h, unknown_nodes=0)
-        return ReadoutVector(vl_currents=vl, hl_currents=hl), detail
+        return _solve_dual_switched(spec, drive_arr)
     if configs == {CellConfig.ONE_T1M1S}:
         return _solve_dual_shorted(spec, drive_arr)
     raise ValueError("dual readout supports uniform 1T1M1S or 2T1M1S grids only")

@@ -242,6 +242,15 @@ class TestCost:
         assert code == EXIT_CONFIG
         assert "sensor_mass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--table", "--config"])
+    def test_missing_file_is_config_error(self, tmp_path, capsys, flag):
+        missing = tmp_path / "absent.cfg"
+        out = tmp_path / "c"
+        assert main(["cost", flag, str(missing), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not found" in err and str(missing) in err
+        assert not out.exists()
+
     def test_bad_table_number_is_config_error(self, tmp_path):
         table = tmp_path / "units.cfg"
         table.write_text("sensor_area = tiny\n")

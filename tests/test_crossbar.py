@@ -13,7 +13,9 @@ from tmsim.crossbar import (
     CrossbarSpec,
     Readout,
     ReadoutVector,
+    SingularNetworkError,
     WeightRangeError,
+    _Network,
     conductance_matrix,
     ideal_dual_readout,
     ideal_mac_vl,
@@ -79,6 +81,37 @@ def _sensor_grid(rng=None, forces=None, states=None, g_off=0.0, wire_resistance=
     )
     return CrossbarSpec(m=4, n=2, cells=cells, readout=Readout.VL_AND_HL,
                         wire_resistance_per_segment=wire_resistance)
+
+
+def _dual_array(rng, side, cfg, parasitic):
+    """side x side 2T1M1S dual-readout array with random forces and states.
+
+    ``parasitic`` uses the calibrated wire resistance and switch
+    off-conductance; otherwise wires are ideal and switches do not leak.
+    """
+    g_off = cfg.parasitics.switch_g_off if parasitic else 0.0
+    switch = SwitchModel(g_on=cfg.switch_g_on, g_off=g_off, selected=True)
+    states = rng.uniform(0.0, 1.0, (side, side))
+    forces = rng.uniform(0.0, cfg.f_press, (side, side))
+    cells = tuple(
+        tuple(
+            CellState(
+                config=CellConfig.TWO_T1M1S,
+                memristor=MemristorModel(state_w=float(states[k, l])),
+                vl_switch=switch,
+                hl_switch=switch,
+                sensor=cfg.sensor,
+                force_f=float(forces[k, l]),
+            )
+            for l in range(side)
+        )
+        for k in range(side)
+    )
+    return CrossbarSpec(
+        m=side, n=side, cells=cells, readout=Readout.VL_AND_HL,
+        wire_resistance_per_segment=cfg.parasitics.wire_resistance if parasitic else 0.0,
+        termination_conductance=cfg.parasitics.termination_conductance,
+    )
 
 
 class TestIdealMac:
@@ -207,6 +240,80 @@ class TestDualReadout:
         spec = _sensor_grid(forces=np.full((4, 2), 20.0), selected=False)
         rv = ideal_dual_readout(V_SUPPLY, spec)
         assert rv.concatenated().sum() == 0.0
+
+
+class TestNodalContract:
+    """Guards of the nodal solver and its behaviour at array sizes where the
+    dense solve dominates."""
+
+    def test_node_without_conductive_path_is_singular(self):
+        net = _Network()
+        net.fix(0, 0.5)
+        net.branch(0, 1, 1e-3)
+        net.branch(1, 2, 0.0)  # a zero-conductance branch leaves node 2 isolated
+        with pytest.raises(SingularNetworkError):
+            net.solve()
+
+    def test_refixing_a_node_at_another_voltage_is_rejected(self):
+        net = _Network()
+        net.fix(0, 0.5)
+        net.fix(0, 0.5)
+        with pytest.raises(ValueError):
+            net.fix(0, 0.25)
+
+    def test_fixing_a_shorted_node_at_another_voltage_is_rejected(self):
+        net = _Network()
+        net.fix(0, 0.5)
+        net.short(0, 1)
+        with pytest.raises(ValueError):
+            net.fix(1, 0.0)
+
+    def test_shorting_nodes_fixed_at_different_voltages_is_rejected(self):
+        net = _Network()
+        net.fix(0, 0.5)
+        net.fix(1, 0.0)
+        with pytest.raises(ValueError):
+            net.short(0, 1)
+
+    def test_divider_with_a_short(self):
+        # 0.5 V -- 1 mS -- node 1 (shorted to node 3) -- 1 mS and 2 mS -- ground
+        net = _Network()
+        source, ground = net.nodes(2, [0.5, 0.0])
+        mid, twin = net.nodes(2)
+        net.short(mid, twin)
+        net.branch([source, mid, twin], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
+        potential, inflow, unknowns = net.solve()
+        assert unknowns == 1
+        np.testing.assert_allclose(potential, [0.5, 0.0, 0.125, 0.125], rtol=1e-12)
+        np.testing.assert_allclose(inflow, [-0.375e-3, 0.375e-3, 0.0, 0.0], rtol=1e-12, atol=1e-18)
+
+    def test_16x16_equals_ideal_without_parasitics(self, cfg):
+        spec = _dual_array(np.random.default_rng(21), 16, cfg, parasitic=False)
+        got = solve_nodal(spec, V_SUPPLY).concatenated()
+        want = ideal_dual_readout(V_SUPPLY, spec).concatenated()
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_16x16_conserves_current_with_parasitics(self, cfg):
+        spec = _dual_array(np.random.default_rng(22), 16, cfg, parasitic=True)
+        _, detail = solve_nodal_detail(spec, V_SUPPLY)
+        assert detail.injected > 0.0
+        assert detail.injected == pytest.approx(detail.absorbed, rel=1e-9)
+
+    def test_dual_readout_reports_the_unknowns_of_both_phases(self):
+        rng = np.random.default_rng(24)
+        spec = _sensor_grid(rng, g_off=1.9e-3, wire_resistance=2.0)
+        _, detail = solve_nodal_detail(spec, V_SUPPLY)
+        # per phase: 2 vertical lines x 4 crossings, 4 horizontal x 2, 8 cell outputs
+        assert detail.unknown_nodes == 2 * (8 + 8 + 8)
+
+    @pytest.mark.parametrize("wire_resistance", [0.0, 2.0])
+    def test_shorted_readout_conserves_current(self, wire_resistance):
+        rng = np.random.default_rng(23)
+        spec = _sensor_grid(rng, g_off=1.9e-3, wire_resistance=wire_resistance,
+                            config=CellConfig.ONE_T1M1S)
+        _, detail = solve_nodal_detail(spec, V_SUPPLY)
+        assert detail.injected > 0.0
+        assert detail.injected == pytest.approx(detail.absorbed, rel=1e-9)
 
 
 class TestEqualCurrentDegeneracy:
