@@ -4,129 +4,7 @@ The package splits into device physics (``devices``), circuit solving
 (``crossbar``), analog normalization blocks (``analog_blocks``), the input
 alphabet (``braille``), the recognition pipeline (``pipeline``), a hardware
 cost model (``cost_model``) and the command line front end (``cli``).
+Import each name from the submodule that defines it.
 """
 
-from .analog_blocks import SoftmaxParams, division_block, exp_block, relu, softmax_circuit, summation_block
-from .braille import (
-    BrailleGroup,
-    BrailleSymbol,
-    UnknownSymbolError,
-    all_symbols,
-    build_dataset,
-    encode,
-    label_to_group,
-    symbol_to_forces,
-    symbols,
-)
-from .config import ConfigError, SimConfig, config_hash, load_config
-from .crossbar import (
-    CrossbarSpec,
-    Readout,
-    ReadoutVector,
-    SingularNetworkError,
-    WeightRangeError,
-    ideal_dual_readout,
-    ideal_mac_vl,
-    leakage_fraction,
-    solve_nodal,
-    spec_from_json,
-    spec_to_json,
-    weights_to_differential,
-)
-from .devices import (
-    CellConfig,
-    CellState,
-    MemristorModel,
-    SensorModel,
-    SwitchModel,
-    cell_conductance,
-    fsr_conductance,
-    fsr_resistance,
-    memristor_conductance,
-    series_conductance,
-    switch_conductance,
-)
-from .pipeline import (
-    EvalReport,
-    HardwareNetwork,
-    NetworkArch,
-    NoiseSpec,
-    TrainHyper,
-    TrainedNetwork,
-    TrainingError,
-    add_noise,
-    evaluate,
-    forward,
-    map_network,
-    network_from_json,
-    network_to_json,
-    run_sweep,
-    sensor_layer_forward,
-    sweep_point,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "SoftmaxParams",
-    "division_block",
-    "exp_block",
-    "relu",
-    "softmax_circuit",
-    "summation_block",
-    "BrailleGroup",
-    "BrailleSymbol",
-    "UnknownSymbolError",
-    "all_symbols",
-    "build_dataset",
-    "encode",
-    "label_to_group",
-    "symbol_to_forces",
-    "symbols",
-    "ConfigError",
-    "SimConfig",
-    "config_hash",
-    "load_config",
-    "CrossbarSpec",
-    "Readout",
-    "ReadoutVector",
-    "SingularNetworkError",
-    "WeightRangeError",
-    "ideal_dual_readout",
-    "ideal_mac_vl",
-    "leakage_fraction",
-    "solve_nodal",
-    "spec_from_json",
-    "spec_to_json",
-    "weights_to_differential",
-    "CellConfig",
-    "CellState",
-    "MemristorModel",
-    "SensorModel",
-    "SwitchModel",
-    "cell_conductance",
-    "fsr_conductance",
-    "fsr_resistance",
-    "memristor_conductance",
-    "series_conductance",
-    "switch_conductance",
-    "EvalReport",
-    "HardwareNetwork",
-    "NetworkArch",
-    "NoiseSpec",
-    "TrainHyper",
-    "TrainedNetwork",
-    "TrainingError",
-    "add_noise",
-    "evaluate",
-    "forward",
-    "map_network",
-    "network_from_json",
-    "network_to_json",
-    "run_sweep",
-    "sensor_layer_forward",
-    "sweep_point",
-    "train",
-]

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .braille import BrailleGroup, build_dataset, label_to_group
+from .braille import DOT_CELL_POSITIONS, BrailleGroup, build_dataset, label_to_group
 from .config import ConfigError, SimConfig, config_hash, load_config, read_assignments
 from .cost_model import CostTable, compare, default_table, estimate, reports_to_csv
 from .crossbar import (
@@ -36,13 +36,13 @@ from .crossbar import (
     solve_nodal,
 )
 from .pipeline import (
-    NetworkArch,
     TrainHyper,
     TrainingError,
     arch_for,
     build_sensor_crossbar,
     evaluate,
     eval_report_to_csv,
+    map_network,
     network_from_json,
     network_to_json,
     run_sweep,
@@ -79,9 +79,21 @@ def _parse_sigma2(text: str) -> list[float]:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --sigma2 value: {exc}") from exc
-    if not values or any(v < 0.0 for v in values):
-        raise UsageError("--sigma2 needs one or more non-negative numbers")
+    if not values or not all(0.0 <= v < np.inf for v in values):
+        raise UsageError(f"--sigma2 needs one or more finite non-negative numbers, got {text!r}")
     return values
+
+
+def _copies(minimum: int):
+    """argparse type for ``--copies``: an integer of at least ``minimum``."""
+
+    def copies(text: str) -> int:  # argparse names the type in its error: "invalid copies value"
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return copies
 
 
 def _header_lines(cfg: SimConfig, seed: int | None) -> str:
@@ -132,17 +144,14 @@ class _OutputWriter:
 
 def _cmd_dataset(args, cfg: SimConfig) -> int:
     groups = _parse_groups(args.groups)
-    groups_arg = "fusion" if "fusion" in groups else groups
-    items = build_dataset(groups_arg, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
+    items = build_dataset(groups, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
     lines = [_header_lines(cfg, args.seed).rstrip("\n")]
     lines.append("item,label,group," + ",".join(f"d{i}" for i in range(1, 9)))
     counts: dict[str, int] = {}
     for i, (grid, label) in enumerate(items):
         group = label_to_group(label).value
         counts[group] = counts.get(group, 0) + 1
-        # grid rows map back to dot numbers: column 1 holds d1-d3+d7, column 2 d4-d6+d8
-        dots = [int(grid[r, c] > 0) for (r, c) in
-                ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (3, 0), (3, 1))]
+        dots = [int(grid[r, c] > 0) for (r, c) in DOT_CELL_POSITIONS]
         lines.append(f"{i},{label},{group}," + ",".join(str(d) for d in dots))
     writer = _OutputWriter(args.out, args.force)
     writer.write("dataset.csv", "\n".join(lines) + "\n")
@@ -156,27 +165,21 @@ def _cmd_dataset(args, cfg: SimConfig) -> int:
     return EXIT_OK
 
 
-def _train_network(args, cfg: SimConfig):
+def _cmd_train(args, cfg: SimConfig) -> int:
     groups = _parse_groups(args.groups)
-    groups_arg = "fusion" if "fusion" in groups else groups
-    dataset = build_dataset(groups_arg, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
-    train_items, test_items = split_holdout(dataset, copies=args.copies, holdout=1)
-    arch = arch_for(groups)
     sigma2 = _parse_sigma2(args.sigma2)
     if len(sigma2) != 1:
         raise UsageError("train takes exactly one --sigma2 value")
+    dataset = build_dataset(groups, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
+    train_items, _ = split_holdout(dataset, copies=args.copies)
     hyper = TrainHyper.from_config(cfg, seed=args.seed, sigma2=sigma2[0], mode=args.mode)
-    return train(train_items, arch, hyper, cfg), test_items, groups
-
-
-def _cmd_train(args, cfg: SimConfig) -> int:
-    tn, _, groups = _train_network(args, cfg)
+    tn = train(train_items, arch_for(groups), hyper, cfg)
     writer = _OutputWriter(args.out, args.force)
     writer.write("network.json", network_to_json(tn) + "\n")
     writer.manifest("train", cfg, args.seed, {
         "groups": groups,
         "mode": args.mode,
-        "sigma2": _parse_sigma2(args.sigma2)[0],
+        "sigma2": sigma2[0],
         "copies": args.copies,
         "outputs_n": tn.arch.n_out,
     })
@@ -190,11 +193,10 @@ def _cmd_eval(args, cfg: SimConfig) -> int:
         raise UsageError(f"network file {network_path} does not exist; run the train subcommand first")
     tn = network_from_json(network_path.read_text())
     groups = _parse_groups(args.groups)
-    groups_arg = "fusion" if "fusion" in groups else groups
-    dataset = build_dataset(groups_arg, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
-    _, test_items = split_holdout(dataset, copies=args.copies, holdout=1)
+    dataset = build_dataset(groups, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
+    _, test_items = split_holdout(dataset, copies=args.copies)
     grid = _parse_sigma2(args.sigma2)
-    report = evaluate(tn, test_items, grid, seed=args.seed, cfg=cfg)
+    report = evaluate(map_network(tn, cfg), test_items, grid, seed=args.seed)
     writer = _OutputWriter(args.out, args.force)
     writer.write("eval.csv", _header_lines(cfg, args.seed) + eval_report_to_csv(report))
     writer.manifest("eval", cfg, args.seed, {
@@ -355,13 +357,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="generate a labeled force-pattern dataset")
     common(p)
     p.add_argument("--groups", default="fusion", help="comma list of group1..group4, or fusion")
-    p.add_argument("--copies", type=int, default=5, help="copies per symbol (default: %(default)s)")
+    p.add_argument("--copies", type=_copies(1), default=5, help="copies per symbol (default: %(default)s)")
     p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("train", help="train a network on the generated dataset")
     common(p)
     p.add_argument("--groups", default="fusion")
-    p.add_argument("--copies", type=int, default=5)
+    p.add_argument("--copies", type=_copies(2), default=5)
     p.add_argument("--sigma2", default="0.0", help="noise augmentation variance")
     p.add_argument("--mode", choices=("analog", "binary"), default="analog")
     p.set_defaults(func=_cmd_train)
@@ -370,14 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--network", required=True, help="network JSON from the train subcommand")
     p.add_argument("--groups", default="fusion")
-    p.add_argument("--copies", type=int, default=5)
+    p.add_argument("--copies", type=_copies(2), default=5)
     p.add_argument("--sigma2", default=",".join(str(s) for s in DEFAULT_SIGMA2_GRID))
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="train and score across groups, noise and modes")
     common(p)
     p.add_argument("--groups", default="group1,group2,group3,group4,fusion")
-    p.add_argument("--copies", type=int, default=5)
+    p.add_argument("--copies", type=_copies(2), default=5)
     p.add_argument("--sigma2", default=",".join(str(s) for s in DEFAULT_SIGMA2_GRID))
     p.add_argument("--mode", choices=("analog", "binary", "both"), default="both")
     p.set_defaults(func=_cmd_sweep)
@@ -398,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, or a device model's own range check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -9,6 +9,7 @@ prefix and ``__`` in place of dots (``TMSIM_sensor__bias_c=2e-6``).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,6 +106,12 @@ class SimConfig:
     train: TrainParams
     raw: tuple[tuple[str, float | int], ...]  # resolved key/value view, for hashing
 
+    def __post_init__(self) -> None:
+        if self.f_press <= 0.0:
+            raise ConfigError(f"braille.f_press must be positive, got {self.f_press}")
+        if self.dot_gain <= 0.0:
+            raise ConfigError(f"pipeline.dot_gain must be positive, got {self.dot_gain}")
+
     @classmethod
     def from_values(cls, values: dict[str, float | int]) -> "SimConfig":
         v = values
@@ -145,6 +152,8 @@ def _parse_value(key: str, text: str, source: str) -> float | int:
         number = float(text)
     except ValueError as exc:
         raise ConfigError(f"{source}: cannot parse value {text!r} for {key}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{source}: {key} must be a finite number, got {text!r}")
     if key in _INT_KEYS:
         if number != int(number):
             raise ConfigError(f"{source}: {key} must be an integer, got {text!r}")
@@ -157,7 +166,7 @@ def read_assignments(path: str | Path, known: Collection[str]) -> dict[str, floa
 
     Raises:
         ConfigError: if the file does not exist; on a line without ``=``, a
-            key not in ``known``, or a value that is not a number (an
+            key not in ``known``, or a value that is not a finite number (an
             integer for integer config keys).
         OSError: if the file exists but cannot be read.
     """

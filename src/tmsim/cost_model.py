@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .pipeline import N_FEATURES, NetworkArch, SENSOR_COLS, SENSOR_ROWS
+from .pipeline import N_FEATURES, N_HIDDEN, NetworkArch, SENSOR_COLS, SENSOR_ROWS
 
 __all__ = [
     "STYLES",
@@ -182,10 +182,10 @@ def block_counts(arch: NetworkArch, processing: str) -> BlockCounts:
     """
     if processing not in PROCESSINGS:
         raise ValueError(f"processing must be one of {PROCESSINGS}, got {processing!r}")
-    cells_l23 = 2 * (arch.n_inputs * arch.n_hidden + arch.n_hidden * arch.n_out)
+    cells_l23 = 2 * (N_FEATURES * N_HIDDEN + N_HIDDEN * arch.n_out)
     if processing == "parallel":
         amps_l1 = N_FEATURES
-        amps_l23 = arch.n_hidden + arch.n_out
+        amps_l23 = N_HIDDEN + arch.n_out
         divisions = arch.n_out
     else:
         amps_l1 = 1
@@ -254,7 +254,7 @@ def estimate(arch: NetworkArch, table: CostTable, style: str, processing: str) -
     return CostReport(
         style=style,
         processing=processing,
-        arch_dims=(arch.n_inputs, arch.n_hidden, arch.n_out),
+        arch_dims=(N_FEATURES, N_HIDDEN, arch.n_out),
         counts=counts,
         area_crossbar_l1=counts.sensors * table.require("sensor_area", "sensor crossbar (layer 1)"),
         area_crossbar_l23=counts.cells_l23 * table.require("cell_area", "weight crossbars (layers 2&3)"),

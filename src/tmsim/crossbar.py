@@ -440,10 +440,9 @@ def _dual_drive(spec: CrossbarSpec, drive) -> np.ndarray:
     return arr
 
 
-def solve_nodal_detail(spec: CrossbarSpec, drive, readout_mode: Readout | str | None = None) -> tuple[ReadoutVector, NodalDetail]:
+def solve_nodal_detail(spec: CrossbarSpec, drive) -> tuple[ReadoutVector, NodalDetail]:
     """Full nodal solve returning readouts plus conservation bookkeeping."""
-    mode = Readout(readout_mode) if readout_mode is not None else spec.readout
-    if mode is Readout.VL_ONLY:
+    if spec.readout is Readout.VL_ONLY:
         drive_arr = np.broadcast_to(np.asarray(drive, dtype=float), (spec.m,))
         return _solve_vl_only(spec, drive_arr)
 
@@ -456,21 +455,20 @@ def solve_nodal_detail(spec: CrossbarSpec, drive, readout_mode: Readout | str | 
     raise ValueError("dual readout supports uniform 1T1M1S or 2T1M1S grids only")
 
 
-def solve_nodal(spec: CrossbarSpec, drive, readout_mode: Readout | str | None = None) -> ReadoutVector:
+def solve_nodal(spec: CrossbarSpec, drive) -> ReadoutVector:
     """Line currents from full nodal analysis, including sneak-path leakage.
 
     Args:
         spec: crossbar description (wire segments, termination, cells).
         drive: VL_ONLY: per-horizontal-line volts (scalar broadcasts);
             VL_AND_HL: per-cell supply volts (scalar broadcasts to m x n).
-        readout_mode: override of ``spec.readout``.
 
     Returns:
         ReadoutVector; with ideal wires, zero off-conductance and proper
         per-line selection it matches the ideal readouts within solver
         tolerance.
     """
-    readouts, _ = solve_nodal_detail(spec, drive, readout_mode)
+    readouts, _ = solve_nodal_detail(spec, drive)
     return readouts
 
 

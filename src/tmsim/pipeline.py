@@ -74,19 +74,23 @@ NETWORK_SCHEMA_VERSION = 1
 SENSOR_ROWS = 4
 SENSOR_COLS = 2
 N_FEATURES = SENSOR_COLS + SENSOR_ROWS  # column readouts then row readouts
+N_HIDDEN = 14  # columns of the 6x14 hidden-layer weight crossbar
 
 
 class TrainingError(RuntimeError):
     """Training diverged or was fed an inconsistent dataset."""
 
 
+def _check_sigma2(sigma2: float) -> None:
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2}")
+
+
 @dataclass(frozen=True)
 class NetworkArch:
-    """Output labels plus layer sizes (inputs are the 6 sensor readouts)."""
+    """Output labels of the fixed 6-14-N stack (inputs are the 6 sensor readouts)."""
 
     labels: tuple[str, ...]
-    n_inputs: int = N_FEATURES
-    n_hidden: int = 14
 
     def __post_init__(self) -> None:
         if len(self.labels) < 2:
@@ -107,8 +111,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be non-negative, got {self.sigma2}")
+        _check_sigma2(self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ class TrainHyper:
     def __post_init__(self) -> None:
         if self.mode not in ("analog", "binary"):
             raise ValueError(f"mode must be 'analog' or 'binary', got {self.mode!r}")
-        if self.lr <= 0.0 or self.epochs < 1 or self.batch_size < 1 or self.sigma2 < 0.0:
+        _check_sigma2(self.sigma2)
+        if self.lr <= 0.0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("bad hyperparameters")
 
     @classmethod
@@ -136,9 +140,9 @@ class TrainHyper:
 class TrainedNetwork:
     arch: NetworkArch
     mode: str
-    w_hidden: np.ndarray  # (6, n_hidden)
-    b_hidden: np.ndarray  # (n_hidden,)
-    w_out: np.ndarray  # (n_hidden, n_out)
+    w_hidden: np.ndarray  # (N_FEATURES, N_HIDDEN)
+    b_hidden: np.ndarray  # (N_HIDDEN,)
+    w_out: np.ndarray  # (N_HIDDEN, n_out)
     b_out: np.ndarray  # (n_out,)
     sensor_states: np.ndarray  # (4, 2) memristor states in [0, 1]
     binary_threshold: np.ndarray | None = None  # (6,), binary mode only
@@ -149,9 +153,9 @@ class HardwareNetwork:
     """Differential-conductance realization of a trained network.
 
     ``amp_hidden``/``amp_out`` are the transimpedance gains of the line
-    amplifiers; they default to the reciprocal of the programming scale, so
-    the mapped MACs reproduce the software activations exactly and argmax
-    decisions are unchanged.
+    amplifiers: the reciprocal of the programming scale, so the mapped MACs
+    reproduce the software activations exactly and argmax decisions are
+    unchanged.
     """
 
     network: TrainedNetwork
@@ -162,8 +166,14 @@ class HardwareNetwork:
     gp_out: np.ndarray
     gm_out: np.ndarray
     scale_out: float
-    amp_hidden: float
-    amp_out: float
+
+    @property
+    def amp_hidden(self) -> float:
+        return 1.0 / self.scale_hidden
+
+    @property
+    def amp_out(self) -> float:
+        return 1.0 / self.scale_out
 
 
 @dataclass(frozen=True)
@@ -390,9 +400,9 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     n_items = len(dataset)
     rng = np.random.default_rng(hyper.seed)
 
-    w1 = rng.normal(0.0, np.sqrt(2.0 / arch.n_inputs), (arch.n_inputs, arch.n_hidden))
-    b1 = np.zeros(arch.n_hidden)
-    w2 = rng.normal(0.0, np.sqrt(2.0 / arch.n_hidden), (arch.n_hidden, arch.n_out))
+    w1 = rng.normal(0.0, np.sqrt(2.0 / N_FEATURES), (N_FEATURES, N_HIDDEN))
+    b1 = np.zeros(N_HIDDEN)
+    w2 = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, arch.n_out))
     b2 = np.zeros(arch.n_out)
 
     if hyper.mode == "analog":
@@ -504,8 +514,6 @@ def map_network(tn: TrainedNetwork, cfg: SimConfig) -> HardwareNetwork:
         gp_out=gp_out,
         gm_out=gm_out,
         scale_out=scale_out,
-        amp_hidden=1.0 / scale_hidden,
-        amp_out=1.0 / scale_out,
     )
 
 
@@ -560,25 +568,13 @@ def _confusion_pairs(true_labels, predicted_labels) -> tuple[tuple[tuple[str, st
     return tuple(ranked)
 
 
-def evaluate(
-    network: TrainedNetwork | HardwareNetwork,
-    dataset,
-    sigma2_grid: Sequence[float],
-    seed: int = 0,
-    cfg: SimConfig | None = None,
-) -> EvalReport:
+def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: int = 0) -> EvalReport:
     """Accuracy of the mapped network over a noise grid.
 
     Per grid point, every item receives one fresh noise draw from a stream
     derived from (seed, grid index); reports are bit-identical across runs
     with equal arguments.
     """
-    if isinstance(network, TrainedNetwork):
-        if cfg is None:
-            raise ValueError("evaluate needs cfg when given an unmapped TrainedNetwork")
-        hw = map_network(network, cfg)
-    else:
-        hw = network
     tn = hw.network
     dots, targets = _dataset_arrays(dataset, tn.arch)
     labels = [label for _, label in dataset]
@@ -587,8 +583,7 @@ def evaluate(
 
     entries: list[EvalEntry] = []
     for j, sigma2 in enumerate(sigma2_grid):
-        if sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be non-negative, got {sigma2}")
+        _check_sigma2(sigma2)
         rng = np.random.default_rng([seed, j])
         x = feats + np.sqrt(sigma2) * rng.standard_normal(feats.shape) if sigma2 > 0.0 else feats
         predicted_idx = _hardware_probabilities(hw, x).argmax(axis=1)
@@ -625,15 +620,15 @@ class SweepRow:
     n_test: int
 
 
-def split_holdout(dataset, copies: int, holdout: int = 1):
-    """Split by per-label occurrence: last ``holdout`` copies become the test set."""
-    if not 0 < holdout < copies:
-        raise ValueError(f"need 0 < holdout < copies, got holdout={holdout}, copies={copies}")
+def split_holdout(dataset, copies: int):
+    """Split by per-label occurrence: the last of ``copies`` copies becomes the test set."""
+    if copies < 2:
+        raise ValueError(f"a holdout split needs copies >= 2, got {copies}")
     seen: dict[str, int] = {}
     train_items, test_items = [], []
     for grid, label in dataset:
         seen[label] = seen.get(label, 0) + 1
-        (train_items if seen[label] <= copies - holdout else test_items).append((grid, label))
+        (train_items if seen[label] < copies else test_items).append((grid, label))
     return train_items, test_items
 
 
@@ -651,18 +646,16 @@ def sweep_point(
     seed: int,
     cfg: SimConfig,
     copies: int = 5,
-    holdout: int = 1,
 ) -> SweepRow:
     """Train at one (group set, noise, mode) grid point and score the held-out copy."""
     from .braille import build_dataset  # local import keeps module load light
 
-    groups_arg = "fusion" if "fusion" in group_names else list(group_names)
-    dataset = build_dataset(groups_arg, copies=copies, seed=seed, f_press=cfg.f_press)
-    train_items, test_items = split_holdout(dataset, copies=copies, holdout=holdout)
+    dataset = build_dataset(group_names, copies=copies, seed=seed, f_press=cfg.f_press)
+    train_items, test_items = split_holdout(dataset, copies=copies)
     arch = arch_for(group_names)
     hyper = TrainHyper.from_config(cfg, seed=seed, sigma2=sigma2, mode=mode)
     tn = train(train_items, arch, hyper, cfg)
-    report = evaluate(tn, test_items, [sigma2], seed=seed, cfg=cfg)
+    report = evaluate(map_network(tn, cfg), test_items, [sigma2], seed=seed)
     accuracy = report.accuracy("overall", sigma2)
     return SweepRow(
         group_set="+".join(group_names),
@@ -681,7 +674,6 @@ def run_sweep(
     seeds: Sequence[int],
     cfg: SimConfig,
     copies: int = 5,
-    holdout: int = 1,
 ) -> list[SweepRow]:
     """Cartesian sweep over group sets, noise grid, modes and seeds."""
     rows = []
@@ -689,9 +681,7 @@ def run_sweep(
         for mode in modes:
             for sigma2 in sigma2_grid:
                 for seed in seeds:
-                    rows.append(
-                        sweep_point(group_names, sigma2, mode, seed, cfg, copies, holdout)
-                    )
+                    rows.append(sweep_point(group_names, sigma2, mode, seed, cfg, copies))
     return rows
 
 
@@ -704,8 +694,8 @@ def network_to_json(tn: TrainedNetwork) -> str:
         "schema_version": NETWORK_SCHEMA_VERSION,
         "mode": tn.mode,
         "labels": list(tn.arch.labels),
-        "n_inputs": tn.arch.n_inputs,
-        "n_hidden": tn.arch.n_hidden,
+        "n_inputs": N_FEATURES,
+        "n_hidden": N_HIDDEN,
         "w_hidden": tn.w_hidden.tolist(),
         "b_hidden": tn.b_hidden.tolist(),
         "w_out": tn.w_out.tolist(),
@@ -721,7 +711,10 @@ def network_from_json(text: str) -> TrainedNetwork:
     version = data.get("schema_version")
     if version != NETWORK_SCHEMA_VERSION:
         raise ValueError(f"unsupported network schema version {version!r}")
-    arch = NetworkArch(labels=tuple(data["labels"]), n_inputs=data["n_inputs"], n_hidden=data["n_hidden"])
+    for key, size in (("n_inputs", N_FEATURES), ("n_hidden", N_HIDDEN)):
+        if data[key] != size:
+            raise ValueError(f"{key} must be {size}, got {data[key]!r}")
+    arch = NetworkArch(labels=tuple(data["labels"]))
     threshold = data["binary_threshold"]
     return TrainedNetwork(
         arch=arch,

@@ -170,6 +170,65 @@ class TestTrainEval:
         assert _manifest(eval_out, "eval")["params"]["overall"]["0.1"] >= 80.0
 
 
+class TestBadFlags:
+    """Bad flag values exit 2 naming the flag, before any output is written."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "nan,0.02", "0.02,-inf"])
+    def test_non_finite_sigma2_on_eval(self, tmp_path, quick_config, capsys, value):
+        train_out = tmp_path / "t"
+        assert main(["train", "--seed", "0", "--groups", "group1",
+                     "--config", quick_config, "--out", str(train_out)]) == EXIT_OK
+        out = tmp_path / "e"
+        code = main(["eval", "--seed", "0", "--groups", "group1", "--sigma2", value,
+                     "--network", str(train_out / "network.json"),
+                     "--config", quick_config, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--sigma2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sigma2_on_train(self, tmp_path, quick_config, capsys, value):
+        out = tmp_path / "t"
+        code = main(["train", "--seed", "0", "--sigma2", value,
+                     "--config", quick_config, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--sigma2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, copies", [
+        ("dataset", "0"), ("dataset", "-1"), ("train", "1"), ("eval", "1"), ("sweep", "1"),
+        ("train", "two"),
+    ])
+    def test_copies_below_the_minimum(self, tmp_path, capsys, command, copies):
+        out = tmp_path / "o"
+        argv = [command, "--seed", "0", "--copies", copies, "--out", str(out)]
+        if command == "eval":
+            argv += ["--network", str(tmp_path / "network.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "--copies" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_accepts_two_copies(self, tmp_path, quick_config):
+        assert main(["train", "--seed", "0", "--groups", "group1", "--copies", "2",
+                     "--config", quick_config, "--out", str(tmp_path / "t")]) == EXIT_OK
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("TMSIM_PIPELINE__DOT_GAIN", "nan", "pipeline.dot_gain"),
+        ("TMSIM_PIPELINE__DOT_GAIN", "-3", "pipeline.dot_gain"),
+        ("TMSIM_BRAILLE__F_PRESS", "0", "braille.f_press"),
+        ("TMSIM_MEMRISTOR__R_ON", "-1", "r_on"),
+    ])
+    def test_bad_config_value_exits_before_output(self, tmp_path, monkeypatch, capsys,
+                                                  name, value, message):
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "d"
+        assert main(["dataset", "--seed", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_grid_shape_and_manifest(self, tmp_path, quick_config):
         out = str(tmp_path / "s")

@@ -106,7 +106,35 @@ class TestEnvOverrides:
             load_config(environ={"TMSIM_TRAIN__BATCH_SIZE": "0"})
 
 
+class TestValueChecks:
+    @pytest.mark.parametrize("key", ["sensor.bias_c", "pipeline.dot_gain", "braille.f_press", "train.epochs"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_from_file(self, tmp_path, key, value):
+        path = tmp_path / "params.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path, environ={})
+
+    @pytest.mark.parametrize("key", ["sensor.bias_c", "pipeline.dot_gain", "braille.f_press", "train.epochs"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_from_environment(self, key, value):
+        name = "TMSIM_" + key.upper().replace(".", "__")
+        with pytest.raises(ConfigError, match=name):
+            load_config(environ={name: value})
+
+    @pytest.mark.parametrize("key", ["pipeline.dot_gain", "braille.f_press"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_rejected(self, key, value):
+        name = "TMSIM_" + key.upper().replace(".", "__")
+        with pytest.raises(ConfigError, match=key):
+            load_config(environ={name: value})
+
+
 class TestConfigHash:
+    def test_default_digest_is_pinned(self):
+        # run manifests record this digest; a change breaks their comparability
+        assert config_hash(load_config(environ={})) == "0942601846c9d8dc"
+
     def test_stable_across_loads(self):
         a = load_config(environ={})
         b = load_config(environ={})

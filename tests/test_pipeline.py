@@ -5,6 +5,7 @@ A full default training run on the small-letter group is shared module-wide;
 everything else trains tiny throwaway networks or none at all.
 """
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -15,6 +16,8 @@ from tmsim.braille import BrailleGroup, build_dataset, encode, symbol_to_forces,
 from tmsim.config import load_config
 from tmsim.crossbar import ideal_dual_readout
 from tmsim.pipeline import (
+    N_FEATURES,
+    N_HIDDEN,
     NetworkArch,
     NoiseSpec,
     TrainHyper,
@@ -51,9 +54,9 @@ def _random_network(labels, seed=0, mode="analog"):
     return TrainedNetwork(
         arch=arch,
         mode=mode,
-        w_hidden=rng.normal(0.0, 0.5, (arch.n_inputs, arch.n_hidden)),
-        b_hidden=rng.normal(0.0, 0.1, arch.n_hidden),
-        w_out=rng.normal(0.0, 0.5, (arch.n_hidden, arch.n_out)),
+        w_hidden=rng.normal(0.0, 0.5, (N_FEATURES, N_HIDDEN)),
+        b_hidden=rng.normal(0.0, 0.1, N_HIDDEN),
+        w_out=rng.normal(0.0, 0.5, (N_HIDDEN, arch.n_out)),
         b_out=rng.normal(0.0, 0.1, arch.n_out),
         sensor_states=rng.uniform(0.0, 1.0, (4, 2)),
         binary_threshold=None,
@@ -63,7 +66,7 @@ def _random_network(labels, seed=0, mode="analog"):
 @pytest.fixture(scope="module")
 def g2_split(cfg):
     dataset = build_dataset(BrailleGroup.GROUP2, copies=5, seed=0, f_press=cfg.f_press)
-    return split_holdout(dataset, copies=5, holdout=1)
+    return split_holdout(dataset, copies=5)
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +185,13 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             NoiseSpec(sigma2=-0.1)
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+    def test_non_finite_variance_rejected(self, sigma2):
+        with pytest.raises(ValueError, match="sigma2"):
+            NoiseSpec(sigma2=sigma2)
+        with pytest.raises(ValueError, match="sigma2"):
+            TrainHyper(sigma2=sigma2)
+
 
 class TestTraining:
     def test_single_symbol_memorized_within_fifty_epochs(self, cfg):
@@ -189,7 +199,7 @@ class TestTraining:
         dataset = [(grid, "A")] * 4
         arch = NetworkArch(labels=("A", "B"))
         tn = train(dataset, arch, TrainHyper(epochs=50, batch_size=4, seed=0), cfg)
-        report = evaluate(tn, dataset, [0.0], cfg=cfg)
+        report = evaluate(map_network(tn, cfg), dataset, [0.0])
         assert report.accuracy("overall", 0.0) == 100.0
 
     def test_two_seeds_close_in_accuracy_but_not_in_weights(self, cfg):
@@ -346,53 +356,53 @@ class TestForward:
 class TestEvaluate:
     def test_noise_degrades_accuracy(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
-        report = evaluate(g2_net, test_items, [0.0, 0.02, 0.5], seed=0, cfg=cfg)
+        report = evaluate(map_network(g2_net, cfg), test_items, [0.0, 0.02, 0.5], seed=0)
         clean = report.accuracy("overall", 0.0)
         assert clean == 100.0
         assert clean >= report.accuracy("overall", 0.5)
 
     def test_reports_are_bit_identical_across_runs(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
-        a = evaluate(g2_net, test_items, [0.1], seed=4, cfg=cfg)
-        b = evaluate(g2_net, test_items, [0.1], seed=4, cfg=cfg)
+        a = evaluate(map_network(g2_net, cfg), test_items, [0.1], seed=4)
+        b = evaluate(map_network(g2_net, cfg), test_items, [0.1], seed=4)
         assert a == b
 
     def test_fusion_dataset_reports_per_group_entries(self, cfg):
         labels = tuple(s.label for g in BrailleGroup for s in symbols(g))
         tn = _random_network(labels, seed=11)
         dataset = build_dataset("fusion", copies=1, seed=0, f_press=cfg.f_press)
-        report = evaluate(tn, dataset, [0.0], cfg=cfg)
+        report = evaluate(map_network(tn, cfg), dataset, [0.0])
         by_group = {e.group: e.n_items for e in report.entries}
         assert by_group == {"overall": 125, "group1": 27, "group2": 26,
                            "group3": 46, "group4": 26}
 
     def test_single_group_dataset_reports_overall_only(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
-        report = evaluate(g2_net, test_items, [0.0], cfg=cfg)
+        report = evaluate(map_network(g2_net, cfg), test_items, [0.0])
         assert [e.group for e in report.entries] == ["overall"]
 
     def test_confusions_listed_for_misclassified_items(self, cfg):
         tn = _random_network(tuple("ABCD"), seed=13)
         grids = [symbol_to_forces(encode(l, BrailleGroup.GROUP1), cfg.f_press)
                  for l in "ABCD"]
-        report = evaluate(tn, list(zip(grids, "ABCD")), [0.0], cfg=cfg)
+        report = evaluate(map_network(tn, cfg), list(zip(grids, "ABCD")), [0.0])
         entry = report.entries[0]
         wrong = round((100.0 - entry.accuracy) / 100.0 * entry.n_items)
         assert sum(count for _, count in entry.confusions) == wrong
 
     def test_argument_validation(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
-        with pytest.raises(ValueError):
-            evaluate(g2_net, test_items, [0.1])  # cfg required for unmapped networks
-        with pytest.raises(ValueError):
-            evaluate(g2_net, test_items, [-0.1], cfg=cfg)
-        report = evaluate(g2_net, test_items, [0.1], cfg=cfg)
+        hw = map_network(g2_net, cfg)
+        for sigma2 in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma2"):
+                evaluate(hw, test_items, [sigma2])
+        report = evaluate(hw, test_items, [0.1])
         with pytest.raises(KeyError):
             report.accuracy("overall", 0.25)
 
     def test_csv_layout(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
-        report = evaluate(g2_net, test_items, [0.02, 0.5], cfg=cfg)
+        report = evaluate(map_network(g2_net, cfg), test_items, [0.02, 0.5])
         lines = eval_report_to_csv(report).strip().split("\n")
         assert lines[0] == "group,mode,sigma2=0.02,sigma2=0.5"
         cells = lines[1].split(",")
@@ -403,7 +413,7 @@ class TestEvaluate:
 class TestSweepProtocol:
     def test_holdout_split_reserves_one_copy_per_label(self, cfg):
         dataset = build_dataset("fusion", copies=5, seed=0, f_press=cfg.f_press)
-        train_items, test_items = split_holdout(dataset, copies=5, holdout=1)
+        train_items, test_items = split_holdout(dataset, copies=5)
         assert len(train_items) == 500 and len(test_items) == 125
         test_counts: dict[str, int] = {}
         for _, label in test_items:
@@ -411,11 +421,9 @@ class TestSweepProtocol:
         assert set(test_counts.values()) == {1}
 
     def test_holdout_validation(self, cfg):
-        dataset = build_dataset(BrailleGroup.GROUP1, copies=2, seed=0, f_press=cfg.f_press)
-        with pytest.raises(ValueError):
-            split_holdout(dataset, copies=2, holdout=2)
-        with pytest.raises(ValueError):
-            split_holdout(dataset, copies=2, holdout=0)
+        dataset = build_dataset(BrailleGroup.GROUP1, copies=1, seed=0, f_press=cfg.f_press)
+        with pytest.raises(ValueError, match="copies"):
+            split_holdout(dataset, copies=1)
 
     def test_run_sweep_covers_the_grid(self):
         quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
@@ -450,3 +458,10 @@ class TestSerialization:
         text = network_to_json(g2_net).replace('"schema_version": 1', '"schema_version": 9')
         with pytest.raises(ValueError):
             network_from_json(text)
+
+    @pytest.mark.parametrize("key, value", [("n_inputs", 7), ("n_hidden", 13)])
+    def test_other_layer_sizes_rejected(self, g2_net, key, value):
+        data = json.loads(network_to_json(g2_net))
+        data[key] = value
+        with pytest.raises(ValueError, match=key):
+            network_from_json(json.dumps(data))
