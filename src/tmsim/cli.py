@@ -84,16 +84,21 @@ def _parse_sigma2(text: str) -> list[float]:
     return values
 
 
-def _copies(minimum: int):
-    """argparse type for ``--copies``: an integer of at least ``minimum``."""
+def _int_at_least(minimum: int, name: str):
+    """argparse type: an integer of at least ``minimum``.
 
-    def copies(text: str) -> int:  # argparse names the type in its error: "invalid copies value"
+    argparse names the type in its error for a non-integer ("invalid copies
+    value"), hence ``name``.
+    """
+
+    def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
 
-    return copies
+    parse.__name__ = name
+    return parse
 
 
 def _header_lines(cfg: SimConfig, seed: int | None) -> str:
@@ -196,6 +201,11 @@ def _cmd_eval(args, cfg: SimConfig) -> int:
     dataset = build_dataset(groups, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
     _, test_items = split_holdout(dataset, copies=args.copies)
     grid = _parse_sigma2(args.sigma2)
+    outputs = set(tn.arch.labels)
+    missing = list(dict.fromkeys(label for _, label in dataset if label not in outputs))
+    if missing:
+        raise UsageError(f"network {network_path} has no output for {len(missing)} dataset "
+                         f"label(s) of --groups {args.groups}: {', '.join(map(repr, missing))}")
     report = evaluate(map_network(tn, cfg), test_items, grid, seed=args.seed)
     writer = _OutputWriter(args.out, args.force)
     writer.write("eval.csv", _header_lines(cfg, args.seed) + eval_report_to_csv(report))
@@ -352,18 +362,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="tmsim-out", help="output directory (default: %(default)s)")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         if seed:
-            p.add_argument("--seed", type=int, required=True, help="master seed (required)")
+            p.add_argument("--seed", type=_int_at_least(0, "seed"), required=True, help="master seed (required)")
 
     p = sub.add_parser("dataset", help="generate a labeled force-pattern dataset")
     common(p)
     p.add_argument("--groups", default="fusion", help="comma list of group1..group4, or fusion")
-    p.add_argument("--copies", type=_copies(1), default=5, help="copies per symbol (default: %(default)s)")
+    p.add_argument("--copies", type=_int_at_least(1, "copies"), default=5, help="copies per symbol (default: %(default)s)")
     p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("train", help="train a network on the generated dataset")
     common(p)
     p.add_argument("--groups", default="fusion")
-    p.add_argument("--copies", type=_copies(2), default=5)
+    p.add_argument("--copies", type=_int_at_least(2, "copies"), default=5)
     p.add_argument("--sigma2", default="0.0", help="noise augmentation variance")
     p.add_argument("--mode", choices=("analog", "binary"), default="analog")
     p.set_defaults(func=_cmd_train)
@@ -372,14 +382,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--network", required=True, help="network JSON from the train subcommand")
     p.add_argument("--groups", default="fusion")
-    p.add_argument("--copies", type=_copies(2), default=5)
+    p.add_argument("--copies", type=_int_at_least(2, "copies"), default=5)
     p.add_argument("--sigma2", default=",".join(str(s) for s in DEFAULT_SIGMA2_GRID))
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="train and score across groups, noise and modes")
     common(p)
     p.add_argument("--groups", default="group1,group2,group3,group4,fusion")
-    p.add_argument("--copies", type=_copies(2), default=5)
+    p.add_argument("--copies", type=_int_at_least(2, "copies"), default=5)
     p.add_argument("--sigma2", default=",".join(str(s) for s in DEFAULT_SIGMA2_GRID))
     p.add_argument("--mode", choices=("analog", "binary", "both"), default="both")
     p.set_defaults(func=_cmd_sweep)

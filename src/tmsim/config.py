@@ -111,6 +111,21 @@ class SimConfig:
             raise ConfigError(f"braille.f_press must be positive, got {self.f_press}")
         if self.dot_gain <= 0.0:
             raise ConfigError(f"pipeline.dot_gain must be positive, got {self.dot_gain}")
+        if self.sensor.v_supply <= 0.0:
+            raise ConfigError(f"sensor.v_supply must be positive, got {self.sensor.v_supply}")
+        if self.switch_g_on <= 0.0:
+            raise ConfigError(f"switch.g_on must be positive, got {self.switch_g_on}")
+        for key, g_off in (("switch.g_off", self.switch_g_off),
+                           ("parasitics.switch_g_off", self.parasitics.switch_g_off)):
+            if not 0.0 <= g_off < self.switch_g_on:
+                raise ConfigError(f"{key} must be >= 0 and below switch.g_on "
+                                  f"({self.switch_g_on}), got {g_off}")
+        if self.parasitics.wire_resistance < 0.0:
+            raise ConfigError("parasitics.wire_resistance must be non-negative, "
+                              f"got {self.parasitics.wire_resistance}")
+        if self.parasitics.termination_conductance <= 0.0:
+            raise ConfigError("parasitics.termination_conductance must be positive, "
+                              f"got {self.parasitics.termination_conductance}")
 
     @classmethod
     def from_values(cls, values: dict[str, float | int]) -> "SimConfig":

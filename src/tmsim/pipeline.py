@@ -275,6 +275,11 @@ def _cell_u(states, force, cfg: SimConfig):
     return 1.0 / (1.0 / g_s + 1.0 / _memristor_g(states, cfg) + 1.0 / cfg.switch_g_on)
 
 
+def _line_sums(conduct: np.ndarray) -> np.ndarray:
+    """Cell conductances (..., 4, 2) summed onto their lines: 2 columns then 4 rows."""
+    return np.concatenate([conduct.sum(axis=-2), conduct.sum(axis=-1)], axis=-1)
+
+
 def _line_currents(forces: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Ideal readouts of force grids (..., 4, 2): 2 column sums then 4 row sums.
 
@@ -282,8 +287,7 @@ def _line_currents(forces: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np
     every cell's series conductance sums onto its column line and its row
     line.
     """
-    conduct = _cell_u(states, forces, cfg)
-    return np.concatenate([conduct.sum(axis=-2), conduct.sum(axis=-1)], axis=-1) * cfg.sensor.v_supply
+    return _line_sums(_cell_u(states, forces, cfg)) * cfg.sensor.v_supply
 
 
 def feature_norm_current(cfg: SimConfig) -> float:
@@ -333,9 +337,9 @@ def _dataset_arrays(dataset, arch: NetworkArch) -> tuple[np.ndarray, np.ndarray]
 
 
 def _stable_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _network_input(x: np.ndarray, mode: str, threshold: np.ndarray | None, dot_gain: float) -> np.ndarray:
@@ -377,10 +381,14 @@ def _state_increment_ladder(cfg: SimConfig, rng: np.random.Generator) -> np.ndar
     return rng.permutation(states).reshape(SENSOR_ROWS, SENSOR_COLS)
 
 
-def _state_sensitivity(states: np.ndarray, force: float, cfg: SimConfig) -> np.ndarray:
-    """Exact d(_cell_u)/d(state): u^2 / g_m^2 * (g_on - g_off) of the memristor."""
+def _state_sensitivity(u: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Exact d(_cell_u)/d(state): u^2 / g_m^2 * (g_on - g_off) of the memristor.
+
+    ``u`` is the cell conductance and ``g_m`` the memristor conductance
+    (``_memristor_g``) at the same states.
+    """
     span = 1.0 / cfg.memristor.r_on - 1.0 / cfg.memristor.r_off
-    return (_cell_u(states, force, cfg) / _memristor_g(states, cfg)) ** 2 * span
+    return (u / g_m) ** 2 * span
 
 
 def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> TrainedNetwork:
@@ -396,7 +404,6 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
             mismatch.
     """
     dots, targets = _dataset_arrays(dataset, arch)
-    forces = dots * cfg.f_press
     n_items = len(dataset)
     rng = np.random.default_rng(hyper.seed)
 
@@ -405,40 +412,72 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     w2 = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, arch.n_out))
     b2 = np.zeros(arch.n_out)
 
-    if hyper.mode == "analog":
+    analog = hyper.mode == "analog"
+    if analog:
         states = _state_increment_ladder(cfg, rng)
         threshold = None
     else:
+        # the states never move, so neither do the noiseless features
         states = np.ones((SENSOR_ROWS, SENSOR_COLS))
-        noiseless = _batch_features(forces, states, cfg)
+        noiseless = _batch_features(dots * cfg.f_press, states, cfg)
         threshold = 0.5 * noiseless.max(axis=0)
 
+    # dots are 0/1, so every cell sits at one of two forces: each state
+    # update computes both conductances and each batch picks one per cell
+    levels = np.array([cfg.f_press, 0.0]).reshape(2, 1, 1)
+    pressed = dots > 0.0
+    unpressed = 1.0 - dots
+    batch_rows = np.arange(hyper.batch_size)
     sigma = np.sqrt(hyper.sigma2)
-    onehot = np.eye(arch.n_out)[targets]
+    state_lr = hyper.lr * _STATE_LR_FACTOR
+    v_supply = cfg.sensor.v_supply
+    norm = feature_norm_current(cfg)
     # d(network input)/d(cell conductance): every feature is a plain sum of
     # cell conductances (its column for features 0..1, its row for 2..5)
     # scaled by v_supply, the normalization and the O(1) input division
-    feat_scale = cfg.sensor.v_supply / (feature_norm_current(cfg) * cfg.dot_gain)
+    feat_scale = v_supply / (norm * cfg.dot_gain)
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n_items)
-        for start in range(0, n_items, hyper.batch_size):
-            batch = order[start : start + hyper.batch_size]
-            a = dots[batch]
-            feats = _batch_features(forces[batch], states, cfg)
-            x = feats if sigma == 0.0 else feats + sigma * rng.standard_normal(feats.shape)
-            x = _network_input(x, hyper.mode, threshold, cfg.dot_gain)
+        # nothing else draws from rng within an epoch, so one draw yields
+        # the same numbers in the same order as one draw per batch
+        noise = sigma * rng.standard_normal((n_items, N_FEATURES)) if sigma != 0.0 else None
+        if analog:
+            pressed_e, dots_e, unpressed_e = pressed[order], dots[order], unpressed[order]
+        else:
+            feats = noiseless[order]
+            inputs_e = _network_input(feats if noise is None else feats + noise,
+                                      hyper.mode, threshold, cfg.dot_gain)
+        targets_e = targets[order]
 
-            pre1 = x @ w1 + b1
+        for start in range(0, n_items, hyper.batch_size):
+            rows = slice(start, start + hyper.batch_size)
+            if analog:
+                u = _cell_u(states, levels, cfg)  # (2, 4, 2): pressed, unpressed
+                feats = _line_sums(np.where(pressed_e[rows], u[0], u[1])) * v_supply / norm
+                x = feats if noise is None else feats + noise[rows]
+                x = _network_input(x, hyper.mode, threshold, cfg.dot_gain)
+            else:
+                x = inputs_e[rows]
+            n_batch = len(x)
+
+            pre1 = x @ w1
+            pre1 += b1
             hidden = np.maximum(pre1, 0.0)
-            logits = hidden @ w2 + b2
+            logits = hidden @ w2
+            logits += b2
             probs = _stable_softmax(logits)
-            picked = probs[np.arange(len(batch)), targets[batch]]
-            loss = -np.log(np.maximum(picked, 1e-300)).mean()
-            if not np.isfinite(loss):
+            picked_at = (batch_rows[:n_batch], targets_e[rows])
+            picked = probs[picked_at]
+            # a softmax row is finite throughout or NaN throughout, so the
+            # mean cross-entropy is non-finite exactly when a pick is NaN
+            if np.isnan(picked).any():
+                loss = -np.log(np.maximum(picked, 1e-300)).mean()
                 raise TrainingError(f"loss diverged at epoch {epoch}: {loss}")
 
-            dz = (probs - onehot[batch]) / len(batch)
+            dz = probs  # (probs - onehot) / B, in place
+            dz[picked_at] = picked - 1.0
+            dz /= n_batch
             dw2 = hidden.T @ dz
             db2 = dz.sum(axis=0)
             dhidden = dz @ w2.T
@@ -446,13 +485,12 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
             dw1 = x.T @ dpre1
             db1 = dpre1.sum(axis=0)
 
-            if hyper.mode == "analog":
+            if analog:
                 dx = dpre1 @ w1.T  # (B, 6)
                 dcell = (dx[:, None, :SENSOR_COLS] + dx[:, SENSOR_COLS:, None]) * feat_scale
-                du_on = (dcell * a).sum(axis=0)
-                du_off = (dcell * (1.0 - a)).sum(axis=0)
-                sens_on = _state_sensitivity(states, cfg.f_press, cfg)
-                sens_off = _state_sensitivity(states, 0.0, cfg)
+                du_on = (dcell * dots_e[rows]).sum(axis=0)
+                du_off = (dcell * unpressed_e[rows]).sum(axis=0)
+                sens_on, sens_off = _state_sensitivity(u, _memristor_g(states, cfg), cfg)
                 dstates = du_on * sens_on + du_off * sens_off
                 # descend in increment space: the state-to-increment map is
                 # steep near 0 and nearly flat near 1, so raw state steps
@@ -460,8 +498,8 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
                 # the squared sensitivity equals gradient descent on the
                 # increment itself
                 cond = np.maximum((sens_on - sens_off) * feat_scale, 1e-2)
-                step = hyper.lr * _STATE_LR_FACTOR * dstates / cond**2
-                states = np.clip(states - step, 0.0, 1.0)
+                # the clip to [0, 1] as two ufuncs: np.clip's wrapper costs more
+                states = np.minimum(np.maximum(states - state_lr * dstates / cond**2, 0.0), 1.0)
 
             w1 -= hyper.lr * dw1
             b1 -= hyper.lr * db1

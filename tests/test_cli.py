@@ -210,6 +210,35 @@ class TestBadFlags:
         assert "--copies" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["dataset", "train", "eval", "sweep"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "o"
+        argv = [command, "--seed", seed, "--out", str(out)]
+        if command == "eval":
+            argv += ["--network", str(tmp_path / "network.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --seed: " + ("must be >= 0" if seed == "-1" else "invalid seed value") in err
+        assert not out.exists()
+
+    def test_eval_labels_outside_the_network_are_a_usage_error(self, tmp_path, quick_config,
+                                                               capsys):
+        train_out = tmp_path / "t"
+        assert main(["train", "--seed", "0", "--groups", "group1",
+                     "--config", quick_config, "--out", str(train_out)]) == EXIT_OK
+        out = tmp_path / "e"
+        code = main(["eval", "--seed", "0", "--groups", "fusion",
+                     "--network", str(train_out / "network.json"),
+                     "--config", quick_config, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no output for 98 dataset label(s)" in err
+        assert "'a'" in err and "'A'" not in err
+        assert not out.exists()
+
     def test_train_accepts_two_copies(self, tmp_path, quick_config):
         assert main(["train", "--seed", "0", "--groups", "group1", "--copies", "2",
                      "--config", quick_config, "--out", str(tmp_path / "t")]) == EXIT_OK

@@ -122,12 +122,40 @@ class TestValueChecks:
         with pytest.raises(ConfigError, match=name):
             load_config(environ={name: value})
 
-    @pytest.mark.parametrize("key", ["pipeline.dot_gain", "braille.f_press"])
+    @pytest.mark.parametrize("key", ["pipeline.dot_gain", "braille.f_press", "sensor.v_supply",
+                                     "switch.g_on", "parasitics.termination_conductance"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_non_positive_rejected(self, key, value):
         name = "TMSIM_" + key.upper().replace(".", "__")
         with pytest.raises(ConfigError, match=key):
             load_config(environ={name: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("switch.g_off", "-1e-9"),
+        ("switch.g_off", "1e-2"),  # equal to switch.g_on
+        ("switch.g_off", "0.5"),
+        ("parasitics.switch_g_off", "-1e-3"),
+        ("parasitics.switch_g_off", "1e-2"),
+        ("parasitics.wire_resistance", "-2"),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, key, value):
+        path = tmp_path / "params.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path, environ={})
+
+    def test_switch_off_states_must_stay_below_a_lowered_on_state(self):
+        with pytest.raises(ConfigError, match="switch.g_off"):
+            load_config(environ={"TMSIM_SWITCH__G_ON": "1e-3"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("switch.g_off", "0"),
+        ("parasitics.switch_g_off", "0"),
+        ("parasitics.wire_resistance", "0"),
+    ])
+    def test_range_boundaries_accepted(self, key, value):
+        name = "TMSIM_" + key.upper().replace(".", "__")
+        load_config(environ={name: value})
 
 
 class TestConfigHash:

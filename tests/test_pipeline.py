@@ -23,7 +23,13 @@ from tmsim.pipeline import (
     TrainHyper,
     TrainedNetwork,
     TrainingError,
+    _STATE_LR_FACTOR,
+    _batch_features,
     _cell_u,
+    _dataset_arrays,
+    _memristor_g,
+    _network_input,
+    _state_increment_ladder,
     _state_sensitivity,
     add_noise,
     build_sensor_crossbar,
@@ -61,6 +67,92 @@ def _random_network(labels, seed=0, mode="analog"):
         sensor_states=rng.uniform(0.0, 1.0, (4, 2)),
         binary_threshold=None,
     )
+
+
+def _reference_softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_state_sensitivity(states, force, cfg):
+    span = 1.0 / cfg.memristor.r_on - 1.0 / cfg.memristor.r_off
+    return (_cell_u(states, force, cfg) / _memristor_g(states, cfg)) ** 2 * span
+
+
+def _reference_train(dataset, arch, hyper, cfg):
+    """The straightforward training loop that ``train`` must reproduce bit for bit.
+
+    Every step recomputes the cell conductances of the whole batch, draws
+    its own noise and builds its one-hot targets.
+    """
+    dots, targets = _dataset_arrays(dataset, arch)
+    forces = dots * cfg.f_press
+    n_items = len(dataset)
+    rng = np.random.default_rng(hyper.seed)
+
+    w1 = rng.normal(0.0, np.sqrt(2.0 / N_FEATURES), (N_FEATURES, N_HIDDEN))
+    b1 = np.zeros(N_HIDDEN)
+    w2 = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, arch.n_out))
+    b2 = np.zeros(arch.n_out)
+
+    if hyper.mode == "analog":
+        states = _state_increment_ladder(cfg, rng)
+        threshold = None
+    else:
+        states = np.ones((4, 2))
+        noiseless = _batch_features(forces, states, cfg)
+        threshold = 0.5 * noiseless.max(axis=0)
+
+    sigma = np.sqrt(hyper.sigma2)
+    onehot = np.eye(arch.n_out)[targets]
+    feat_scale = cfg.sensor.v_supply / (feature_norm_current(cfg) * cfg.dot_gain)
+
+    for epoch in range(hyper.epochs):
+        order = rng.permutation(n_items)
+        for start in range(0, n_items, hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            a = dots[batch]
+            feats = _batch_features(forces[batch], states, cfg)
+            x = feats if sigma == 0.0 else feats + sigma * rng.standard_normal(feats.shape)
+            x = _network_input(x, hyper.mode, threshold, cfg.dot_gain)
+
+            pre1 = x @ w1 + b1
+            hidden = np.maximum(pre1, 0.0)
+            logits = hidden @ w2 + b2
+            probs = _reference_softmax(logits)
+            picked = probs[np.arange(len(batch)), targets[batch]]
+            loss = -np.log(np.maximum(picked, 1e-300)).mean()
+            if not np.isfinite(loss):
+                raise TrainingError(f"loss diverged at epoch {epoch}: {loss}")
+
+            dz = (probs - onehot[batch]) / len(batch)
+            dw2 = hidden.T @ dz
+            db2 = dz.sum(axis=0)
+            dhidden = dz @ w2.T
+            dpre1 = dhidden * (pre1 > 0.0)
+            dw1 = x.T @ dpre1
+            db1 = dpre1.sum(axis=0)
+
+            if hyper.mode == "analog":
+                dx = dpre1 @ w1.T  # (B, 6)
+                dcell = (dx[:, None, :2] + dx[:, 2:, None]) * feat_scale
+                du_on = (dcell * a).sum(axis=0)
+                du_off = (dcell * (1.0 - a)).sum(axis=0)
+                sens_on = _reference_state_sensitivity(states, cfg.f_press, cfg)
+                sens_off = _reference_state_sensitivity(states, 0.0, cfg)
+                dstates = du_on * sens_on + du_off * sens_off
+                cond = np.maximum((sens_on - sens_off) * feat_scale, 1e-2)
+                step = hyper.lr * _STATE_LR_FACTOR * dstates / cond**2
+                states = np.clip(states - step, 0.0, 1.0)
+
+            w1 -= hyper.lr * dw1
+            b1 -= hyper.lr * db1
+            w2 -= hyper.lr * dw2
+            b2 -= hyper.lr * db2
+
+    return TrainedNetwork(arch=arch, mode=hyper.mode, w_hidden=w1, b_hidden=b1, w_out=w2,
+                          b_out=b2, sensor_states=states, binary_threshold=threshold)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +310,27 @@ class TestTraining:
         np.testing.assert_array_equal(a.w_out, b.w_out)
         np.testing.assert_array_equal(a.sensor_states, b.sensor_states)
 
+    @pytest.mark.parametrize("mode, sigma2, batch_size", [
+        ("analog", 0.1, 32),
+        ("analog", 0.0, 32),
+        ("binary", 0.05, 32),
+        ("analog", 0.05, 10),  # 104 items: ten batches of 10, then a batch of 4
+        ("binary", 0.0, 10),
+    ])
+    def test_bit_identical_to_the_reference_loop(self, cfg, g2_split, mode, sigma2, batch_size):
+        train_items, _ = g2_split
+        arch = NetworkArch(labels=tuple(s.label for s in symbols(BrailleGroup.GROUP2)))
+        hyper = TrainHyper(epochs=15, batch_size=batch_size, seed=4, sigma2=sigma2, mode=mode)
+        fast = train(train_items, arch, hyper, cfg)
+        reference = _reference_train(train_items, arch, hyper, cfg)
+        assert fast.arch == reference.arch and fast.mode == reference.mode
+        for field in ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states"):
+            assert np.array_equal(getattr(fast, field), getattr(reference, field)), field
+        if mode == "binary":
+            assert np.array_equal(fast.binary_threshold, reference.binary_threshold)
+        else:
+            assert fast.binary_threshold is None and reference.binary_threshold is None
+
     def test_analog_states_stay_in_range_and_spread(self, g2_net):
         states = g2_net.sensor_states
         assert np.all((states >= 0.0) & (states <= 1.0))
@@ -229,7 +342,8 @@ class TestTraining:
         step = 1e-6
         for force in (0.0, cfg.f_press):
             numeric = (_cell_u(states + step, force, cfg) - _cell_u(states - step, force, cfg)) / (2 * step)
-            np.testing.assert_allclose(_state_sensitivity(states, force, cfg), numeric, rtol=1e-6)
+            exact = _state_sensitivity(_cell_u(states, force, cfg), _memristor_g(states, cfg), cfg)
+            np.testing.assert_allclose(exact, numeric, rtol=1e-6)
 
     def test_binary_mode_fixes_states_and_sets_threshold(self, cfg):
         dataset = build_dataset(BrailleGroup.GROUP2, copies=2, seed=0, f_press=cfg.f_press)
