@@ -22,7 +22,6 @@ __all__ = [
     "summation_block",
     "division_block",
     "softmax_circuit",
-    "relu",
 ]
 
 # exp() overflows float64 just above exp(709); reject a safe distance before.
@@ -101,8 +100,3 @@ def softmax_circuit(a: Sequence[float], params: SoftmaxParams = SoftmaxParams())
     x = [exp_block(v - shift, params) for v in values]
     total = summation_block(x, params)
     return np.array([division_block(xi, total, params) for xi in x])
-
-
-def relu(x: float) -> float:
-    """Rectifier transfer curve of the hidden-layer line amplifier."""
-    return x if x > 0.0 else 0.0

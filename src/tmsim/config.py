@@ -45,7 +45,6 @@ DEFAULTS: dict[str, float | int] = {
     "sensor.sensitivity_k": 1.5e-6,
     "sensor.bias_c": 1.0e-6,
     "sensor.v_supply": 0.5,
-    "sensor.r_divider": 1.0e4,
     "memristor.r_on": 1.0e3,
     "memristor.r_off": 1.0e5,
     "switch.g_on": 1.0e-2,
@@ -54,7 +53,6 @@ DEFAULTS: dict[str, float | int] = {
     "parasitics.switch_g_off": 1.9e-3,
     "parasitics.termination_conductance": 1.0e6,
     "softmax.r_f": 1.0e5,
-    "softmax.i_s": 1.0e-9,
     "softmax.v_t": 0.026,
     "softmax.r_sum": 1.0e5,
     "braille.f_press": 20.0,
@@ -135,7 +133,6 @@ class SimConfig:
                 sensitivity_k=v["sensor.sensitivity_k"],
                 bias_c=v["sensor.bias_c"],
                 v_supply=v["sensor.v_supply"],
-                r_divider=v["sensor.r_divider"],
             ),
             memristor=MemristorModel(r_on=v["memristor.r_on"], r_off=v["memristor.r_off"]),
             switch_g_on=v["switch.g_on"],
@@ -147,7 +144,6 @@ class SimConfig:
             ),
             softmax=SoftmaxParams(
                 r_f=v["softmax.r_f"],
-                i_s=v["softmax.i_s"],
                 v_t=v["softmax.v_t"],
                 r_sum=v["softmax.r_sum"],
             ),
@@ -211,7 +207,7 @@ def _env_overrides(environ: dict[str, str]) -> dict[str, float | int]:
             continue
         key = name[len(ENV_PREFIX):].lower().replace("__", ".")
         if key not in DEFAULTS:
-            raise ConfigError(f"environment variable {name} does not map to a known config key")
+            raise ConfigError(f"{name}: unknown key {key!r}")
         overrides[key] = _parse_value(key, value, name)
     return overrides
 

@@ -17,7 +17,6 @@ the loss-free algebra the network should approach as parasitics vanish.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,9 +27,6 @@ import numpy as np
 from .devices import (
     CellConfig,
     CellState,
-    MemristorModel,
-    SensorModel,
-    SwitchModel,
     cell_conductance,
     fsr_conductance,
     memristor_conductance,
@@ -52,12 +48,7 @@ __all__ = [
     "NodalDetail",
     "leakage_fraction",
     "weights_to_differential",
-    "spec_to_json",
-    "spec_from_json",
-    "readouts_to_csv",
 ]
-
-SPEC_SCHEMA_VERSION = 1
 
 # KCL residual bound for the direct solve, in amperes.
 RESIDUAL_TOLERANCE = 1.0e-12
@@ -521,105 +512,3 @@ def weights_to_differential(
     g_plus = g_base + np.maximum(w, 0.0) * scale
     g_minus = g_base + np.maximum(-w, 0.0) * scale
     return g_plus, g_minus
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _switch_to_dict(switch: SwitchModel | None) -> dict | None:
-    if switch is None:
-        return None
-    return {"g_on": switch.g_on, "g_off": switch.g_off, "selected": switch.selected}
-
-
-def _switch_from_dict(data: dict | None) -> SwitchModel | None:
-    if data is None:
-        return None
-    return SwitchModel(g_on=data["g_on"], g_off=data["g_off"], selected=data["selected"])
-
-
-def _cell_to_dict(cell: CellState) -> dict:
-    entry: dict = {
-        "config": cell.config.value,
-        "memristor": {
-            "r_on": cell.memristor.r_on,
-            "r_off": cell.memristor.r_off,
-            "state_w": cell.memristor.state_w,
-        },
-        "vl_switch": _switch_to_dict(cell.vl_switch),
-        "hl_switch": _switch_to_dict(cell.hl_switch),
-    }
-    if cell.sensor is not None:
-        entry["sensor"] = {
-            "sensitivity_k": cell.sensor.sensitivity_k,
-            "bias_c": cell.sensor.bias_c,
-            "v_supply": cell.sensor.v_supply,
-            "r_divider": cell.sensor.r_divider,
-        }
-        entry["force_f"] = cell.force_f
-    return entry
-
-
-def _cell_from_dict(data: dict) -> CellState:
-    sensor = None
-    if "sensor" in data:
-        sensor = SensorModel(**data["sensor"])
-    mem = MemristorModel(**data["memristor"])
-    vl_switch = _switch_from_dict(data["vl_switch"])
-    if vl_switch is None:
-        raise ValueError("cell entry is missing its vl_switch")
-    return CellState(
-        config=CellConfig(data["config"]),
-        memristor=mem,
-        vl_switch=vl_switch,
-        hl_switch=_switch_from_dict(data.get("hl_switch")),
-        sensor=sensor,
-        force_f=data.get("force_f"),
-    )
-
-
-def spec_to_json(spec: CrossbarSpec) -> str:
-    """Versioned JSON description of a crossbar, round-trippable."""
-    payload = {
-        "schema_version": SPEC_SCHEMA_VERSION,
-        "m": spec.m,
-        "n": spec.n,
-        "wire_resistance_per_segment": spec.wire_resistance_per_segment,
-        "readout": spec.readout.value,
-        "termination_conductance": spec.termination_conductance,
-        "cells": [[_cell_to_dict(cell) for cell in row] for row in spec.cells],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def spec_from_json(text: str) -> CrossbarSpec:
-    data = json.loads(text)
-    version = data.get("schema_version")
-    if version != SPEC_SCHEMA_VERSION:
-        raise ValueError(f"unsupported crossbar schema version {version!r}")
-    cells = tuple(tuple(_cell_from_dict(c) for c in row) for row in data["cells"])
-    return CrossbarSpec(
-        m=data["m"],
-        n=data["n"],
-        cells=cells,
-        wire_resistance_per_segment=data["wire_resistance_per_segment"],
-        readout=Readout(data["readout"]),
-        termination_conductance=data["termination_conductance"],
-    )
-
-
-def readouts_to_csv(readouts: Sequence[ReadoutVector]) -> str:
-    """CSV text with one row per readout: vl currents then hl currents."""
-    if not readouts:
-        raise ValueError("need at least one readout")
-    n_vl = readouts[0].vl_currents.size
-    n_hl = readouts[0].hl_currents.size
-    header = [f"vl_{i}" for i in range(n_vl)] + [f"hl_{i}" for i in range(n_hl)]
-    lines = [",".join(header)]
-    for rv in readouts:
-        flat = rv.concatenated()
-        if flat.size != n_vl + n_hl:
-            raise ValueError("readout rows must share a common shape")
-        lines.append(",".join(f"{x:.12e}" for x in flat))
-    return "\n".join(lines) + "\n"

@@ -19,9 +19,7 @@ __all__ = [
     "MemristorModel",
     "SwitchModel",
     "CellState",
-    "fsr_resistance",
     "fsr_conductance",
-    "fsr_output_voltage",
     "memristor_conductance",
     "switch_conductance",
     "series_conductance",
@@ -55,15 +53,12 @@ class SensorModel:
     sensitivity_k: float = 1.5e-6  # S per lbf
     bias_c: float = 1.0e-6  # S, zero-force conductance
     v_supply: float = 0.5  # V
-    r_divider: float = 1.0e4  # Ohm, series leg for voltage-divider readout
 
     def __post_init__(self) -> None:
         if self.sensitivity_k <= 0.0:
             raise ValueError(f"sensitivity_k must be positive, got {self.sensitivity_k}")
         if self.bias_c <= 0.0:
             raise ValueError(f"bias_c must be positive, got {self.bias_c}")
-        if self.r_divider <= 0.0:
-            raise ValueError(f"r_divider must be positive, got {self.r_divider}")
 
 
 @dataclass(frozen=True)
@@ -132,36 +127,11 @@ class CellState:
             raise ValueError(f"{self.config.value} cells have no hl_switch")
 
 
-def fsr_resistance(model: SensorModel, force_f: float) -> float:
-    """Sensor resistance in ohms at a given force.
-
-    Args:
-        model: sensor parameters.
-        force_f: applied force in lbf; must be non-negative.
-
-    Returns:
-        1 / (sensitivity_k * force_f + bias_c).
-    """
-    if force_f < 0.0:
-        raise ValueError(f"force must be non-negative, got {force_f}")
-    return 1.0 / (model.sensitivity_k * force_f + model.bias_c)
-
-
 def fsr_conductance(model: SensorModel, force_f: float) -> float:
     """Sensor conductance in siemens; affine and strictly increasing in force."""
     if force_f < 0.0:
         raise ValueError(f"force must be non-negative, got {force_f}")
     return model.sensitivity_k * force_f + model.bias_c
-
-
-def fsr_output_voltage(model: SensorModel, force_f: float) -> float:
-    """Divider readout voltage with the sensor as the upper leg.
-
-    Returns v_supply * r_divider / (fsr_resistance(f) + r_divider), which
-    grows monotonically with force and stays strictly below v_supply.
-    """
-    r1 = fsr_resistance(model, force_f)
-    return model.v_supply * model.r_divider / (r1 + model.r_divider)
 
 
 def memristor_conductance(model: MemristorModel) -> float:

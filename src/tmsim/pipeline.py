@@ -616,8 +616,17 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
     tn = hw.network
     dots, targets = _dataset_arrays(dataset, tn.arch)
     labels = [label for _, label in dataset]
-    groups = [label_to_group(label).value for label in labels]
     feats = _batch_features(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg)
+
+    # (name, item indices, true labels) of the whole set and, when it spans
+    # several groups, of each group; they depend on the dataset alone.
+    scopes = [("overall", np.arange(len(labels)), labels)]
+    groups = np.array([label_to_group(label).value for label in labels])
+    present_groups = sorted(set(groups.tolist()))
+    if len(present_groups) > 1:
+        for g in present_groups:
+            idx = np.flatnonzero(groups == g)
+            scopes.append((g, idx, [labels[i] for i in idx]))
 
     entries: list[EvalEntry] = []
     for j, sigma2 in enumerate(sigma2_grid):
@@ -625,22 +634,13 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
         rng = np.random.default_rng([seed, j])
         x = feats + np.sqrt(sigma2) * rng.standard_normal(feats.shape) if sigma2 > 0.0 else feats
         predicted_idx = _hardware_probabilities(hw, x).argmax(axis=1)
-        predicted = [tn.arch.labels[i] for i in predicted_idx]
         correct = predicted_idx == targets
-
-        present_groups = sorted(set(groups))
-        scopes = [("overall", np.ones(len(dataset), dtype=bool))]
-        if len(present_groups) > 1:
-            scopes += [(g, np.array([gi == g for gi in groups])) for g in present_groups]
-        for name, mask in scopes:
-            n = int(mask.sum())
-            acc = 100.0 * float(correct[mask].sum()) / n
-            confusions = _confusion_pairs(
-                [l for l, m in zip(labels, mask) if m],
-                [p for p, m in zip(predicted, mask) if m],
-            )
-            entries.append(EvalEntry(group=name, sigma2=float(sigma2), accuracy=acc,
-                                     n_items=n, confusions=confusions))
+        for name, idx, true_labels in scopes:
+            predicted = [tn.arch.labels[i] for i in predicted_idx[idx].tolist()]
+            entries.append(EvalEntry(group=name, sigma2=float(sigma2),
+                                     accuracy=100.0 * float(correct[idx].sum()) / idx.size,
+                                     n_items=idx.size,
+                                     confusions=_confusion_pairs(true_labels, predicted)))
     return EvalReport(mode=tn.mode, seed=seed, entries=tuple(entries))
 
 

@@ -15,7 +15,6 @@ from tmsim.analog_blocks import (
     SoftmaxParams,
     division_block,
     exp_block,
-    relu,
     softmax_circuit,
     summation_block,
 )
@@ -138,13 +137,6 @@ class TestSoftmaxCircuit:
     def test_single_channel_rejected(self):
         with pytest.raises(ValueError):
             softmax_circuit([0.1])
-
-
-class TestRelu:
-    def test_values(self):
-        assert relu(-1.0) == 0.0
-        assert relu(0.0) == 0.0
-        assert relu(0.37) == 0.37
 
 
 def test_params_validation():

@@ -257,6 +257,21 @@ class TestBadFlags:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("sensor.r_divider", "1e4"), ("softmax.i_s", "1e-9")])
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_removed_config_key_exits_before_output(self, tmp_path, monkeypatch, capsys,
+                                                    key, value, source):
+        argv = ["dataset", "--seed", "0", "--out", str(tmp_path / "d")]
+        if source == "file":
+            path = tmp_path / "old.cfg"
+            path.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(path)]
+        else:
+            monkeypatch.setenv("TMSIM_" + key.upper().replace(".", "__"), value)
+        assert main(argv) == EXIT_CONFIG
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 class TestSweep:
     def test_grid_shape_and_manifest(self, tmp_path, quick_config):

@@ -161,7 +161,7 @@ class TestValueChecks:
 class TestConfigHash:
     def test_default_digest_is_pinned(self):
         # run manifests record this digest; a change breaks their comparability
-        assert config_hash(load_config(environ={})) == "0942601846c9d8dc"
+        assert config_hash(load_config(environ={})) == "415ef51111bbe6ea"
 
     def test_stable_across_loads(self):
         a = load_config(environ={})

@@ -20,11 +20,8 @@ from tmsim.crossbar import (
     ideal_dual_readout,
     ideal_mac_vl,
     leakage_fraction,
-    readouts_to_csv,
     solve_nodal,
     solve_nodal_detail,
-    spec_from_json,
-    spec_to_json,
     weights_to_differential,
 )
 from tmsim.devices import (
@@ -451,46 +448,3 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CrossbarSpec(m=2, n=2, cells=_weight_grid(rng, 2, 2).cells,
                          wire_resistance_per_segment=-1.0)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(16)
-        spec = _sensor_grid(rng, g_off=1e-4, wire_resistance=1.5)
-        assert spec_from_json(spec_to_json(spec)) == spec
-
-    def test_weight_grid_round_trip(self):
-        rng = np.random.default_rng(17)
-        spec = _weight_grid(rng, 3, 5, wire_resistance=0.7)
-        assert spec_from_json(spec_to_json(spec)) == spec
-
-    def test_unknown_schema_version_rejected(self):
-        text = spec_to_json(_weight_grid(np.random.default_rng(18), 2, 2))
-        with pytest.raises(ValueError):
-            spec_from_json(text.replace('"schema_version": 1', '"schema_version": 99'))
-
-
-class TestReadoutCsv:
-    def test_layout(self):
-        rows = [
-            ReadoutVector(vl_currents=np.array([1e-4, 2e-4]), hl_currents=np.array([3e-4])),
-            ReadoutVector(vl_currents=np.array([4e-4, 5e-4]), hl_currents=np.array([6e-4])),
-        ]
-        text = readouts_to_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0] == "vl_0,vl_1,hl_0"
-        assert len(lines) == 3
-        parsed = [float(x) for x in lines[1].split(",")]
-        np.testing.assert_allclose(parsed, [1e-4, 2e-4, 3e-4], rtol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        rows = [
-            ReadoutVector(vl_currents=np.ones(2), hl_currents=np.ones(1)),
-            ReadoutVector(vl_currents=np.ones(3), hl_currents=np.ones(1)),
-        ]
-        with pytest.raises(ValueError):
-            readouts_to_csv(rows)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            readouts_to_csv([])

@@ -11,8 +11,6 @@ from tmsim.devices import (
     SwitchModel,
     cell_conductance,
     fsr_conductance,
-    fsr_output_voltage,
-    fsr_resistance,
     memristor_conductance,
     series_conductance,
     switch_conductance,
@@ -24,13 +22,14 @@ SLOPE = 1.5e-6  # S per lbf, affine sensitivity of the default sensor
 
 class TestSensor:
     def test_rest_resistance_is_one_megaohm(self):
-        assert fsr_resistance(SENSOR, 0.0) == pytest.approx(1.0e6, rel=1e-12)
+        # 1 MOhm is 1 uS
+        assert fsr_conductance(SENSOR, 0.0) == pytest.approx(1.0e-6, rel=1e-12)
 
     def test_reference_press_points(self):
-        # frozen evaluations of 1 / (k*f + c)
-        assert fsr_resistance(SENSOR, 20.0) == pytest.approx(32258.06451612903, rel=1e-12)
-        assert fsr_resistance(SENSOR, 40.0) == pytest.approx(16393.44262295082, rel=1e-12)
-        assert fsr_resistance(SENSOR, 40.0) < fsr_resistance(SENSOR, 20.0)
+        # frozen evaluations of k*f + c
+        assert fsr_conductance(SENSOR, 20.0) == pytest.approx(3.1e-5, rel=1e-12)
+        assert fsr_conductance(SENSOR, 40.0) == pytest.approx(6.1e-5, rel=1e-12)
+        assert fsr_conductance(SENSOR, 40.0) > fsr_conductance(SENSOR, 20.0)
 
     def test_conductance_is_affine_with_fixed_slope(self):
         forces = np.linspace(0.0, 40.0, 20)
@@ -39,15 +38,7 @@ class TestSensor:
             slope = (fsr_conductance(SENSOR, f + h) - fsr_conductance(SENSOR, f)) / h
             assert slope == pytest.approx(SLOPE, rel=1e-12)
 
-    def test_resistance_times_conductance_is_one(self):
-        rng = np.random.default_rng(7)
-        for f in rng.uniform(0.0, 50.0, 200):
-            product = fsr_resistance(SENSOR, f) * fsr_conductance(SENSOR, f)
-            assert product == pytest.approx(1.0, rel=1e-12)
-
     def test_negative_force_rejected(self):
-        with pytest.raises(ValueError):
-            fsr_resistance(SENSOR, -1.0)
         with pytest.raises(ValueError):
             fsr_conductance(SENSOR, -0.5)
 
@@ -56,23 +47,6 @@ class TestSensor:
             SensorModel(sensitivity_k=0.0)
         with pytest.raises(ValueError):
             SensorModel(bias_c=-1e-6)
-        with pytest.raises(ValueError):
-            SensorModel(r_divider=0.0)
-
-
-class TestDividerReadout:
-    def test_equal_divider_gives_half_supply(self):
-        # force solving k*f + c = 1/r_divider lands at exactly 66 lbf
-        assert fsr_output_voltage(SENSOR, 66.0) == pytest.approx(0.25, rel=1e-12)
-
-    def test_monotone_increasing_and_bounded(self):
-        forces = np.linspace(0.0, 500.0, 100)
-        volts = np.array([fsr_output_voltage(SENSOR, f) for f in forces])
-        assert np.all(np.diff(volts) > 0.0)
-        assert np.all(volts < SENSOR.v_supply)
-
-    def test_large_force_approaches_supply(self):
-        assert fsr_output_voltage(SENSOR, 1e9) == pytest.approx(SENSOR.v_supply, rel=1e-3)
 
 
 class TestMemristor:

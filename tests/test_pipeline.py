@@ -12,12 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tmsim.braille import BrailleGroup, build_dataset, encode, symbol_to_forces, symbols
+from tmsim.braille import BrailleGroup, build_dataset, encode, label_to_group, symbol_to_forces, symbols
 from tmsim.config import load_config
 from tmsim.crossbar import ideal_dual_readout
 from tmsim.pipeline import (
     N_FEATURES,
     N_HIDDEN,
+    EvalEntry,
+    EvalReport,
     NetworkArch,
     NoiseSpec,
     TrainHyper,
@@ -26,12 +28,16 @@ from tmsim.pipeline import (
     _STATE_LR_FACTOR,
     _batch_features,
     _cell_u,
+    _check_sigma2,
+    _confusion_pairs,
     _dataset_arrays,
+    _hardware_probabilities,
     _memristor_g,
     _network_input,
     _state_increment_ladder,
     _state_sensitivity,
     add_noise,
+    arch_for,
     build_sensor_crossbar,
     evaluate,
     eval_report_to_csv,
@@ -153,6 +159,43 @@ def _reference_train(dataset, arch, hyper, cfg):
 
     return TrainedNetwork(arch=arch, mode=hyper.mode, w_hidden=w1, b_hidden=b1, w_out=w2,
                           b_out=b2, sensor_states=states, binary_threshold=threshold)
+
+
+def _reference_evaluate(hw, dataset, sigma2_grid, seed=0):
+    """The straightforward evaluation loop that ``evaluate`` must reproduce exactly.
+
+    Every noise level rebuilds the group masks and filters the label lists
+    item by item.
+    """
+    tn = hw.network
+    dots, targets = _dataset_arrays(dataset, tn.arch)
+    labels = [label for _, label in dataset]
+    groups = [label_to_group(label).value for label in labels]
+    feats = _batch_features(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg)
+
+    entries: list[EvalEntry] = []
+    for j, sigma2 in enumerate(sigma2_grid):
+        _check_sigma2(sigma2)
+        rng = np.random.default_rng([seed, j])
+        x = feats + np.sqrt(sigma2) * rng.standard_normal(feats.shape) if sigma2 > 0.0 else feats
+        predicted_idx = _hardware_probabilities(hw, x).argmax(axis=1)
+        predicted = [tn.arch.labels[i] for i in predicted_idx]
+        correct = predicted_idx == targets
+
+        present_groups = sorted(set(groups))
+        scopes = [("overall", np.ones(len(dataset), dtype=bool))]
+        if len(present_groups) > 1:
+            scopes += [(g, np.array([gi == g for gi in groups])) for g in present_groups]
+        for name, mask in scopes:
+            n = int(mask.sum())
+            acc = 100.0 * float(correct[mask].sum()) / n
+            confusions = _confusion_pairs(
+                [l for l, m in zip(labels, mask) if m],
+                [p for p, m in zip(predicted, mask) if m],
+            )
+            entries.append(EvalEntry(group=name, sigma2=float(sigma2), accuracy=acc,
+                                     n_items=n, confusions=confusions))
+    return EvalReport(mode=tn.mode, seed=seed, entries=tuple(entries))
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +340,13 @@ class TestTraining:
     def test_two_seeds_close_in_accuracy_but_not_in_weights(self, cfg):
         rows = [sweep_point(["group2"], 0.02, "analog", seed, cfg) for seed in (0, 1)]
         assert abs(rows[0].accuracy - rows[1].accuracy) <= 2.0
-        # independent runs from different seeds land on different weights
         assert rows[0].n_test == rows[1].n_test == 26
+        # independent runs from different seeds land on different weights
+        dataset = build_dataset(BrailleGroup.GROUP2, copies=2, seed=0, f_press=cfg.f_press)
+        arch = NetworkArch(labels=tuple(s.label for s in symbols(BrailleGroup.GROUP2)))
+        a, b = (train(dataset, arch, TrainHyper(epochs=2, seed=seed, sigma2=0.02), cfg)
+                for seed in (0, 1))
+        assert not np.array_equal(a.w_hidden, b.w_hidden)
 
     def test_training_is_deterministic(self, cfg):
         dataset = build_dataset(BrailleGroup.GROUP1, copies=2, seed=3, f_press=cfg.f_press)
@@ -489,6 +537,19 @@ class TestEvaluate:
         by_group = {e.group: e.n_items for e in report.entries}
         assert by_group == {"overall": 125, "group1": 27, "group2": 26,
                            "group3": 46, "group4": 26}
+
+    @pytest.mark.parametrize("mode", ["analog", "binary"])
+    def test_matches_reference_evaluate(self, cfg, mode):
+        dataset = build_dataset("fusion", copies=2, seed=0, f_press=cfg.f_press)
+        tn = train(dataset, arch_for(["fusion"]), TrainHyper(epochs=3, seed=0, mode=mode), cfg)
+        hw = map_network(tn, cfg)
+        grid = [0.0, 0.05, 0.5]
+        report = evaluate(hw, dataset, grid, seed=2)
+        assert report == _reference_evaluate(hw, dataset, grid, seed=2)
+        assert len(report.entries) == 15
+        pairs = [pair for e in report.entries for pair, _ in e.confusions]
+        assert pairs
+        assert all(type(t) is str and type(p) is str for t, p in pairs)
 
     def test_single_group_dataset_reports_overall_only(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
