@@ -36,6 +36,7 @@ from .crossbar import (
     solve_nodal,
 )
 from .pipeline import (
+    InvalidNetworkError,
     TrainHyper,
     TrainingError,
     arch_for,
@@ -196,7 +197,10 @@ def _cmd_eval(args, cfg: SimConfig) -> int:
     network_path = Path(args.network)
     if not network_path.exists():
         raise UsageError(f"network file {network_path} does not exist; run the train subcommand first")
-    tn = network_from_json(network_path.read_text())
+    try:
+        tn = network_from_json(network_path.read_text())
+    except InvalidNetworkError as exc:
+        raise UsageError(f"network file {network_path}: {exc}") from exc
     groups = _parse_groups(args.groups)
     dataset = build_dataset(groups, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
     _, test_items = split_holdout(dataset, copies=args.copies)

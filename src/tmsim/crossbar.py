@@ -50,8 +50,17 @@ __all__ = [
     "weights_to_differential",
 ]
 
-# KCL residual bound for the direct solve, in amperes.
+# KCL residual bound for the nodal solve, in amperes.
 RESIDUAL_TOLERANCE = 1.0e-12
+# Narrowest block of the banded nodal solve, in unknowns.  Wider blocks
+# mean fewer numpy calls, narrower ones fewer flops.  Timed on a 2-core
+# x86-64 host (numpy 2.4.6) over wired dual arrays of 4x4 to 16x16 cells,
+# 8x8 and 24x24 VL_ONLY grids (48 to 1,152 unknowns) and band systems of
+# 3,072 unknowns with half-bandwidths 1 to 24, 32 was fastest: 48 took
+# 10-40% longer, 64 up to 50% and 96 up to 3x, while 24 cut the 4x4 array
+# into two blocks at twice the time.  From 16x16 dual arrays up
+# (half-bandwidth 3n = 48) the band sets the width.
+MIN_BLOCK = 32
 
 
 class Readout(str, Enum):
@@ -179,11 +188,13 @@ def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
 
 def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x[0], y[0], x[1], y[1], ...: both ends of each branch, in branch order."""
-    return np.stack((x, y), axis=1).ravel()
+    out = np.empty(2 * x.size, dtype=np.result_type(x, y))
+    out[0::2], out[1::2] = x, y
+    return out
 
 
 class _Network:
-    """Resistive network on integer nodes with a dense direct solve.
+    """Resistive network on integer nodes with a banded direct solve.
 
     Nodes are the integers 0, 1, 2, ...; naming a node creates it and every
     node below it.  Shorts merge nodes in a union-find whose root is the
@@ -243,7 +254,7 @@ class _Network:
         self._branches.append((a, b, g))
 
     def solve(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Dense nodal analysis of the unknown nodes.
+        """Nodal analysis of the unknown nodes by banded block elimination.
 
         Returns the potential and the net branch current flowing into
         (positive = absorbed by) every node, and the number of unknowns.
@@ -269,34 +280,77 @@ class _Network:
         ia, ib = index[ra], index[rb]
         ends = _interleave(ia, ib)
         free = ends >= 0
-        g_mat = np.zeros((size, size))
-        g_mat.flat[:: size + 1] = np.bincount(ends[free], weights=np.repeat(g, 2)[free], minlength=size)
+        diagonal = np.bincount(ends[free], weights=np.repeat(g, 2)[free], minlength=size)
         both = (ia >= 0) & (ib >= 0)
-        np.add.at(g_mat, (_interleave(ia[both], ib[both]), _interleave(ib[both], ia[both])),
-                  -np.repeat(g[both], 2))
         one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
         rhs = np.bincount(np.where(ia >= 0, ia, ib)[one],
                           weights=(g * np.where(ia >= 0, volts[rb], volts[ra]))[one], minlength=size)
 
         if size:
-            isolated = unknowns[g_mat.diagonal() == 0.0]
+            isolated = unknowns[diagonal == 0.0]
             if isolated.size:
                 raise SingularNetworkError(f"isolated nodes with no conductive path: {isolated.tolist()!r}")
             try:
-                u = np.linalg.solve(g_mat, rhs)
+                volts[unknowns] = _banded_solve(diagonal, ia[both], ib[both], g[both], rhs)
             except np.linalg.LinAlgError as exc:
                 raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
-            residual = np.abs(g_mat @ u - rhs).max()
-            bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
-            if residual > bound:
-                raise SingularNetworkError(
-                    f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A"
-                )
-            volts[unknowns] = u
 
         current = g * (volts[rb] - volts[ra])  # flowing from b into a
         inflow = np.bincount(_interleave(ra, rb), weights=_interleave(current, -current), minlength=count)
+        if size:
+            residual = np.abs(inflow[unknowns]).max()  # KCL: no net current into an unknown node
+            bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
+            if not residual <= bound:
+                raise SingularNetworkError(
+                    f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A"
+                )
         return volts[root], inflow[root], size
+
+
+def _banded_solve(diagonal: np.ndarray, ia: np.ndarray, ib: np.ndarray, g: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve G u = rhs, G = diag(diagonal) minus ``g`` at (ia, ib) and (ib, ia), by blocks.
+
+    The unknowns are cut into equal blocks, as many as fit at least as wide
+    as the half-bandwidth of the couplings and ``MIN_BLOCK``, so G is block
+    tridiagonal with diagonal blocks D_k and upper blocks U_k.  Forward
+    elimination forms the Schur complements
+    S_k = D_k - U_{k-1}^T S_{k-1}^-1 U_{k-1}; G is symmetric positive
+    definite, so no pivoting across blocks is needed.  The last block is
+    padded with identity rows.  A system of one block is a dense solve.
+    """
+    size = diagonal.size
+    # below two narrowest blocks of unknowns the system is one block, whatever its band
+    half = int(np.abs(ia - ib).max()) if size >= 2 * MIN_BLOCK and ia.size else 0
+    blocks = max(1, size // max(half, MIN_BLOCK))
+    width = -(-size // blocks)
+    spare = blocks * width - size
+    inner = ia // width == ib // width if blocks > 1 else slice(None)
+    rows, cols = _interleave(ia[inner], ib[inner]), _interleave(ib[inner], ia[inner])
+    # entry (i, j) of a block sits at i * width + j % width of the stacked blocks
+    d = np.bincount(rows * width + cols % width, -np.repeat(g[inner], 2), blocks * width * width)
+    d = d.astype(float, copy=False).reshape(blocks, width, width)  # no weights gives ints
+    if spare:
+        diagonal, rhs = np.concatenate((diagonal, np.ones(spare))), np.concatenate((rhs, np.zeros(spare)))
+    d.reshape(blocks, width * width)[:, :: width + 1] = diagonal.reshape(blocks, width)
+    y = rhs.reshape(blocks, width)
+    if blocks == 1:
+        return np.linalg.solve(d[0], y[0])
+
+    cross = ~inner
+    lo, hi = np.minimum(ia[cross], ib[cross]), np.maximum(ia[cross], ib[cross])
+    u = np.bincount(lo * width + hi % width, -g[cross], (blocks - 1) * width * width)
+    u = u.reshape(blocks - 1, width, width)
+    carried = []  # S_k^-1 [U_k | y'_k]
+    s, r = d[0], y[0]
+    for k in range(blocks - 1):
+        carried.append(np.linalg.solve(s, np.column_stack((u[k], r))))
+        update = u[k].T @ carried[-1]
+        s, r = d[k + 1] - update[:, :-1], y[k + 1] - update[:, -1]
+    x = [np.linalg.solve(s, r)]
+    for solved in reversed(carried):
+        x.append(solved[:, -1] - solved[:, :-1] @ x[-1])
+    return np.concatenate(x[::-1])[:size]
 
 
 @dataclass(frozen=True)
@@ -308,36 +362,49 @@ class NodalDetail:
     unknown_nodes: int  # unknown potentials solved for, summed over readout phases
 
 
-def _line_set(net: _Network, ends: np.ndarray, length: int, at: int, g_end: float | None, rw: float) -> np.ndarray:
-    """Lay out one line per end node; returns the crossing nodes, shape (lines, length).
+def _line_sets(net: _Network, spec: CrossbarSpec, ends: dict[str, np.ndarray], hl_at: int,
+               g_end: float | None, outs: bool) -> dict[str, np.ndarray]:
+    """Lay out both line sets; returns the node of each set at every cell, shape (m, n).
 
-    Neighbouring crossings are joined by wire segments of resistance ``rw``;
-    ideal wires (``rw == 0``) make each line a single node.  Crossing ``at``
-    of line i connects to ``ends[i]`` through ``g_end``, or through one more
-    wire segment when ``g_end`` is None, which merges an ideal line into its
-    end node.
+    Vertical line l meets ``ends["vl"][l]`` at its last crossing and
+    horizontal line k meets ``ends["hl"][k]`` at crossing ``hl_at``, through
+    ``g_end``, or through one more wire segment when ``g_end`` is None,
+    which merges an ideal line into its end node.  Neighbouring crossings
+    are joined by wire segments; ideal wires (``rw == 0``) make each line a
+    single node.  ``outs`` adds a new output node per cell under "out".
+
+    With wire resistance a cell's nodes (vl crossing, hl crossing, output)
+    are numbered together, cell by cell in row-major order, so every
+    coupling stays within 3n places of the diagonal and the banded solve
+    runs on narrow blocks.
     """
-    count = ends.size
+    m, n, rw = spec.m, spec.n, spec.wire_resistance_per_segment
     if rw > 0.0:
-        nodes = net.nodes(count * length).reshape(count, length)
-        net.branch(nodes[:, :-1], nodes[:, 1:], 1.0 / rw)
-        net.branch(nodes[:, at], ends, 1.0 / rw if g_end is None else g_end)
+        names = ("vl", "hl", "out") if outs else ("vl", "hl")
+        grid = net.nodes(m * n * len(names)).reshape(m, n, len(names))
+        nodes = {name: grid[:, :, i] for i, name in enumerate(names)}
+        for name, lines, at in (("vl", nodes["vl"].T, -1), ("hl", nodes["hl"], hl_at)):
+            net.branch(lines[:, :-1], lines[:, 1:], 1.0 / rw)
+            net.branch(lines[:, at], ends[name], 1.0 / rw if g_end is None else g_end)
         return nodes
-    lines = ends if g_end is None else net.nodes(count)
-    if g_end is not None:
-        net.branch(lines, ends, g_end)
-    return np.repeat(lines[:, None], length, axis=1)
+    nodes = {}
+    for name, shape in (("vl", (1, n)), ("hl", (m, 1))):
+        lines = ends[name] if g_end is None else net.nodes(ends[name].size)
+        if g_end is not None:
+            net.branch(lines, ends[name], g_end)
+        nodes[name] = np.broadcast_to(lines.reshape(shape), (m, n))
+    if outs:
+        nodes["out"] = net.nodes(m * n).reshape(m, n)
+    return nodes
 
 
 def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
     """Horizontal lines driven at their first crossing, vertical lines grounded after their last."""
     net = _Network()
-    rw = spec.wire_resistance_per_segment
     sources = net.nodes(spec.m, drive)
-    hl = _line_set(net, sources, spec.n, 0, None, rw)
     grounds = net.nodes(spec.n, 0.0)
-    vl = _line_set(net, grounds, spec.m, -1, None, rw)
-    net.branch(hl, vl.T, conductance_matrix(spec, "vl"))
+    lines = _line_sets(net, spec, {"vl": grounds, "hl": sources}, 0, None, outs=False)
+    net.branch(lines["hl"], lines["vl"], conductance_matrix(spec, "vl"))
 
     _, inflow, unknowns = net.solve()
     sensed = inflow[grounds]
@@ -346,18 +413,19 @@ def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector
     return ReadoutVector(vl_currents=sensed, hl_currents=np.zeros(0)), detail
 
 
-def _dual_lines(spec: CrossbarSpec) -> tuple[_Network, int, dict[str, np.ndarray], dict[str, np.ndarray]]:
+def _dual_lines(spec: CrossbarSpec, outs: bool) -> tuple[_Network, int, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Both line sets of a dual readout, every line ending in a sense termination to ground.
 
-    Returns the network, the ground node, the node of each line set at
-    every cell (row-major) and the terminal node of each line.
+    Returns the network, the ground node, the node of each line set (and
+    of each cell output if ``outs``) at every cell, row-major, and the
+    terminal node of each line.
     """
     net = _Network()
-    rw, g_term = spec.wire_resistance_per_segment, spec.termination_conductance
     gnd = net.nodes(1, 0.0)
-    vl = _line_set(net, np.repeat(gnd, spec.n), spec.m, -1, g_term, rw)
-    hl = _line_set(net, np.repeat(gnd, spec.m), spec.n, -1, g_term, rw)
-    return net, int(gnd[0]), {"vl": vl.T.ravel(), "hl": hl.ravel()}, {"vl": vl[:, -1], "hl": hl[:, -1]}
+    lines = _line_sets(net, spec, {"vl": np.repeat(gnd, spec.n), "hl": np.repeat(gnd, spec.m)}, -1,
+                       spec.termination_conductance, outs)
+    at = {name: nodes.ravel() for name, nodes in lines.items()}
+    return net, int(gnd[0]), at, {"vl": lines["vl"][-1], "hl": lines["hl"][:, -1]}
 
 
 def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
@@ -375,12 +443,11 @@ def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[Readout
     injected = absorbed = 0.0
     unknowns = 0
     for active, idle in (("vl", "hl"), ("hl", "vl")):
-        net, gnd, at, terminals = _dual_lines(spec)
+        net, gnd, at, terminals = _dual_lines(spec, outs=True)
         sources = net.nodes(spec.m * spec.n, drive.ravel())
-        outs = net.nodes(spec.m * spec.n)
-        net.branch(sources, outs, g_body)
-        net.branch(outs, at[active], [switch_conductance(s) for s in switches[active]])
-        net.branch(outs, at[idle], [s.g_off for s in switches[idle]])
+        net.branch(sources, at["out"], g_body)
+        net.branch(at["out"], at[active], [switch_conductance(s) for s in switches[active]])
+        net.branch(at["out"], at[idle], [s.g_off for s in switches[idle]])
         potential, inflow, size = net.solve()
         sensed[active] = spec.termination_conductance * potential[terminals[active]]
         injected -= inflow[sources].sum()
@@ -397,10 +464,10 @@ def _solve_dual_shorted(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutV
     both its vertical and horizontal line, so every cell shorts the two
     line sets together and the sensed currents smear across all lines.
     """
-    net, gnd, at, terminals = _dual_lines(spec)
     rw = spec.wire_resistance_per_segment
+    net, gnd, at, terminals = _dual_lines(spec, outs=rw > 0.0)
     if rw > 0.0:
-        outs = net.nodes(spec.m * spec.n)
+        outs = at["out"]
     else:
         outs = at["vl"]
         for vl, hl in zip(outs.tolist(), at["hl"].tolist()):

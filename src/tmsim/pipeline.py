@@ -51,6 +51,7 @@ __all__ = [
     "EvalEntry",
     "EvalReport",
     "TrainingError",
+    "InvalidNetworkError",
     "build_sensor_crossbar",
     "sensor_layer_forward",
     "feature_norm_current",
@@ -79,6 +80,10 @@ N_HIDDEN = 14  # columns of the 6x14 hidden-layer weight crossbar
 
 class TrainingError(RuntimeError):
     """Training diverged or was fed an inconsistent dataset."""
+
+
+class InvalidNetworkError(ValueError):
+    """A trained network field the fixed 6-14-N stack cannot run; the message names the field."""
 
 
 def _check_sigma2(sigma2: float) -> None:
@@ -146,6 +151,28 @@ class TrainedNetwork:
     b_out: np.ndarray  # (n_out,)
     sensor_states: np.ndarray  # (4, 2) memristor states in [0, 1]
     binary_threshold: np.ndarray | None = None  # (6,), binary mode only
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("analog", "binary"):
+            raise InvalidNetworkError(f"mode must be 'analog' or 'binary', got {self.mode!r}")
+        if (self.binary_threshold is None) == (self.mode == "binary"):
+            raise InvalidNetworkError(f"binary_threshold must be given exactly when mode is 'binary', "
+                                      f"got {'none' if self.binary_threshold is None else 'one'} "
+                                      f"in {self.mode!r} mode")
+        shapes = {"w_hidden": (N_FEATURES, N_HIDDEN), "b_hidden": (N_HIDDEN,),
+                  "w_out": (N_HIDDEN, self.arch.n_out), "b_out": (self.arch.n_out,),
+                  "sensor_states": (SENSOR_ROWS, SENSOR_COLS), "binary_threshold": (N_FEATURES,)}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if np.shape(value) != shape:
+                raise InvalidNetworkError(f"{name} must have shape {shape}, got {np.shape(value)}")
+            if np.asarray(value).dtype.kind not in "iuf" or not np.isfinite(value).all():
+                raise InvalidNetworkError(f"{name} must hold finite numbers")
+        if not ((self.sensor_states >= 0.0) & (self.sensor_states <= 1.0)).all():
+            raise InvalidNetworkError(f"sensor_states must lie in [0, 1], got {self.sensor_states.min()!r} "
+                                      f"to {self.sensor_states.max()!r}")
 
 
 @dataclass(frozen=True)
@@ -350,8 +377,6 @@ def _network_input(x: np.ndarray, mode: str, threshold: np.ndarray | None, dot_g
     """
     if mode != "binary":
         return x / dot_gain
-    if threshold is None:
-        raise ValueError("a binary network needs a binary_threshold")
     return (x >= threshold).astype(float)
 
 
@@ -749,9 +774,13 @@ def network_from_json(text: str) -> TrainedNetwork:
     version = data.get("schema_version")
     if version != NETWORK_SCHEMA_VERSION:
         raise ValueError(f"unsupported network schema version {version!r}")
+    missing = [key for key in ("mode", "labels", "n_inputs", "n_hidden", "w_hidden", "b_hidden", "w_out",
+                               "b_out", "sensor_states", "binary_threshold") if key not in data]
+    if missing:
+        raise InvalidNetworkError(f"missing field(s) {', '.join(missing)}")
     for key, size in (("n_inputs", N_FEATURES), ("n_hidden", N_HIDDEN)):
         if data[key] != size:
-            raise ValueError(f"{key} must be {size}, got {data[key]!r}")
+            raise InvalidNetworkError(f"{key} must be {size}, got {data[key]!r}")
     arch = NetworkArch(labels=tuple(data["labels"]))
     threshold = data["binary_threshold"]
     return TrainedNetwork(

@@ -239,6 +239,28 @@ class TestBadFlags:
         assert "'a'" in err and "'A'" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, corrupt", [
+        ("mode", lambda net: net.update(mode="quantum")),
+        ("sensor_states", lambda net: net["sensor_states"][0].__setitem__(0, 2.0)),
+        ("w_hidden", lambda net: net["w_hidden"][0].__setitem__(0, float("nan"))),
+        ("w_out", lambda net: net.update(w_out=net["w_out"][:-1])),
+        ("b_out", lambda net: net.pop("b_out")),
+    ])
+    def test_eval_rejects_a_bad_network_file(self, tmp_path, quick_config, capsys, field, corrupt):
+        train_out = tmp_path / "t"
+        assert main(["train", "--seed", "0", "--groups", "group1",
+                     "--config", quick_config, "--out", str(train_out)]) == EXIT_OK
+        network = json.loads((train_out / "network.json").read_text())
+        corrupt(network)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(network))
+        out = tmp_path / "e"
+        code = main(["eval", "--seed", "0", "--groups", "group1", "--network", str(bad),
+                     "--config", quick_config, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_accepts_two_copies(self, tmp_path, quick_config):
         assert main(["train", "--seed", "0", "--groups", "group1", "--copies", "2",
                      "--config", quick_config, "--out", str(tmp_path / "t")]) == EXIT_OK

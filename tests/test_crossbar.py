@@ -6,15 +6,22 @@ leakage) and for the conservation and degeneracy properties that hold in
 every regime.
 """
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tmsim.crossbar import (
+    MIN_BLOCK,
+    RESIDUAL_TOLERANCE,
     CrossbarSpec,
     Readout,
     ReadoutVector,
     SingularNetworkError,
     WeightRangeError,
+    _banded_solve,
+    _interleave,
     _Network,
     conductance_matrix,
     ideal_dual_readout,
@@ -32,9 +39,87 @@ from tmsim.devices import (
     SwitchModel,
     cell_conductance,
 )
+from tmsim.pipeline import build_sensor_crossbar
 
 SENSOR = SensorModel()
 V_SUPPLY = 0.5
+LEAKAGE_SCALES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)  # the scales of `tmsim leakage`
+
+
+def _reference_solve(self):
+    """Dense nodal analysis of the unknown nodes.
+
+    Returns the potential and the net branch current flowing into
+    (positive = absorbed by) every node, and the number of unknowns.
+    Sums run in branch order, so a rebuilt network reproduces its
+    results bit for bit.
+    """
+    a, b, g = (np.concatenate(parts) for parts in zip(*self._branches))
+    if a.size:
+        self._find(int(max(a.max(), b.max())))  # creates nodes named only by a branch
+    count = len(self._parent)
+    root = np.array(self._parent, dtype=np.intp)
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    volts = np.array(self._volts, dtype=float)
+    unknowns = np.flatnonzero((root == np.arange(count)) & np.isnan(volts))
+    size = unknowns.size
+    index = np.full(count, -1)
+    index[unknowns] = np.arange(size)
+
+    ra, rb = root[a], root[b]
+    live = (g > 0.0) & (ra != rb)  # a branch closed into a loop by shorts carries no KCL info
+    ra, rb, g = ra[live], rb[live], g[live]
+    ia, ib = index[ra], index[rb]
+    ends = _interleave(ia, ib)
+    free = ends >= 0
+    g_mat = np.zeros((size, size))
+    g_mat.flat[:: size + 1] = np.bincount(ends[free], weights=np.repeat(g, 2)[free], minlength=size)
+    both = (ia >= 0) & (ib >= 0)
+    np.add.at(g_mat, (_interleave(ia[both], ib[both]), _interleave(ib[both], ia[both])),
+              -np.repeat(g[both], 2))
+    one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
+    rhs = np.bincount(np.where(ia >= 0, ia, ib)[one],
+                      weights=(g * np.where(ia >= 0, volts[rb], volts[ra]))[one], minlength=size)
+
+    if size:
+        isolated = unknowns[g_mat.diagonal() == 0.0]
+        if isolated.size:
+            raise SingularNetworkError(f"isolated nodes with no conductive path: {isolated.tolist()!r}")
+        try:
+            u = np.linalg.solve(g_mat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
+        residual = np.abs(g_mat @ u - rhs).max()
+        bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
+        if residual > bound:
+            raise SingularNetworkError(
+                f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A"
+            )
+        volts[unknowns] = u
+
+    current = g * (volts[rb] - volts[ra])  # flowing from b into a
+    inflow = np.bincount(_interleave(ra, rb), weights=_interleave(current, -current), minlength=count)
+    return volts[root], inflow[root], size
+
+
+@pytest.fixture
+def against_dense(monkeypatch):
+    """Runs the dense reference beside every nodal solve; yields the solve count."""
+    banded = _Network.solve
+    solves = []
+
+    def checked(net):
+        potential, inflow, size = banded(net)
+        want_potential, want_inflow, want_size = _reference_solve(net)
+        assert size == want_size
+        for got, want in ((potential, want_potential), (inflow, want_inflow)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        solves.append(size)
+        return potential, inflow, size
+
+    monkeypatch.setattr(_Network, "solve", checked)
+    return solves
 
 
 def _weight_grid(rng, m, n, wire_resistance=0.0):
@@ -311,6 +396,154 @@ class TestNodalContract:
         _, detail = solve_nodal_detail(spec, V_SUPPLY)
         assert detail.injected > 0.0
         assert detail.injected == pytest.approx(detail.absorbed, rel=1e-9)
+
+
+def _band_system(rng, size, half):
+    """Random symmetric, diagonally dominant system with couplings within ``half`` of the diagonal.
+
+    Off-diagonal entries are negative and every row has a positive excess,
+    so the inverse is positive and a positive right-hand side gives a
+    solution with no entry near zero.  Returns the branch form that
+    ``_banded_solve`` takes and the dense matrix.
+    """
+    i = np.concatenate([np.arange(size - k) for k in range(1, min(half, size - 1) + 1)])
+    j = i + np.concatenate([np.full(size - k, k) for k in range(1, min(half, size - 1) + 1)])
+    keep = rng.permutation(i.size)[: max(1, i.size * 3 // 4)]
+    keep = keep[np.argsort(rng.uniform(size=keep.size))]
+    i, j = i[keep], j[keep]
+    swap = rng.uniform(size=i.size) < 0.5
+    i, j = np.where(swap, j, i), np.where(swap, i, j)
+    g = rng.uniform(0.1, 1.0, i.size)
+    diagonal = (np.bincount(i, weights=g, minlength=size) + np.bincount(j, weights=g, minlength=size)
+                + rng.uniform(0.01, 1.0, size))
+    dense = np.diag(diagonal)
+    np.add.at(dense, (i, j), -g)
+    np.add.at(dense, (j, i), -g)
+    return (diagonal, i, j, g, rng.uniform(0.5, 1.0, size)), dense
+
+
+class TestBandedSolve:
+    """The block-tridiagonal elimination against a dense solve."""
+
+    @pytest.mark.parametrize("size, half, blocks", [
+        (4 * MIN_BLOCK, 5, 4),  # a multiple of the block width
+        (4 * MIN_BLOCK + 7, 5, 4),  # not a multiple: the last block is padded
+        (100, 150, 1),  # a band wider than the system
+        (10 * MIN_BLOCK + 3, 1, 10),  # tridiagonal
+        (60 * MIN_BLOCK + 11, 3, 60),  # many blocks
+        (5 * MIN_BLOCK, 2 * MIN_BLOCK + 1, 2),  # the band sets the width
+    ])
+    def test_matches_dense_solve(self, monkeypatch, size, half, blocks):
+        args, dense = _band_system(np.random.default_rng(size + half), size, half)
+        want = np.linalg.solve(dense, args[-1])
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*a):
+            calls.append(a[0].shape[0])
+            return solve(*a)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        got = _banded_solve(*args)
+        assert len(calls) == blocks
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("floating", [
+        ([0], [1], [1e-3]),  # a pair
+        ([0, 1, 2], [1, 2, 0], [1e-3, 2e-3, 5e-4]),  # a triangle
+    ])
+    def test_floating_component_is_singular(self, floating, chained):
+        # nodes joined to each other but to no fixed node; ``chained`` puts
+        # the component across the first block boundary of a driven chain
+        # of 3 * MIN_BLOCK unknowns
+        net = _Network()
+        source = net.nodes(1, 0.5)
+        a, b, g = floating
+        size = max(a + b) + 1
+        head = net.nodes(MIN_BLOCK - 1 if chained else 0)
+        component = net.nodes(size)
+        tail = net.nodes(3 * MIN_BLOCK - size - head.size if chained else 0)
+        chain = np.concatenate([source, head, tail])
+        net.branch(chain[:-1], chain[1:], 1e-3)
+        net.branch(component[a], component[b], g)
+        with pytest.raises(SingularNetworkError, match="singular"):
+            net.solve()
+
+
+class TestAgainstDenseSolve:
+    """Every solve of these layouts also runs the dense reference solve, and
+    potentials and inflows agree within 1e-12 of their largest magnitude."""
+
+    def test_divider_with_a_short(self, against_dense):
+        net = _Network()
+        source, ground = net.nodes(2, [0.5, 0.0])
+        mid, twin = net.nodes(2)
+        net.short(mid, twin)
+        net.branch([source, mid, twin], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
+        net.solve()
+        assert against_dense == [1]
+
+    @pytest.mark.parametrize("scale", LEAKAGE_SCALES)
+    def test_sensor_array_at_each_leakage_scale(self, cfg, against_dense, scale):
+        rng = np.random.default_rng([25, int(100 * scale)])
+        base = cfg.parasitics
+        scaled = replace(cfg, parasitics=replace(base, switch_g_off=base.switch_g_off * scale,
+                                                 wire_resistance=base.wire_resistance * scale))
+        for _ in range(8):
+            forces = cfg.f_press * rng.integers(0, 2, (4, 2))
+            spec = build_sensor_crossbar(forces, rng.uniform(0.0, 1.0, (4, 2)), scaled, parasitic=True)
+            solve_nodal(spec, V_SUPPLY)
+        assert len(against_dense) == 16
+
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_parasitic_dual_array(self, cfg, against_dense, side):
+        solve_nodal(_dual_array(np.random.default_rng(side), side, cfg, parasitic=True), V_SUPPLY)
+        assert against_dense == [3 * side * side] * 2
+
+    def test_vl_only_grid_with_wires(self, against_dense):
+        rng = np.random.default_rng(26)
+        solve_nodal(_weight_grid(rng, 24, 24, wire_resistance=2.0), rng.uniform(0.1, 0.5, 24))
+        assert against_dense == [2 * 24 * 24]
+
+    @pytest.mark.parametrize("wire_resistance", [0.0, 2.0])
+    def test_shorted_readout(self, against_dense, wire_resistance):
+        spec = _sensor_grid(np.random.default_rng(27), g_off=1.9e-3, wire_resistance=wire_resistance,
+                            config=CellConfig.ONE_T1M1S)
+        solve_nodal(spec, V_SUPPLY)
+        assert len(against_dense) == 1
+
+
+class TestScale:
+    """Array sizes that a dense solve cannot reach in time or memory."""
+
+    def test_64x64_parasitic_array_balances(self, cfg):
+        spec = _dual_array(np.random.default_rng(28), 64, cfg, parasitic=True)
+        _, detail = solve_nodal_detail(spec, V_SUPPLY)
+        assert detail.unknown_nodes == 2 * 3 * 64 * 64
+        assert detail.injected > 0.0
+        assert detail.injected == pytest.approx(detail.absorbed, rel=1e-9)
+
+    def test_64x64_equals_ideal_without_parasitics(self, cfg):
+        # Ideal wires and no switch leakage leave only the sense termination:
+        # a line carrying I sits at I / g_term, which lowers the drive of
+        # each of its cells, so I = ideal / (1 + ideal / (g_term * V)).  With
+        # 64 cells per line that is 0.8e-9 to 1.2e-9 below the ideal readout.
+        spec = _dual_array(np.random.default_rng(29), 64, cfg, parasitic=False)
+        got = solve_nodal(spec, V_SUPPLY).concatenated()
+        ideal = ideal_dual_readout(V_SUPPLY, spec).concatenated()
+        np.testing.assert_allclose(got, ideal / (1.0 + ideal / (spec.termination_conductance * V_SUPPLY)),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(got, ideal, rtol=2e-9)
+
+    def test_32x32_parasitic_solve_takes_under_half_a_second(self, cfg):
+        spec = _dual_array(np.random.default_rng(30), 32, cfg, parasitic=True)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            solve_nodal(spec, V_SUPPLY)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.5
 
 
 class TestEqualCurrentDegeneracy:

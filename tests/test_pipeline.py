@@ -20,6 +20,7 @@ from tmsim.pipeline import (
     N_HIDDEN,
     EvalEntry,
     EvalReport,
+    InvalidNetworkError,
     NetworkArch,
     NoiseSpec,
     TrainHyper,
@@ -509,10 +510,9 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(hw, grid, mode="binary")
 
-    def test_binary_network_without_threshold_rejected(self, cfg):
-        hw = map_network(_random_network(["a", "b"], mode="binary"), cfg)
+    def test_binary_network_without_threshold_rejected(self):
         with pytest.raises(ValueError, match="binary_threshold"):
-            forward(hw, np.zeros((4, 2)))
+            _random_network(["a", "b"], mode="binary")
 
 
 class TestEvaluate:
@@ -640,3 +640,34 @@ class TestSerialization:
         data[key] = value
         with pytest.raises(ValueError, match=key):
             network_from_json(json.dumps(data))
+
+
+class TestNetworkValidation:
+    """A ``TrainedNetwork`` that the stack cannot run is rejected on construction."""
+
+    @pytest.mark.parametrize("changes, field", [
+        ({"mode": "quantum"}, "mode"),
+        ({"w_hidden": np.zeros((N_FEATURES, N_HIDDEN + 1))}, "w_hidden"),
+        ({"b_hidden": np.zeros(N_HIDDEN - 1)}, "b_hidden"),
+        ({"w_out": np.zeros((N_HIDDEN - 1, 2))}, "w_out"),
+        ({"b_out": np.zeros(3)}, "b_out"),
+        ({"sensor_states": np.ones((2, 4))}, "sensor_states"),
+        ({"sensor_states": np.full((4, 2), 2.0)}, "sensor_states"),
+        ({"sensor_states": np.full((4, 2), -0.1)}, "sensor_states"),
+        ({"w_hidden": np.full((N_FEATURES, N_HIDDEN), np.nan)}, "w_hidden"),
+        ({"b_out": np.array([0.0, np.inf])}, "b_out"),
+        ({"w_out": np.full((N_HIDDEN, 2), "x")}, "w_out"),
+        ({"binary_threshold": np.zeros(N_FEATURES)}, "binary_threshold"),
+        ({"mode": "binary", "binary_threshold": np.zeros(N_FEATURES - 1)}, "binary_threshold"),
+        ({"mode": "binary", "binary_threshold": np.full(N_FEATURES, np.nan)}, "binary_threshold"),
+    ])
+    def test_bad_field_rejected(self, changes, field):
+        with pytest.raises(InvalidNetworkError, match=field):
+            replace(_random_network(["a", "b"]), **changes)
+
+    def test_states_on_the_bounds_accepted(self):
+        states = np.zeros((4, 2))
+        states[0] = 1.0
+        assert replace(_random_network(["a", "b"]), sensor_states=states).sensor_states is states
+        binary = replace(_random_network(["a", "b"]), mode="binary", binary_threshold=np.zeros(N_FEATURES))
+        assert binary.mode == "binary"
