@@ -72,6 +72,8 @@ def _parse_groups(text: str) -> list[str]:
     for token in tokens:
         if token not in valid:
             raise UsageError(f"unknown group {token!r}; choose from {sorted(valid)}")
+        if tokens.count(token) > 1:
+            raise UsageError(f"--groups names {token!r} more than once")
     return tokens
 
 
@@ -194,6 +196,8 @@ def _cmd_train(args, cfg: SimConfig) -> int:
 
 
 def _cmd_eval(args, cfg: SimConfig) -> int:
+    groups = _parse_groups(args.groups)
+    grid = _parse_sigma2(args.sigma2)
     network_path = Path(args.network)
     if not network_path.exists():
         raise UsageError(f"network file {network_path} does not exist; run the train subcommand first")
@@ -201,10 +205,8 @@ def _cmd_eval(args, cfg: SimConfig) -> int:
         tn = network_from_json(network_path.read_text())
     except InvalidNetworkError as exc:
         raise UsageError(f"network file {network_path}: {exc}") from exc
-    groups = _parse_groups(args.groups)
     dataset = build_dataset(groups, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
     _, test_items = split_holdout(dataset, copies=args.copies)
-    grid = _parse_sigma2(args.sigma2)
     outputs = set(tn.arch.labels)
     missing = list(dict.fromkeys(label for _, label in dataset if label not in outputs))
     if missing:
@@ -319,6 +321,10 @@ def _cmd_leakage(args, cfg: SimConfig) -> int:
 
 def _cmd_cost(args, cfg: SimConfig) -> int:
     overrides = read_assignments(args.table, CostTable.__dataclass_fields__) if args.table else {}
+    try:
+        CostTable(**overrides)  # the range check, once, naming the file
+    except ValueError as exc:
+        raise ConfigError(f"{args.table}: {exc}") from exc
     arch = arch_for(["fusion"])
     reports = []
     for style in ("analog", "binary"):

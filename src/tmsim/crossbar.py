@@ -17,7 +17,6 @@ the loss-free algebra the network should approach as parasitics vanish.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -143,9 +142,9 @@ def ideal_mac_vl(v: Sequence[float], g: np.ndarray) -> np.ndarray:
     return v_arr @ g_arr
 
 
-def conductance_matrix(spec: CrossbarSpec, line: str = "vl") -> np.ndarray:
-    """Effective cell conductances as seen from one line set."""
-    return np.array([[cell_conductance(cell, line) for cell in row] for row in spec.cells])
+def conductance_matrix(spec: CrossbarSpec) -> np.ndarray:
+    """Effective cell conductances as seen from the vertical lines."""
+    return np.array([[cell_conductance(cell, "vl") for cell in row] for row in spec.cells])
 
 
 def _selected_on_conductance(cell: CellState, line: str) -> float:
@@ -196,54 +195,20 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _Network:
     """Resistive network on integer nodes with a banded direct solve.
 
-    Nodes are the integers 0, 1, 2, ...; naming a node creates it and every
-    node below it.  Shorts merge nodes in a union-find whose root is the
-    lowest member, fixed potentials live in one array (NaN where unknown,
-    read at the roots) and branches are the arrays ``(a, b, g)``.
+    ``nodes`` hands out the consecutive integers 0, 1, 2, ..., each fixed
+    at a potential or unknown (NaN); node i's potential is ``volts[i]``.
+    Branches are the arrays ``(a, b, g)``.
     """
 
     def __init__(self) -> None:
-        self._parent: list[int] = []
         self._volts: list[float] = []
         self._branches = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
 
     def nodes(self, count: int, volts=np.nan) -> np.ndarray:
         """Create ``count`` nodes fixed at ``volts`` (scalar or per node; NaN leaves them unknown)."""
-        start = len(self._parent)
-        self._parent.extend(range(start, start + count))
+        start = len(self._volts)
         self._volts.extend(np.ravel(volts).tolist() if np.ndim(volts) else [float(volts)] * count)
         return np.arange(start, start + count)
-
-    def _find(self, node: int) -> int:
-        if node >= len(self._parent):
-            self.nodes(node + 1 - len(self._parent))
-        parent = self._parent
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def fix(self, node: int, volts: float) -> None:
-        root = self._find(node)
-        existing = self._volts[root]
-        if not math.isnan(existing) and existing != volts:
-            raise ValueError(f"node {node!r} already fixed at {existing} V, cannot refix at {volts} V")
-        self._volts[root] = float(volts)
-
-    def short(self, a: int, b: int) -> None:
-        """Merge two nodes through an ideal (zero-resistance) connection."""
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        va, vb = self._volts[ra], self._volts[rb]
-        if va != vb and not (math.isnan(va) or math.isnan(vb)):
-            raise ValueError(f"cannot short nodes fixed at {va} V and {vb} V")
-        low, high = min(ra, rb), max(ra, rb)
-        self._parent[high] = low
-        if math.isnan(self._volts[low]):
-            self._volts[low] = self._volts[high]
 
     def branch(self, a, b, conductance) -> None:
         """Add branches ``a[i]--b[i]`` of ``conductance[i]`` (a scalar applies to all)."""
@@ -262,29 +227,23 @@ class _Network:
         results bit for bit.
         """
         a, b, g = (np.concatenate(parts) for parts in zip(*self._branches))
-        if a.size:
-            self._find(int(max(a.max(), b.max())))  # creates nodes named only by a branch
-        count = len(self._parent)
-        root = np.array(self._parent, dtype=np.intp)
-        while not np.array_equal(root[root], root):
-            root = root[root]
         volts = np.array(self._volts, dtype=float)
-        unknowns = np.flatnonzero((root == np.arange(count)) & np.isnan(volts))
+        count = volts.size
+        unknowns = np.flatnonzero(np.isnan(volts))
         size = unknowns.size
         index = np.full(count, -1)
         index[unknowns] = np.arange(size)
 
-        ra, rb = root[a], root[b]
-        live = (g > 0.0) & (ra != rb)  # a branch closed into a loop by shorts carries no KCL info
-        ra, rb, g = ra[live], rb[live], g[live]
-        ia, ib = index[ra], index[rb]
+        live = g > 0.0
+        a, b, g = a[live], b[live], g[live]
+        ia, ib = index[a], index[b]
         ends = _interleave(ia, ib)
         free = ends >= 0
         diagonal = np.bincount(ends[free], weights=np.repeat(g, 2)[free], minlength=size)
         both = (ia >= 0) & (ib >= 0)
         one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
         rhs = np.bincount(np.where(ia >= 0, ia, ib)[one],
-                          weights=(g * np.where(ia >= 0, volts[rb], volts[ra]))[one], minlength=size)
+                          weights=(g * np.where(ia >= 0, volts[b], volts[a]))[one], minlength=size)
 
         if size:
             isolated = unknowns[diagonal == 0.0]
@@ -295,8 +254,8 @@ class _Network:
             except np.linalg.LinAlgError as exc:
                 raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
 
-        current = g * (volts[rb] - volts[ra])  # flowing from b into a
-        inflow = np.bincount(_interleave(ra, rb), weights=_interleave(current, -current), minlength=count)
+        current = g * (volts[b] - volts[a])  # flowing from b into a
+        inflow = np.bincount(_interleave(a, b), weights=_interleave(current, -current), minlength=count)
         if size:
             residual = np.abs(inflow[unknowns]).max()  # KCL: no net current into an unknown node
             bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
@@ -304,7 +263,7 @@ class _Network:
                 raise SingularNetworkError(
                     f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A"
                 )
-        return volts[root], inflow[root], size
+        return volts, inflow, size
 
 
 def _banded_solve(diagonal: np.ndarray, ia: np.ndarray, ib: np.ndarray, g: np.ndarray,
@@ -404,7 +363,7 @@ def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector
     sources = net.nodes(spec.m, drive)
     grounds = net.nodes(spec.n, 0.0)
     lines = _line_sets(net, spec, {"vl": grounds, "hl": sources}, 0, None, outs=False)
-    net.branch(lines["hl"], lines["vl"], conductance_matrix(spec, "vl"))
+    net.branch(lines["hl"], lines["vl"], conductance_matrix(spec))
 
     _, inflow, unknowns = net.solve()
     sensed = inflow[grounds]
@@ -413,17 +372,17 @@ def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector
     return ReadoutVector(vl_currents=sensed, hl_currents=np.zeros(0)), detail
 
 
-def _dual_lines(spec: CrossbarSpec, outs: bool) -> tuple[_Network, int, dict[str, np.ndarray], dict[str, np.ndarray]]:
+def _dual_lines(spec: CrossbarSpec) -> tuple[_Network, int, dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Both line sets of a dual readout, every line ending in a sense termination to ground.
 
-    Returns the network, the ground node, the node of each line set (and
-    of each cell output if ``outs``) at every cell, row-major, and the
-    terminal node of each line.
+    Returns the network, the ground node, the node of each line set and of
+    each cell output at every cell, row-major, and the terminal node of
+    each line.
     """
     net = _Network()
     gnd = net.nodes(1, 0.0)
     lines = _line_sets(net, spec, {"vl": np.repeat(gnd, spec.n), "hl": np.repeat(gnd, spec.m)}, -1,
-                       spec.termination_conductance, outs)
+                       spec.termination_conductance, outs=True)
     at = {name: nodes.ravel() for name, nodes in lines.items()}
     return net, int(gnd[0]), at, {"vl": lines["vl"][-1], "hl": lines["hl"][:, -1]}
 
@@ -443,7 +402,7 @@ def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[Readout
     injected = absorbed = 0.0
     unknowns = 0
     for active, idle in (("vl", "hl"), ("hl", "vl")):
-        net, gnd, at, terminals = _dual_lines(spec, outs=True)
+        net, gnd, at, terminals = _dual_lines(spec)
         sources = net.nodes(spec.m * spec.n, drive.ravel())
         net.branch(sources, at["out"], g_body)
         net.branch(at["out"], at[active], [switch_conductance(s) for s in switches[active]])
@@ -463,16 +422,21 @@ def _solve_dual_shorted(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutV
     With only one switch per cell the output node has to be hard-wired to
     both its vertical and horizontal line, so every cell shorts the two
     line sets together and the sensed currents smear across all lines.
+    With ideal wires the shorts merge every line into one bus node, which
+    the m + n sense terminations tie to ground.
     """
     rw = spec.wire_resistance_per_segment
-    net, gnd, at, terminals = _dual_lines(spec, outs=rw > 0.0)
     if rw > 0.0:
+        net, gnd, at, terminals = _dual_lines(spec)
         outs = at["out"]
     else:
-        outs = at["vl"]
-        for vl, hl in zip(outs.tolist(), at["hl"].tolist()):
-            net.short(vl, hl)
-    g_stack = conductance_matrix(spec, "vl").ravel()
+        net = _Network()
+        gnd, bus = net.nodes(2, [0.0, np.nan])
+        lines = spec.n + spec.m
+        net.branch(np.repeat(bus, lines), np.repeat(gnd, lines), spec.termination_conductance)
+        outs = np.repeat(bus, spec.m * spec.n)
+        terminals = {"vl": np.repeat(bus, spec.n), "hl": np.repeat(bus, spec.m)}
+    g_stack = conductance_matrix(spec).ravel()
     live = g_stack > 0.0
     sources = net.nodes(int(live.sum()), drive.ravel()[live])
     net.branch(sources, outs[live], g_stack[live])

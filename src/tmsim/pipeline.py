@@ -99,9 +99,9 @@ class NetworkArch:
 
     def __post_init__(self) -> None:
         if len(self.labels) < 2:
-            raise ValueError("need at least two output labels")
+            raise InvalidNetworkError(f"labels must name at least two outputs, got {len(self.labels)}")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("output labels must be unique")
+            raise InvalidNetworkError("labels must be unique")
 
     @property
     def n_out(self) -> int:
@@ -604,7 +604,6 @@ def forward(
     hw: HardwareNetwork,
     forces: np.ndarray,
     noise: NoiseSpec | None = None,
-    mode: str | None = None,
 ) -> tuple[np.ndarray, str]:
     """Single-pattern inference through the mapped hardware chain.
 
@@ -612,8 +611,6 @@ def forward(
     to 1) and the predicted label.
     """
     tn = hw.network
-    if mode is not None and mode != tn.mode:
-        raise ValueError(f"network was trained in {tn.mode!r} mode, cannot run {mode!r}")
     forces, states = _check_sensor_arrays(forces, tn.sensor_states)
     x = _batch_features(forces[None], states, hw.cfg)
     if noise is not None:
@@ -771,6 +768,8 @@ def network_to_json(tn: TrainedNetwork) -> str:
 
 def network_from_json(text: str) -> TrainedNetwork:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InvalidNetworkError(f"must be a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
     if version != NETWORK_SCHEMA_VERSION:
         raise ValueError(f"unsupported network schema version {version!r}")
@@ -781,7 +780,10 @@ def network_from_json(text: str) -> TrainedNetwork:
     for key, size in (("n_inputs", N_FEATURES), ("n_hidden", N_HIDDEN)):
         if data[key] != size:
             raise InvalidNetworkError(f"{key} must be {size}, got {data[key]!r}")
-    arch = NetworkArch(labels=tuple(data["labels"]))
+    labels = data["labels"]
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise InvalidNetworkError(f"labels must be a list of strings, got {labels!r}")
+    arch = NetworkArch(labels=tuple(labels))
     threshold = data["binary_threshold"]
     return TrainedNetwork(
         arch=arch,

@@ -11,6 +11,7 @@ import pytest
 from tmsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 GOLDEN_COST_CSV = Path(__file__).parent / "data" / "cost_golden.csv"
+GOLDEN_LEAKAGE_CSV = Path(__file__).parent / "data" / "leakage_golden.csv"
 
 
 def _manifest(out_dir, command):
@@ -244,21 +245,35 @@ class TestBadFlags:
         ("sensor_states", lambda net: net["sensor_states"][0].__setitem__(0, 2.0)),
         ("w_hidden", lambda net: net["w_hidden"][0].__setitem__(0, float("nan"))),
         ("w_out", lambda net: net.update(w_out=net["w_out"][:-1])),
-        ("b_out", lambda net: net.pop("b_out")),
+        ("b_out", lambda net: net.__delitem__("b_out")),
+        ("JSON object", lambda net: []),
+        ("labels", lambda net: net.update(labels=5)),
+        ("labels", lambda net: net.update(labels="ab")),
+        ("labels", lambda net: net["labels"].__setitem__(1, net["labels"][0])),
     ])
     def test_eval_rejects_a_bad_network_file(self, tmp_path, quick_config, capsys, field, corrupt):
         train_out = tmp_path / "t"
         assert main(["train", "--seed", "0", "--groups", "group1",
                      "--config", quick_config, "--out", str(train_out)]) == EXIT_OK
         network = json.loads((train_out / "network.json").read_text())
-        corrupt(network)
+        replaced = corrupt(network)  # None where the corruption edits the document in place
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(network))
+        bad.write_text(json.dumps(network if replaced is None else replaced))
         out = tmp_path / "e"
         code = main(["eval", "--seed", "0", "--groups", "group1", "--network", str(bad),
                      "--config", quick_config, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dataset", "train", "eval", "sweep"])
+    def test_repeated_group(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        argv = [command, "--seed", "0", "--groups", "group2,group1,group2", "--out", str(out)]
+        if command == "eval":
+            argv += ["--network", str(tmp_path / "network.json")]
+        assert main(argv) == EXIT_CONFIG
+        assert "--groups names 'group2' more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_accepts_two_copies(self, tmp_path, quick_config):
@@ -331,6 +346,25 @@ class TestLeakage:
         assert 0.12 <= params["default_leakage"] <= 0.20
         assert params["equal_currents_2x2"] is True
 
+    def test_csv_matches_golden(self, tmp_path):
+        # The leakage figures are compared to 1e-12 rather than digit for
+        # digit: the scale-0 figure is a difference of nearly equal currents,
+        # so its trailing digits depend on the LAPACK build.
+        out = tmp_path / "l"
+        assert main(["leakage", "--out", str(out)]) == EXIT_OK
+
+        def table(path):
+            return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        got, want = table(out / "leakage.csv"), table(GOLDEN_LEAKAGE_CSV)
+        assert got[0] == want[0] and len(got) == len(want) == 8
+        for row, golden in zip(got[1:], want[1:]):
+            assert row[:2] == golden[:2]
+            assert abs(float(row[2]) - float(golden[2])) <= 1e-12
+        params = _manifest(out, "leakage")["params"]
+        assert abs(params["default_leakage"] - 0.16360921406987033) <= 1e-12
+        assert params["equal_currents_2x2"] is True
+
     def test_leakage_grows_with_parasitic_scale(self, tmp_path):
         out = str(tmp_path / "l")
         main(["leakage", "--out", out])
@@ -374,6 +408,15 @@ class TestCost:
         assert main(["cost", flag, str(missing), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "not found" in err and str(missing) in err
+        assert not out.exists()
+
+    def test_negative_unit_cost_is_config_error(self, tmp_path, capsys):
+        table = tmp_path / "units.cfg"
+        table.write_text("cell_area = -1\n")
+        out = tmp_path / "c"
+        assert main(["cost", "--table", str(table), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(table) in err and "cell_area" in err
         assert not out.exists()
 
     def test_bad_table_number_is_config_error(self, tmp_path):

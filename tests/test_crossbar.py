@@ -55,12 +55,8 @@ def _reference_solve(self):
     results bit for bit.
     """
     a, b, g = (np.concatenate(parts) for parts in zip(*self._branches))
-    if a.size:
-        self._find(int(max(a.max(), b.max())))  # creates nodes named only by a branch
-    count = len(self._parent)
-    root = np.array(self._parent, dtype=np.intp)
-    while not np.array_equal(root[root], root):
-        root = root[root]
+    count = len(self._volts)
+    root = np.arange(count)  # the identity: every node stands for itself
     volts = np.array(self._volts, dtype=float)
     unknowns = np.flatnonzero((root == np.arange(count)) & np.isnan(volts))
     size = unknowns.size
@@ -68,7 +64,7 @@ def _reference_solve(self):
     index[unknowns] = np.arange(size)
 
     ra, rb = root[a], root[b]
-    live = (g > 0.0) & (ra != rb)  # a branch closed into a loop by shorts carries no KCL info
+    live = g > 0.0
     ra, rb, g = ra[live], rb[live], g[live]
     ia, ib = index[ra], index[rb]
     ends = _interleave(ia, ib)
@@ -272,7 +268,7 @@ class TestDualReadout:
         rng = np.random.default_rng(6)
         spec = _sensor_grid(rng)
         rv = ideal_dual_readout(V_SUPPLY, spec)
-        g = conductance_matrix(spec, "vl")
+        g = conductance_matrix(spec)
         np.testing.assert_allclose(rv.vl_currents, V_SUPPLY * g.sum(axis=0), rtol=1e-12)
         np.testing.assert_allclose(rv.hl_currents, V_SUPPLY * g.sum(axis=1), rtol=1e-12)
 
@@ -330,44 +326,21 @@ class TestNodalContract:
 
     def test_node_without_conductive_path_is_singular(self):
         net = _Network()
-        net.fix(0, 0.5)
-        net.branch(0, 1, 1e-3)
-        net.branch(1, 2, 0.0)  # a zero-conductance branch leaves node 2 isolated
+        source, mid, far = net.nodes(3, [0.5, np.nan, np.nan])
+        net.branch(source, mid, 1e-3)
+        net.branch(mid, far, 0.0)  # a zero-conductance branch leaves the far node isolated
         with pytest.raises(SingularNetworkError):
             net.solve()
 
-    def test_refixing_a_node_at_another_voltage_is_rejected(self):
-        net = _Network()
-        net.fix(0, 0.5)
-        net.fix(0, 0.5)
-        with pytest.raises(ValueError):
-            net.fix(0, 0.25)
-
-    def test_fixing_a_shorted_node_at_another_voltage_is_rejected(self):
-        net = _Network()
-        net.fix(0, 0.5)
-        net.short(0, 1)
-        with pytest.raises(ValueError):
-            net.fix(1, 0.0)
-
-    def test_shorting_nodes_fixed_at_different_voltages_is_rejected(self):
-        net = _Network()
-        net.fix(0, 0.5)
-        net.fix(1, 0.0)
-        with pytest.raises(ValueError):
-            net.short(0, 1)
-
     def test_divider_with_a_short(self):
-        # 0.5 V -- 1 mS -- node 1 (shorted to node 3) -- 1 mS and 2 mS -- ground
+        # 0.5 V -- 1 mS -- mid -- 1 mS and 2 mS in parallel, as a shorted pair of nodes -- ground
         net = _Network()
-        source, ground = net.nodes(2, [0.5, 0.0])
-        mid, twin = net.nodes(2)
-        net.short(mid, twin)
-        net.branch([source, mid, twin], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
+        source, ground, mid = net.nodes(3, [0.5, 0.0, np.nan])
+        net.branch([source, mid, mid], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
         potential, inflow, unknowns = net.solve()
         assert unknowns == 1
-        np.testing.assert_allclose(potential, [0.5, 0.0, 0.125, 0.125], rtol=1e-12)
-        np.testing.assert_allclose(inflow, [-0.375e-3, 0.375e-3, 0.0, 0.0], rtol=1e-12, atol=1e-18)
+        np.testing.assert_allclose(potential, [0.5, 0.0, 0.125], rtol=1e-12)
+        np.testing.assert_allclose(inflow, [-0.375e-3, 0.375e-3, 0.0], rtol=1e-12, atol=1e-18)
 
     def test_16x16_equals_ideal_without_parasitics(self, cfg):
         spec = _dual_array(np.random.default_rng(21), 16, cfg, parasitic=False)
@@ -477,10 +450,8 @@ class TestAgainstDenseSolve:
 
     def test_divider_with_a_short(self, against_dense):
         net = _Network()
-        source, ground = net.nodes(2, [0.5, 0.0])
-        mid, twin = net.nodes(2)
-        net.short(mid, twin)
-        net.branch([source, mid, twin], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
+        source, ground, mid = net.nodes(3, [0.5, 0.0, np.nan])
+        net.branch([source, mid, mid], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
         net.solve()
         assert against_dense == [1]
 
@@ -576,10 +547,20 @@ class TestEqualCurrentDegeneracy:
         assert np.abs(currents[:, None] - currents[None, :]).max() < 1e-12
         assert np.all(currents > 0.0)
 
+    def test_each_line_senses_its_termination_share(self):
+        # Ideal wires make all four lines one node, tied to ground by four
+        # terminations: V = v * sum(g) / (sum(g) + 4 g_term), each line g_term V.
+        spec = self._single_press((0, 1))
+        g = conductance_matrix(spec)
+        g_term = spec.termination_conductance
+        bus = V_SUPPLY * g.sum() / (g.sum() + (spec.m + spec.n) * g_term)
+        np.testing.assert_allclose(solve_nodal(spec, V_SUPPLY).concatenated(), np.full(4, g_term * bus),
+                                   rtol=1e-12)
+
     def test_leakage_fraction_of_the_degenerate_readout(self):
         spec = self._single_press((0, 0))
         actual = solve_nodal(spec, V_SUPPLY)
-        g = conductance_matrix(spec, "vl")
+        g = conductance_matrix(spec)
         ideal = ReadoutVector(
             vl_currents=V_SUPPLY * g.sum(axis=0),
             hl_currents=V_SUPPLY * g.sum(axis=1),

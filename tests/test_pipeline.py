@@ -504,12 +504,6 @@ class TestForward:
             probs, _ = forward(hw, grid, noise=NoiseSpec(sigma2=0.05, seed=1))
             assert probs.sum() == pytest.approx(1.0, rel=1e-9)
 
-    def test_mode_mismatch_rejected(self, cfg, g2_net):
-        hw = map_network(g2_net, cfg)
-        grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
-        with pytest.raises(ValueError):
-            forward(hw, grid, mode="binary")
-
     def test_binary_network_without_threshold_rejected(self):
         with pytest.raises(ValueError, match="binary_threshold"):
             _random_network(["a", "b"], mode="binary")
