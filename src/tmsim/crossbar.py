@@ -13,10 +13,18 @@ full cell current can be attributed to each line set.
 segments, switch off-state leakage, finite sense-amp termination -- and is
 the reference for sneak-path studies; the ``ideal_*`` functions implement
 the loss-free algebra the network should approach as parasitics vanish.
+
+The network's shape depends only on its topology: the readout, the cell
+wiring, m, n and whether the wires have resistance.  Each topology is
+laid out and compiled once into a cached plan that holds the node
+numbering, the branch ends and every index array of the banded
+elimination; a solve stamps the branch conductances and the drive into
+the plan and eliminates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -26,7 +34,6 @@ import numpy as np
 from .devices import (
     CellConfig,
     CellState,
-    cell_conductance,
     fsr_conductance,
     memristor_conductance,
     series_conductance,
@@ -89,7 +96,7 @@ class ReadoutVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vl_currents", np.asarray(self.vl_currents, dtype=float))
         object.__setattr__(self, "hl_currents", np.asarray(self.hl_currents, dtype=float))
-        if not (np.all(np.isfinite(self.vl_currents)) and np.all(np.isfinite(self.hl_currents))):
+        if not (np.isfinite(self.vl_currents).all() and np.isfinite(self.hl_currents).all()):
             raise ValueError("readout currents must be finite")
 
     def concatenated(self) -> np.ndarray:
@@ -143,15 +150,38 @@ def ideal_mac_vl(v: Sequence[float], g: np.ndarray) -> np.ndarray:
 
 
 def conductance_matrix(spec: CrossbarSpec) -> np.ndarray:
-    """Effective cell conductances as seen from the vertical lines."""
-    return np.array([[cell_conductance(cell, "vl") for cell in row] for row in spec.cells])
+    """Effective cell conductances as seen from the vertical lines: ``cell_conductance(cell, "vl")`` of each cell.
+
+    A cell without a sensor fills the sensor's place in the series with an
+    infinite conductance (a short), whose reciprocal adds 0 to the sum.
+    """
+    parts = np.array([(memristor_conductance(cell.memristor), switch_conductance(cell.vl_switch),
+                       np.inf if cell.sensor is None else fsr_conductance(cell.sensor, cell.force_f))
+                      for row in spec.cells for cell in row]).T
+    return series_conductance(*parts).reshape(spec.m, spec.n)
 
 
-def _selected_on_conductance(cell: CellState, line: str) -> float:
-    """Series conductance with the line's switch forced on; 0 if deselected."""
-    switch = cell.hl_switch if (cell.config is CellConfig.TWO_T1M1S and line == "hl") else cell.vl_switch
-    assert switch is not None
-    return cell_conductance(cell, line) if switch.selected else 0.0
+def _dual_cells(spec: CrossbarSpec) -> tuple[np.ndarray, ...]:
+    """Every cell of a 2T1M1S grid, row-major: its sensor and memristor
+    conductance, then one row per line set (vl, hl) of its switch's
+    conductance in the ideal readout (g_on, or 0 when deselected), as
+    driven (``switch_conductance``) and when off (g_off).
+
+    Raises:
+        ValueError: if any cell is not 2T1M1S (single-switch arrays cannot
+            attribute their current to both line sets).
+    """
+    table = []
+    for row in spec.cells:
+        for cell in row:
+            if cell.config is not CellConfig.TWO_T1M1S:
+                raise ValueError("dual readout requires 2T1M1S cells")
+            vl, hl = cell.vl_switch, cell.hl_switch
+            table += (fsr_conductance(cell.sensor, cell.force_f), memristor_conductance(cell.memristor),
+                      vl.g_on if vl.selected else 0.0, hl.g_on if hl.selected else 0.0,
+                      switch_conductance(vl), switch_conductance(hl), vl.g_off, hl.g_off)
+    table = np.array(table).reshape(-1, 8).T
+    return table[0], table[1], table[2:4], table[4:6], table[6:]
 
 
 def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
@@ -164,21 +194,15 @@ def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
         vl[l] = sum_k v_supply * g_kl * [vl switch selected]
         hl[k] = sum_l v_supply * g_kl * [hl switch selected]
 
+    g_kl is ``cell_conductance`` with that line's switch on, and each line
+    sums its cells in order.
+
     Raises:
-        ValueError: if any cell is not 2T1M1S (single-switch arrays cannot
-            attribute their current to both line sets).
+        ValueError: if any cell is not 2T1M1S.
     """
-    for row in spec.cells:
-        for cell in row:
-            if cell.config is not CellConfig.TWO_T1M1S:
-                raise ValueError("dual readout requires 2T1M1S cells")
-    vl = np.zeros(spec.n)
-    hl = np.zeros(spec.m)
-    for k, row in enumerate(spec.cells):
-        for l, cell in enumerate(row):
-            vl[l] += v_supply * _selected_on_conductance(cell, "vl")
-            hl[k] += v_supply * _selected_on_conductance(cell, "hl")
-    return ReadoutVector(vl_currents=vl, hl_currents=hl)
+    sensor, memristor, switch_on, _, _ = _dual_cells(spec)
+    vl, hl = (v_supply * series_conductance(memristor, switch_on, sensor)).reshape(2, spec.m, spec.n)
+    return ReadoutVector(vl_currents=vl.cumsum(axis=0)[-1], hl_currents=hl.cumsum(axis=1)[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,70 +216,113 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Network:
-    """Resistive network on integer nodes with a banded direct solve.
+def _freeze(*namespaces: dict) -> None:
+    """Make the arrays among the values read-only: one cached plan serves every solve of its topology."""
+    for namespace in namespaces:
+        for value in namespace.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+class _Layout:
+    """A network topology under construction: integer nodes and branch ends, no values.
 
     ``nodes`` hands out the consecutive integers 0, 1, 2, ..., each fixed
-    at a potential or unknown (NaN); node i's potential is ``volts[i]``.
-    Branches are the arrays ``(a, b, g)``.
+    (a source or a ground, whose potential a solve stamps) or unknown.
+    ``branch`` appends the branches ``a[i]--b[i]`` to a named group; a
+    solve stamps one conductance, scalar or per branch, on each group.
     """
 
     def __init__(self) -> None:
-        self._volts: list[float] = []
-        self._branches = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]
+        self._fixed: list[bool] = []
+        self._ends: list[tuple[np.ndarray, np.ndarray]] = []
+        self._groups: list[tuple[str, slice]] = []
+        self._count = 0
 
-    def nodes(self, count: int, volts=np.nan) -> np.ndarray:
-        """Create ``count`` nodes fixed at ``volts`` (scalar or per node; NaN leaves them unknown)."""
-        start = len(self._volts)
-        self._volts.extend(np.ravel(volts).tolist() if np.ndim(volts) else [float(volts)] * count)
+    def nodes(self, count: int, fixed: bool = False) -> np.ndarray:
+        start = len(self._fixed)
+        self._fixed.extend([fixed] * count)
         return np.arange(start, start + count)
 
-    def branch(self, a, b, conductance) -> None:
-        """Add branches ``a[i]--b[i]`` of ``conductance[i]`` (a scalar applies to all)."""
+    def branch(self, group: str, a, b) -> None:
         a, b = np.ravel(a), np.ravel(b)
-        g = np.ravel(conductance) if np.ndim(conductance) else np.full(a.size, float(conductance))
-        if (g < 0.0).any():
-            raise ValueError(f"branch conductance must be non-negative, got {g.min()}")
-        self._branches.append((a, b, g))
+        self._ends.append((a, b))
+        self._groups.append((group, slice(self._count, self._count + a.size)))
+        self._count += a.size
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Nodal analysis of the unknown nodes by banded block elimination.
+    def compile(self, **sites) -> "_Plan":
+        """The plan of this layout; ``sites`` names the nodes a solver drives ("sources") or reads."""
+        a, b = (np.concatenate(ends) for ends in zip(*self._ends))
+        return _Plan(np.array(self._fixed), a, b, self._groups, sites)
 
-        Returns the potential and the net branch current flowing into
-        (positive = absorbed by) every node, and the number of unknowns.
-        Sums run in branch order, so a rebuilt network reproduces its
-        results bit for bit.
-        """
-        a, b, g = (np.concatenate(parts) for parts in zip(*self._branches))
-        volts = np.array(self._volts, dtype=float)
-        count = volts.size
-        unknowns = np.flatnonzero(np.isnan(volts))
-        size = unknowns.size
-        index = np.full(count, -1)
-        index[unknowns] = np.arange(size)
 
-        live = g > 0.0
-        a, b, g = a[live], b[live], g[live]
+class _Plan:
+    """A compiled topology: every index array of the nodal solve, derived once.
+
+    A solve stamps only the branch conductances and the drive, then
+    eliminates.  Zero-conductance branches stay in the plan as stamped
+    zeros, so nothing here depends on values: +0.0 changes no sum, and a
+    node whose every branch is stamped zero still shows a zero diagonal.
+    """
+
+    def __init__(self, fixed: np.ndarray, a: np.ndarray, b: np.ndarray, groups: list[tuple[str, slice]],
+                 sites: dict) -> None:
+        self.a, self.b, self.groups, self.sites = a, b, groups, sites
+        self.volts = np.where(fixed, 0.0, np.nan)
+        self.unknowns = np.flatnonzero(~fixed)
+        size = self.unknowns.size
+        index = np.full(fixed.size, -1)
+        index[self.unknowns] = np.arange(size)
         ia, ib = index[a], index[b]
         ends = _interleave(ia, ib)
         free = ends >= 0
-        diagonal = np.bincount(ends[free], weights=np.repeat(g, 2)[free], minlength=size)
-        both = (ia >= 0) & (ib >= 0)
+        # diagonal[at[i]] += g[of[i]], and so on: each pair is a bincount's bins and weights
+        self.diagonal_at, self.diagonal_of = ends[free], np.repeat(np.arange(a.size), 2)[free]
         one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
-        rhs = np.bincount(np.where(ia >= 0, ia, ib)[one],
-                          weights=(g * np.where(ia >= 0, volts[b], volts[a]))[one], minlength=size)
+        self.rhs_at, self.rhs_of = np.where(ia >= 0, ia, ib)[one], np.flatnonzero(one)
+        self.rhs_from = np.where(ia >= 0, b, a)[one]
+        self.couplings = np.flatnonzero((ia >= 0) & (ib >= 0))
+        self.band = _Band(size, ia[self.couplings], ib[self.couplings])
+        self.flow_at = _interleave(a, b)
+        _freeze(vars(self), sites)
+
+    def stamp(self, conductance: dict, drive) -> tuple[np.ndarray, np.ndarray]:
+        """Branch conductances from each group's stamp, and node potentials with the sources at ``drive``."""
+        g = np.empty(self.a.size)
+        for group, where in self.groups:
+            g[where] = conductance[group]
+        volts = self.volts.copy()
+        volts[self.sites["sources"]] = drive
+        return g, volts
+
+    def solve(self, g: np.ndarray, volts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Nodal analysis of the unknown nodes by banded block elimination.
+
+        ``volts`` holds the fixed potentials and receives the solved ones.
+        Returns the potential and the net branch current flowing into
+        (positive = absorbed by) every node, and the number of unknowns.
+        Sums run in branch order, so a restamped plan reproduces its
+        results bit for bit.
+        """
+        low = g.min()
+        if low < 0.0:
+            raise ValueError(f"branch conductance must be non-negative, got {low}")
+        unknowns = self.unknowns
+        size = unknowns.size
+        diagonal = np.bincount(self.diagonal_at, g[self.diagonal_of], size)
+        rhs = np.bincount(self.rhs_at, g[self.rhs_of] * volts[self.rhs_from], size)
 
         if size:
-            isolated = unknowns[diagonal == 0.0]
-            if isolated.size:
+            if not diagonal.all():
+                isolated = unknowns[diagonal == 0.0]
                 raise SingularNetworkError(f"isolated nodes with no conductive path: {isolated.tolist()!r}")
             try:
-                volts[unknowns] = _banded_solve(diagonal, ia[both], ib[both], g[both], rhs)
+                volts[unknowns] = self.band.solve(diagonal, g[self.couplings], rhs)
             except np.linalg.LinAlgError as exc:
                 raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
 
-        current = g * (volts[b] - volts[a])  # flowing from b into a
-        inflow = np.bincount(_interleave(a, b), weights=_interleave(current, -current), minlength=count)
+        current = g * (volts[self.b] - volts[self.a])  # flowing from b into a
+        inflow = np.bincount(self.flow_at, _interleave(current, -current), volts.size)
         if size:
             residual = np.abs(inflow[unknowns]).max()  # KCL: no net current into an unknown node
             bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
@@ -266,9 +333,8 @@ class _Network:
         return volts, inflow, size
 
 
-def _banded_solve(diagonal: np.ndarray, ia: np.ndarray, ib: np.ndarray, g: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Solve G u = rhs, G = diag(diagonal) minus ``g`` at (ia, ib) and (ib, ia), by blocks.
+class _Band:
+    """Block partition of G u = rhs, G = diag(diagonal) minus g at (ia, ib) and (ib, ia).
 
     The unknowns are cut into equal blocks, as many as fit at least as wide
     as the half-bandwidth of the couplings and ``MIN_BLOCK``, so G is block
@@ -278,38 +344,46 @@ def _banded_solve(diagonal: np.ndarray, ia: np.ndarray, ib: np.ndarray, g: np.nd
     definite, so no pivoting across blocks is needed.  The last block is
     padded with identity rows.  A system of one block is a dense solve.
     """
-    size = diagonal.size
-    # below two narrowest blocks of unknowns the system is one block, whatever its band
-    half = int(np.abs(ia - ib).max()) if size >= 2 * MIN_BLOCK and ia.size else 0
-    blocks = max(1, size // max(half, MIN_BLOCK))
-    width = -(-size // blocks)
-    spare = blocks * width - size
-    inner = ia // width == ib // width if blocks > 1 else slice(None)
-    rows, cols = _interleave(ia[inner], ib[inner]), _interleave(ib[inner], ia[inner])
-    # entry (i, j) of a block sits at i * width + j % width of the stacked blocks
-    d = np.bincount(rows * width + cols % width, -np.repeat(g[inner], 2), blocks * width * width)
-    d = d.astype(float, copy=False).reshape(blocks, width, width)  # no weights gives ints
-    if spare:
-        diagonal, rhs = np.concatenate((diagonal, np.ones(spare))), np.concatenate((rhs, np.zeros(spare)))
-    d.reshape(blocks, width * width)[:, :: width + 1] = diagonal.reshape(blocks, width)
-    y = rhs.reshape(blocks, width)
-    if blocks == 1:
-        return np.linalg.solve(d[0], y[0])
 
-    cross = ~inner
-    lo, hi = np.minimum(ia[cross], ib[cross]), np.maximum(ia[cross], ib[cross])
-    u = np.bincount(lo * width + hi % width, -g[cross], (blocks - 1) * width * width)
-    u = u.reshape(blocks - 1, width, width)
-    carried = []  # S_k^-1 [U_k | y'_k]
-    s, r = d[0], y[0]
-    for k in range(blocks - 1):
-        carried.append(np.linalg.solve(s, np.column_stack((u[k], r))))
-        update = u[k].T @ carried[-1]
-        s, r = d[k + 1] - update[:, :-1], y[k + 1] - update[:, -1]
-    x = [np.linalg.solve(s, r)]
-    for solved in reversed(carried):
-        x.append(solved[:, -1] - solved[:, :-1] @ x[-1])
-    return np.concatenate(x[::-1])[:size]
+    def __init__(self, size: int, ia: np.ndarray, ib: np.ndarray) -> None:
+        # below two narrowest blocks of unknowns the system is one block, whatever its band
+        half = int(np.abs(ia - ib).max()) if size >= 2 * MIN_BLOCK and ia.size else 0
+        self.size = size
+        self.blocks = blocks = max(1, size // max(half, MIN_BLOCK))
+        self.width = width = -(-size // blocks)
+        self.spare = blocks * width - size
+        inner = ia // width == ib // width if blocks > 1 else np.ones(ia.size, dtype=bool)
+        rows, cols = _interleave(ia[inner], ib[inner]), _interleave(ib[inner], ia[inner])
+        # entry (i, j) of a block sits at i * width + j % width of the stacked blocks
+        self.inner_at, self.inner_of = rows * width + cols % width, np.repeat(np.flatnonzero(inner), 2)
+        cross = np.flatnonzero(~inner)
+        lo, hi = np.minimum(ia[cross], ib[cross]), np.maximum(ia[cross], ib[cross])
+        self.cross_at, self.cross_of = lo * width + hi % width, cross
+        _freeze(vars(self))
+
+    def solve(self, diagonal: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        blocks, width, spare = self.blocks, self.width, self.spare
+        d = np.bincount(self.inner_at, -g[self.inner_of], blocks * width * width)
+        d = d.astype(float, copy=False).reshape(blocks, width, width)  # no weights gives ints
+        if spare:
+            diagonal, rhs = np.concatenate((diagonal, np.ones(spare))), np.concatenate((rhs, np.zeros(spare)))
+        d.reshape(blocks, width * width)[:, :: width + 1] = diagonal.reshape(blocks, width)
+        y = rhs.reshape(blocks, width)
+        if blocks == 1:
+            return np.linalg.solve(d[0], y[0])
+
+        u = np.bincount(self.cross_at, -g[self.cross_of], (blocks - 1) * width * width)
+        u = u.reshape(blocks - 1, width, width)
+        carried = []  # S_k^-1 [U_k | y'_k]
+        s, r = d[0], y[0]
+        for k in range(blocks - 1):
+            carried.append(np.linalg.solve(s, np.column_stack((u[k], r))))
+            update = u[k].T @ carried[-1]
+            s, r = d[k + 1] - update[:, :-1], y[k + 1] - update[:, -1]
+        x = [np.linalg.solve(s, r)]
+        for solved in reversed(carried):
+            x.append(solved[:, -1] - solved[:, :-1] @ x[-1])
+        return np.concatenate(x[::-1])[: self.size]
 
 
 @dataclass(frozen=True)
@@ -321,70 +395,120 @@ class NodalDetail:
     unknown_nodes: int  # unknown potentials solved for, summed over readout phases
 
 
-def _line_sets(net: _Network, spec: CrossbarSpec, ends: dict[str, np.ndarray], hl_at: int,
-               g_end: float | None, outs: bool) -> dict[str, np.ndarray]:
+def _line_sets(layout: _Layout, m: int, n: int, wired: bool, ends: dict[str, np.ndarray], hl_at: int,
+               terminated: bool, outs: bool) -> dict[str, np.ndarray]:
     """Lay out both line sets; returns the node of each set at every cell, shape (m, n).
 
     Vertical line l meets ``ends["vl"][l]`` at its last crossing and
-    horizontal line k meets ``ends["hl"][k]`` at crossing ``hl_at``, through
-    ``g_end``, or through one more wire segment when ``g_end`` is None,
-    which merges an ideal line into its end node.  Neighbouring crossings
-    are joined by wire segments; ideal wires (``rw == 0``) make each line a
-    single node.  ``outs`` adds a new output node per cell under "out".
+    horizontal line k meets ``ends["hl"][k]`` at crossing ``hl_at``,
+    through a sense termination (group "term") when ``terminated``, or
+    else through one more wire segment, which merges an ideal line into
+    its end node.  Neighbouring crossings are joined by wire segments
+    (group "wire"); ideal wires make each line a single node.  ``outs``
+    adds a new output node per cell under "out".
 
     With wire resistance a cell's nodes (vl crossing, hl crossing, output)
     are numbered together, cell by cell in row-major order, so every
     coupling stays within 3n places of the diagonal and the banded solve
     runs on narrow blocks.
     """
-    m, n, rw = spec.m, spec.n, spec.wire_resistance_per_segment
-    if rw > 0.0:
+    end = "term" if terminated else "wire"
+    if wired:
         names = ("vl", "hl", "out") if outs else ("vl", "hl")
-        grid = net.nodes(m * n * len(names)).reshape(m, n, len(names))
+        grid = layout.nodes(m * n * len(names)).reshape(m, n, len(names))
         nodes = {name: grid[:, :, i] for i, name in enumerate(names)}
         for name, lines, at in (("vl", nodes["vl"].T, -1), ("hl", nodes["hl"], hl_at)):
-            net.branch(lines[:, :-1], lines[:, 1:], 1.0 / rw)
-            net.branch(lines[:, at], ends[name], 1.0 / rw if g_end is None else g_end)
+            layout.branch("wire", lines[:, :-1], lines[:, 1:])
+            layout.branch(end, lines[:, at], ends[name])
         return nodes
     nodes = {}
     for name, shape in (("vl", (1, n)), ("hl", (m, 1))):
-        lines = ends[name] if g_end is None else net.nodes(ends[name].size)
-        if g_end is not None:
-            net.branch(lines, ends[name], g_end)
+        lines = layout.nodes(ends[name].size) if terminated else ends[name]
+        if terminated:
+            layout.branch("term", lines, ends[name])
         nodes[name] = np.broadcast_to(lines.reshape(shape), (m, n))
     if outs:
-        nodes["out"] = net.nodes(m * n).reshape(m, n)
+        nodes["out"] = layout.nodes(m * n).reshape(m, n)
     return nodes
 
 
-def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
+def _vl_only_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     """Horizontal lines driven at their first crossing, vertical lines grounded after their last."""
-    net = _Network()
-    sources = net.nodes(spec.m, drive)
-    grounds = net.nodes(spec.n, 0.0)
-    lines = _line_sets(net, spec, {"vl": grounds, "hl": sources}, 0, None, outs=False)
-    net.branch(lines["hl"], lines["vl"], conductance_matrix(spec))
-
-    _, inflow, unknowns = net.solve()
-    sensed = inflow[grounds]
-    detail = NodalDetail(injected=-float(inflow[sources].sum()), absorbed=float(sensed.sum()),
-                         unknown_nodes=unknowns)
-    return ReadoutVector(vl_currents=sensed, hl_currents=np.zeros(0)), detail
+    sources = layout.nodes(m, fixed=True)
+    grounds = layout.nodes(n, fixed=True)
+    lines = _line_sets(layout, m, n, wired, {"vl": grounds, "hl": sources}, 0, terminated=False, outs=False)
+    layout.branch("cell", lines["hl"], lines["vl"])
+    return layout.compile(sources=sources, grounds=grounds)
 
 
-def _dual_lines(spec: CrossbarSpec) -> tuple[_Network, int, dict[str, np.ndarray], dict[str, np.ndarray]]:
+def _dual_lines(layout: _Layout, m: int, n: int, wired: bool) -> tuple[int, dict[str, np.ndarray], dict]:
     """Both line sets of a dual readout, every line ending in a sense termination to ground.
 
-    Returns the network, the ground node, the node of each line set and of
-    each cell output at every cell, row-major, and the terminal node of
-    each line.
+    Returns the ground node, the node of each line set and of each cell
+    output at every cell, row-major, and the terminal node of each line.
     """
-    net = _Network()
-    gnd = net.nodes(1, 0.0)
-    lines = _line_sets(net, spec, {"vl": np.repeat(gnd, spec.n), "hl": np.repeat(gnd, spec.m)}, -1,
-                       spec.termination_conductance, outs=True)
+    gnd = layout.nodes(1, fixed=True)
+    lines = _line_sets(layout, m, n, wired, {"vl": np.repeat(gnd, n), "hl": np.repeat(gnd, m)}, -1,
+                       terminated=True, outs=True)
     at = {name: nodes.ravel() for name, nodes in lines.items()}
-    return net, int(gnd[0]), at, {"vl": lines["vl"][-1], "hl": lines["hl"][:, -1]}
+    return int(gnd[0]), at, {"vl": lines["vl"][-1], "hl": lines["hl"][:, -1]}
+
+
+def _switched_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
+    """2T1M1S cells: supply -- body (sensor and memristor) -- output -- one switch to each line.
+
+    Both phases stamp this one plan and add an output's conductances in
+    the same order, body, active switch, idle switch: the column phase
+    stamps "vl_col" and "hl", the row phase "hl" and "vl_row", and the
+    group a phase does not use carries zeros.
+    """
+    gnd, at, terminals = _dual_lines(layout, m, n, wired)
+    sources = layout.nodes(m * n, fixed=True)
+    layout.branch("body", sources, at["out"])
+    layout.branch("vl_col", at["out"], at["vl"])
+    layout.branch("hl", at["out"], at["hl"])
+    layout.branch("vl_row", at["out"], at["vl"])
+    return layout.compile(sources=sources, gnd=gnd, **terminals)
+
+
+def _shorted_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
+    """Single-switch cells hard-wired to both lines; ideal wires merge every line into one bus node."""
+    if wired:
+        gnd, at, terminals = _dual_lines(layout, m, n, wired)
+        outs = at["out"]
+    else:
+        gnd, bus = int(layout.nodes(1, fixed=True)[0]), layout.nodes(1)
+        layout.branch("term", np.repeat(bus, n + m), np.repeat(gnd, n + m))
+        outs = np.repeat(bus, m * n)
+        terminals = {"vl": np.repeat(bus, n), "hl": np.repeat(bus, m)}
+    sources = layout.nodes(m * n, fixed=True)
+    layout.branch("cell", sources, outs)
+    if wired:
+        layout.branch("wire", outs, at["vl"])
+        layout.branch("wire", outs, at["hl"])
+    return layout.compile(sources=sources, gnd=gnd, **terminals)
+
+
+@functools.lru_cache
+def _topology(lay, m: int, n: int, wired: bool) -> _Plan:
+    """The plan of one nodal topology, compiled on first use: ``lay`` is the readout's layout function."""
+    return lay(_Layout(), m, n, wired)
+
+
+def _line_stamps(spec: CrossbarSpec) -> dict[str, float]:
+    """Conductances of the sense terminations and of the wire segments, which ideal wires lack."""
+    rw = spec.wire_resistance_per_segment
+    return {"term": spec.termination_conductance} | ({"wire": 1.0 / rw} if rw > 0.0 else {})
+
+
+def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
+    plan = _topology(_vl_only_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
+    stamps = _line_stamps(spec) | {"cell": conductance_matrix(spec).ravel()}
+    _, inflow, unknowns = plan.solve(*plan.stamp(stamps, drive))
+    sensed = inflow[plan.sites["grounds"]]
+    detail = NodalDetail(injected=-float(inflow[plan.sites["sources"]].sum()), absorbed=float(sensed.sum()),
+                         unknown_nodes=unknowns)
+    return ReadoutVector(vl_currents=sensed, hl_currents=np.zeros(0)), detail
 
 
 def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
@@ -394,23 +518,20 @@ def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[Readout
     contribute only their off-state leakage, which drains into that line
     set's terminations and is lost to the measurement.
     """
-    cells = [cell for row in spec.cells for cell in row]
-    g_body = [series_conductance(fsr_conductance(c.sensor, c.force_f), memristor_conductance(c.memristor))
-              for c in cells]
-    switches = {"vl": [c.vl_switch for c in cells], "hl": [c.hl_switch for c in cells]}
+    plan = _topology(_switched_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
+    sensor, memristor, _, (vl_active, hl_active), (vl_idle, hl_idle) = _dual_cells(spec)
+    stamps = _line_stamps(spec) | {"body": series_conductance(sensor, memristor)}
+    phases = (("vl", {"vl_col": vl_active, "hl": hl_idle, "vl_row": 0.0}),
+              ("hl", {"vl_col": 0.0, "hl": hl_active, "vl_row": vl_idle}))
+    drive = drive.ravel()
     sensed = {}
     injected = absorbed = 0.0
     unknowns = 0
-    for active, idle in (("vl", "hl"), ("hl", "vl")):
-        net, gnd, at, terminals = _dual_lines(spec)
-        sources = net.nodes(spec.m * spec.n, drive.ravel())
-        net.branch(sources, at["out"], g_body)
-        net.branch(at["out"], at[active], [switch_conductance(s) for s in switches[active]])
-        net.branch(at["out"], at[idle], [s.g_off for s in switches[idle]])
-        potential, inflow, size = net.solve()
-        sensed[active] = spec.termination_conductance * potential[terminals[active]]
-        injected -= inflow[sources].sum()
-        absorbed += inflow[gnd]
+    for line, switch_stamps in phases:
+        potential, inflow, size = plan.solve(*plan.stamp(stamps | switch_stamps, drive))
+        sensed[line] = spec.termination_conductance * potential[plan.sites[line]]
+        injected -= inflow[plan.sites["sources"]].sum()
+        absorbed += inflow[plan.sites["gnd"]]
         unknowns += size
     detail = NodalDetail(injected=float(injected), absorbed=float(absorbed), unknown_nodes=unknowns)
     return ReadoutVector(vl_currents=sensed["vl"], hl_currents=sensed["hl"]), detail
@@ -425,31 +546,14 @@ def _solve_dual_shorted(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutV
     With ideal wires the shorts merge every line into one bus node, which
     the m + n sense terminations tie to ground.
     """
-    rw = spec.wire_resistance_per_segment
-    if rw > 0.0:
-        net, gnd, at, terminals = _dual_lines(spec)
-        outs = at["out"]
-    else:
-        net = _Network()
-        gnd, bus = net.nodes(2, [0.0, np.nan])
-        lines = spec.n + spec.m
-        net.branch(np.repeat(bus, lines), np.repeat(gnd, lines), spec.termination_conductance)
-        outs = np.repeat(bus, spec.m * spec.n)
-        terminals = {"vl": np.repeat(bus, spec.n), "hl": np.repeat(bus, spec.m)}
-    g_stack = conductance_matrix(spec).ravel()
-    live = g_stack > 0.0
-    sources = net.nodes(int(live.sum()), drive.ravel()[live])
-    net.branch(sources, outs[live], g_stack[live])
-    if rw > 0.0:
-        net.branch(outs, at["vl"], 1.0 / rw)
-        net.branch(outs, at["hl"], 1.0 / rw)
-
-    potential, inflow, unknowns = net.solve()
+    plan = _topology(_shorted_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
+    stamps = _line_stamps(spec) | {"cell": conductance_matrix(spec).ravel()}
+    potential, inflow, unknowns = plan.solve(*plan.stamp(stamps, drive.ravel()))
     g_term = spec.termination_conductance
-    readouts = ReadoutVector(vl_currents=g_term * potential[terminals["vl"]],
-                             hl_currents=g_term * potential[terminals["hl"]])
-    detail = NodalDetail(injected=-float(inflow[sources].sum()), absorbed=float(inflow[gnd]),
-                         unknown_nodes=unknowns)
+    readouts = ReadoutVector(vl_currents=g_term * potential[plan.sites["vl"]],
+                             hl_currents=g_term * potential[plan.sites["hl"]])
+    detail = NodalDetail(injected=-float(inflow[plan.sites["sources"]].sum()),
+                         absorbed=float(inflow[plan.sites["gnd"]]), unknown_nodes=unknowns)
     return readouts, detail
 
 

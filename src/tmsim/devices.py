@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "CellConfig",
     "SensorModel",
@@ -146,22 +148,25 @@ def switch_conductance(model: SwitchModel) -> float:
     return model.g_on if model.selected else model.g_off
 
 
-def series_conductance(*conductances: float) -> float:
-    """Harmonic composition of series conductances.
+def series_conductance(*conductances):
+    """Harmonic composition of series conductances, elementwise over arrays.
 
-    Any zero element opens the path and the result is exactly 0.  Negative
-    conductances are rejected.
+    The reciprocals add in argument order.  Any zero element opens the
+    path and the result is exactly 0.  Negative conductances are rejected.
+    Scalar arguments give a float.
     """
-    total = 0.0
-    for g in conductances:
-        if g < 0.0:
-            raise ValueError(f"conductance must be non-negative, got {g}")
-        if g == 0.0:
-            return 0.0
-        total += 1.0 / g
-    if total == 0.0:
+    if not conductances:
         raise ValueError("series_conductance needs at least one element")
-    return 1.0 / total
+    parts = [np.asarray(g, dtype=float) for g in conductances]
+    for g in parts:
+        if np.fmin.reduce(g, axis=None) < 0.0:
+            raise ValueError(f"conductance must be non-negative, got {np.fmin.reduce(g, axis=None)}")
+    with np.errstate(divide="ignore"):  # 1/0 = inf makes the sum inf and the result 0
+        total = 1.0 / parts[0]
+        for g in parts[1:]:
+            total = total + 1.0 / g
+        result = 1.0 / total
+    return float(result) if result.ndim == 0 else result
 
 
 def cell_conductance(cell: CellState, line: str = "vl") -> float:

@@ -31,7 +31,7 @@ trains on the resulting bits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .analog_blocks import SoftmaxParams
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
 from .crossbar import CrossbarSpec, Readout, solve_nodal, weights_to_differential
-from .devices import CellConfig, CellState, SwitchModel
+from .devices import CellConfig, CellState, MemristorModel, SwitchModel
 
 __all__ = [
     "NetworkArch",
@@ -255,19 +255,20 @@ def build_sensor_crossbar(
     g_off = cfg.parasitics.switch_g_off if parasitic else cfg.switch_g_off
     wire = cfg.parasitics.wire_resistance if parasitic else 0.0
     switch = SwitchModel(g_on=cfg.switch_g_on, g_off=g_off, selected=True)
+    r_on, r_off = cfg.memristor.r_on, cfg.memristor.r_off
     cells = tuple(
         tuple(
             CellState(
                 config=CellConfig.TWO_T1M1S,
-                memristor=replace(cfg.memristor, state_w=float(states[k, l])),
+                memristor=MemristorModel(r_on, r_off, state),
                 vl_switch=switch,
                 hl_switch=switch,
                 sensor=cfg.sensor,
-                force_f=float(forces[k, l]),
+                force_f=force,
             )
-            for l in range(SENSOR_COLS)
+            for force, state in zip(force_row, state_row)
         )
-        for k in range(SENSOR_ROWS)
+        for force_row, state_row in zip(forces.tolist(), states.tolist())
     )
     return CrossbarSpec(
         m=SENSOR_ROWS,
@@ -767,12 +768,16 @@ def network_to_json(tn: TrainedNetwork) -> str:
 
 
 def network_from_json(text: str) -> TrainedNetwork:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidNetworkError(f"not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidNetworkError(f"must be a JSON object, got {type(data).__name__}")
     version = data.get("schema_version")
     if version != NETWORK_SCHEMA_VERSION:
-        raise ValueError(f"unsupported network schema version {version!r}")
+        raise InvalidNetworkError(f"unsupported network schema version {version!r}, "
+                                  f"expected {NETWORK_SCHEMA_VERSION}")
     missing = [key for key in ("mode", "labels", "n_inputs", "n_hidden", "w_hidden", "b_hidden", "w_out",
                                "b_out", "sensor_states", "binary_threshold") if key not in data]
     if missing:
@@ -784,16 +789,23 @@ def network_from_json(text: str) -> TrainedNetwork:
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise InvalidNetworkError(f"labels must be a list of strings, got {labels!r}")
     arch = NetworkArch(labels=tuple(labels))
+
+    def array(key: str) -> np.ndarray:
+        try:
+            return np.array(data[key])
+        except ValueError as exc:  # rows of unequal length
+            raise InvalidNetworkError(f"{key} must be a rectangular array of numbers") from exc
+
     threshold = data["binary_threshold"]
     return TrainedNetwork(
         arch=arch,
         mode=data["mode"],
-        w_hidden=np.array(data["w_hidden"]),
-        b_hidden=np.array(data["b_hidden"]),
-        w_out=np.array(data["w_out"]),
-        b_out=np.array(data["b_out"]),
-        sensor_states=np.array(data["sensor_states"]),
-        binary_threshold=None if threshold is None else np.array(threshold),
+        w_hidden=array("w_hidden"),
+        b_hidden=array("b_hidden"),
+        w_out=array("w_out"),
+        b_out=array("b_out"),
+        sensor_states=array("sensor_states"),
+        binary_threshold=None if threshold is None else array("binary_threshold"),
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tmsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from tmsim.cli import EXIT_CONFIG, EXIT_OK, main
 
 GOLDEN_COST_CSV = Path(__file__).parent / "data" / "cost_golden.csv"
 GOLDEN_LEAKAGE_CSV = Path(__file__).parent / "data" / "leakage_golden.csv"
@@ -121,16 +121,14 @@ class TestTrainEval:
         assert code == EXIT_CONFIG
         assert "train subcommand" in capsys.readouterr().err
 
-    def test_corrupt_network_is_runtime_error(self, tmp_path, quick_config):
-        train_out = str(tmp_path / "t")
-        main(["train", "--seed", "0", "--groups", "group1",
-              "--config", quick_config, "--out", train_out])
-        network = Path(train_out) / "network.json"
-        network.write_text(network.read_text().replace(
-            '"schema_version": 1', '"schema_version": 9'))
-        code = main(["eval", "--seed", "0", "--groups", "group1",
-                     "--network", str(network), "--out", str(tmp_path / "e")])
-        assert code == EXIT_RUNTIME
+    def test_network_file_that_is_not_json_is_config_error(self, tmp_path, capsys):
+        network = tmp_path / "network.json"
+        network.write_text('{"schema_version": 1,')
+        out = tmp_path / "e"
+        code = main(["eval", "--seed", "0", "--groups", "group1", "--network", str(network), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"network file {network}: not JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_rejects_sigma2_grids(self, tmp_path, quick_config, capsys):
         code = main(["train", "--seed", "0", "--sigma2", "0.02,0.05",
@@ -250,6 +248,8 @@ class TestBadFlags:
         ("labels", lambda net: net.update(labels=5)),
         ("labels", lambda net: net.update(labels="ab")),
         ("labels", lambda net: net["labels"].__setitem__(1, net["labels"][0])),
+        pytest.param("w_hidden", lambda net: net["w_hidden"][0].__delitem__(-1), id="w_hidden-ragged"),
+        pytest.param("schema version", lambda net: net.update(schema_version=2), id="schema-version"),
     ])
     def test_eval_rejects_a_bad_network_file(self, tmp_path, quick_config, capsys, field, corrupt):
         train_out = tmp_path / "t"

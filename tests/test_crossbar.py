@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tmsim.braille import build_dataset
 from tmsim.crossbar import (
     MIN_BLOCK,
     RESIDUAL_TOLERANCE,
@@ -20,9 +21,12 @@ from tmsim.crossbar import (
     ReadoutVector,
     SingularNetworkError,
     WeightRangeError,
-    _banded_solve,
+    _Band,
     _interleave,
-    _Network,
+    _Layout,
+    _Plan,
+    _switched_layout,
+    _topology,
     conductance_matrix,
     ideal_dual_readout,
     ideal_mac_vl,
@@ -46,27 +50,22 @@ V_SUPPLY = 0.5
 LEAKAGE_SCALES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)  # the scales of `tmsim leakage`
 
 
-def _reference_solve(self):
-    """Dense nodal analysis of the unknown nodes.
+def _reference_solve(a, b, g, volts):
+    """Dense nodal analysis of the unknown (NaN) nodes of branches ``a[i]--b[i]``.
 
     Returns the potential and the net branch current flowing into
     (positive = absorbed by) every node, and the number of unknowns.
-    Sums run in branch order, so a rebuilt network reproduces its
-    results bit for bit.
     """
-    a, b, g = (np.concatenate(parts) for parts in zip(*self._branches))
-    count = len(self._volts)
-    root = np.arange(count)  # the identity: every node stands for itself
-    volts = np.array(self._volts, dtype=float)
-    unknowns = np.flatnonzero((root == np.arange(count)) & np.isnan(volts))
+    volts = np.array(volts, dtype=float)
+    count = volts.size
+    unknowns = np.flatnonzero(np.isnan(volts))
     size = unknowns.size
     index = np.full(count, -1)
     index[unknowns] = np.arange(size)
 
-    ra, rb = root[a], root[b]
     live = g > 0.0
-    ra, rb, g = ra[live], rb[live], g[live]
-    ia, ib = index[ra], index[rb]
+    a, b, g = a[live], b[live], g[live]
+    ia, ib = index[a], index[b]
     ends = _interleave(ia, ib)
     free = ends >= 0
     g_mat = np.zeros((size, size))
@@ -76,7 +75,7 @@ def _reference_solve(self):
               -np.repeat(g[both], 2))
     one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
     rhs = np.bincount(np.where(ia >= 0, ia, ib)[one],
-                      weights=(g * np.where(ia >= 0, volts[rb], volts[ra]))[one], minlength=size)
+                      weights=(g * np.where(ia >= 0, volts[b], volts[a]))[one], minlength=size)
 
     if size:
         isolated = unknowns[g_mat.diagonal() == 0.0]
@@ -94,28 +93,44 @@ def _reference_solve(self):
             )
         volts[unknowns] = u
 
-    current = g * (volts[rb] - volts[ra])  # flowing from b into a
-    inflow = np.bincount(_interleave(ra, rb), weights=_interleave(current, -current), minlength=count)
-    return volts[root], inflow[root], size
+    current = g * (volts[b] - volts[a])  # flowing from b into a
+    inflow = np.bincount(_interleave(a, b), weights=_interleave(current, -current), minlength=count)
+    return volts, inflow, size
 
 
 @pytest.fixture
 def against_dense(monkeypatch):
-    """Runs the dense reference beside every nodal solve; yields the solve count."""
-    banded = _Network.solve
+    """Runs the dense reference beside every solve of a compiled plan; yields the solve count."""
+    banded = _Plan.solve
     solves = []
 
-    def checked(net):
-        potential, inflow, size = banded(net)
-        want_potential, want_inflow, want_size = _reference_solve(net)
+    def checked(plan, g, volts):
+        want_potential, want_inflow, want_size = _reference_solve(plan.a, plan.b, g, volts)
+        potential, inflow, size = banded(plan, g, volts)  # writes the solved potentials into volts
         assert size == want_size
         for got, want in ((potential, want_potential), (inflow, want_inflow)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         solves.append(size)
         return potential, inflow, size
 
-    monkeypatch.setattr(_Network, "solve", checked)
+    monkeypatch.setattr(_Plan, "solve", checked)
     return solves
+
+
+def _divider():
+    """0.5 V -- 1 mS -- mid -- 1 mS and 2 mS in parallel, as a shorted pair of nodes -- ground."""
+    layout = _Layout()
+    source, ground, mid = layout.nodes(1, fixed=True), layout.nodes(1, fixed=True), layout.nodes(1)
+    layout.branch("r", [source, mid, mid], [mid, ground, ground])
+    plan = layout.compile(sources=source)
+    return plan.solve(*plan.stamp({"r": [1e-3, 1e-3, 2e-3]}, 0.5))
+
+
+def _scaled(cfg, scale):
+    """``cfg`` with its switch leakage and wire resistance times ``scale``, as `tmsim leakage` sets them."""
+    base = cfg.parasitics
+    return replace(cfg, parasitics=replace(base, switch_g_off=base.switch_g_off * scale,
+                                           wire_resistance=base.wire_resistance * scale))
 
 
 def _weight_grid(rng, m, n, wire_resistance=0.0):
@@ -325,19 +340,24 @@ class TestNodalContract:
     dense solve dominates."""
 
     def test_node_without_conductive_path_is_singular(self):
-        net = _Network()
-        source, mid, far = net.nodes(3, [0.5, np.nan, np.nan])
-        net.branch(source, mid, 1e-3)
-        net.branch(mid, far, 0.0)  # a zero-conductance branch leaves the far node isolated
-        with pytest.raises(SingularNetworkError):
-            net.solve()
+        layout = _Layout()
+        source, mid, far = layout.nodes(1, fixed=True), layout.nodes(1), layout.nodes(1)
+        layout.branch("r", source, mid)
+        layout.branch("open", mid, far)  # a zero-conductance branch leaves the far node isolated
+        plan = layout.compile(sources=source)
+        with pytest.raises(SingularNetworkError, match="isolated"):
+            plan.solve(*plan.stamp({"r": 1e-3, "open": 0.0}, 0.5))
+
+    def test_negative_conductance_is_rejected(self):
+        layout = _Layout()
+        source, mid = layout.nodes(1, fixed=True), layout.nodes(1)
+        layout.branch("r", [source, mid], [mid, source])
+        plan = layout.compile(sources=source)
+        with pytest.raises(ValueError, match="non-negative"):
+            plan.solve(*plan.stamp({"r": [1e-3, -1e-4]}, 0.5))
 
     def test_divider_with_a_short(self):
-        # 0.5 V -- 1 mS -- mid -- 1 mS and 2 mS in parallel, as a shorted pair of nodes -- ground
-        net = _Network()
-        source, ground, mid = net.nodes(3, [0.5, 0.0, np.nan])
-        net.branch([source, mid, mid], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
-        potential, inflow, unknowns = net.solve()
+        potential, inflow, unknowns = _divider()
         assert unknowns == 1
         np.testing.assert_allclose(potential, [0.5, 0.0, 0.125], rtol=1e-12)
         np.testing.assert_allclose(inflow, [-0.375e-3, 0.375e-3, 0.0], rtol=1e-12, atol=1e-18)
@@ -377,7 +397,7 @@ def _band_system(rng, size, half):
     Off-diagonal entries are negative and every row has a positive excess,
     so the inverse is positive and a positive right-hand side gives a
     solution with no entry near zero.  Returns the branch form that
-    ``_banded_solve`` takes and the dense matrix.
+    ``_Band`` takes and the dense matrix.
     """
     i = np.concatenate([np.arange(size - k) for k in range(1, min(half, size - 1) + 1)])
     j = i + np.concatenate([np.full(size - k, k) for k in range(1, min(half, size - 1) + 1)])
@@ -417,7 +437,8 @@ class TestBandedSolve:
             return solve(*a)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        got = _banded_solve(*args)
+        diagonal, i, j, g, rhs = args
+        got = _Band(size, i, j).solve(diagonal, g, rhs)
         assert len(calls) == blocks
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -430,18 +451,19 @@ class TestBandedSolve:
         # nodes joined to each other but to no fixed node; ``chained`` puts
         # the component across the first block boundary of a driven chain
         # of 3 * MIN_BLOCK unknowns
-        net = _Network()
-        source = net.nodes(1, 0.5)
+        layout = _Layout()
+        source = layout.nodes(1, fixed=True)
         a, b, g = floating
         size = max(a + b) + 1
-        head = net.nodes(MIN_BLOCK - 1 if chained else 0)
-        component = net.nodes(size)
-        tail = net.nodes(3 * MIN_BLOCK - size - head.size if chained else 0)
+        head = layout.nodes(MIN_BLOCK - 1 if chained else 0)
+        component = layout.nodes(size)
+        tail = layout.nodes(3 * MIN_BLOCK - size - head.size if chained else 0)
         chain = np.concatenate([source, head, tail])
-        net.branch(chain[:-1], chain[1:], 1e-3)
-        net.branch(component[a], component[b], g)
+        layout.branch("chain", chain[:-1], chain[1:])
+        layout.branch("component", component[a], component[b])
+        plan = layout.compile(sources=source)
         with pytest.raises(SingularNetworkError, match="singular"):
-            net.solve()
+            plan.solve(*plan.stamp({"chain": 1e-3, "component": g}, 0.5))
 
 
 class TestAgainstDenseSolve:
@@ -449,21 +471,15 @@ class TestAgainstDenseSolve:
     potentials and inflows agree within 1e-12 of their largest magnitude."""
 
     def test_divider_with_a_short(self, against_dense):
-        net = _Network()
-        source, ground, mid = net.nodes(3, [0.5, 0.0, np.nan])
-        net.branch([source, mid, mid], [mid, ground, ground], [1e-3, 1e-3, 2e-3])
-        net.solve()
+        _divider()
         assert against_dense == [1]
 
     @pytest.mark.parametrize("scale", LEAKAGE_SCALES)
     def test_sensor_array_at_each_leakage_scale(self, cfg, against_dense, scale):
         rng = np.random.default_rng([25, int(100 * scale)])
-        base = cfg.parasitics
-        scaled = replace(cfg, parasitics=replace(base, switch_g_off=base.switch_g_off * scale,
-                                                 wire_resistance=base.wire_resistance * scale))
         for _ in range(8):
             forces = cfg.f_press * rng.integers(0, 2, (4, 2))
-            spec = build_sensor_crossbar(forces, rng.uniform(0.0, 1.0, (4, 2)), scaled, parasitic=True)
+            spec = build_sensor_crossbar(forces, rng.uniform(0.0, 1.0, (4, 2)), _scaled(cfg, scale), parasitic=True)
             solve_nodal(spec, V_SUPPLY)
         assert len(against_dense) == 16
 
@@ -483,6 +499,58 @@ class TestAgainstDenseSolve:
                             config=CellConfig.ONE_T1M1S)
         solve_nodal(spec, V_SUPPLY)
         assert len(against_dense) == 1
+
+    @pytest.mark.parametrize("wire_resistance, unknowns", [(0.0, 2 + 4 + 8), (2.0, 3 * 8)])
+    def test_one_plan_restamped_with_changing_values(self, against_dense, wire_resistance, unknowns):
+        # one cached plan serves every spec of a topology: a conductance or potential left over
+        # from an earlier stamp would differ from the dense solve or from the ideal readout
+        rng = np.random.default_rng(31)
+        forces, states = rng.uniform(0.0, 40.0, (4, 2)), rng.uniform(0.0, 1.0, (4, 2))
+
+        def grid(g_off, selected=True):
+            return _sensor_grid(forces=forces, states=states, g_off=g_off, wire_resistance=wire_resistance,
+                                selected=selected)
+
+        leaky, tight = grid(1.9e-3), grid(0.0)
+        cells = [list(row) for row in tight.cells]
+        cells[2][1] = replace(cells[2][1], hl_switch=SwitchModel(selected=False))
+        one_deselected = replace(tight, cells=tuple(map(tuple, cells)))
+        specs = [leaky, tight, one_deselected, grid(0.0, selected=False), grid(1.9e-3, selected=False), leaky]
+
+        _topology(_switched_layout, 4, 2, wire_resistance > 0.0)
+        compiled = _topology.cache_info().misses
+        results = [solve_nodal_detail(spec, V_SUPPLY) for spec in specs]
+        assert _topology.cache_info().misses == compiled
+        assert against_dense == [unknowns] * 2 * len(specs)
+
+        (first, first_detail), (last, last_detail) = results[0], results[-1]
+        assert np.array_equal(first.concatenated(), last.concatenated()) and first_detail == last_detail
+        assert np.all(results[3][0].concatenated() == 0.0)  # no switch conducts
+        assert results[4][0].concatenated().min() > 0.0  # off-state leakage still reaches every line
+        # the deselected hl switch of cell (2, 1) costs row 2 that cell's current
+        assert results[2][0].hl_currents[2] < results[1][0].hl_currents[2]
+        if not wire_resistance:  # ideal wires and no leakage: each readout is the ideal one
+            for spec, (readout, _) in zip(specs[1:4], results[1:4]):
+                np.testing.assert_allclose(readout.concatenated(), ideal_dual_readout(V_SUPPLY, spec).concatenated(),
+                                           rtol=1e-9)
+
+
+class TestTopologyCache:
+    def test_nodal_pass_compiles_two_sensor_topologies(self, cfg):
+        # the 125 symbol masks at the 7 leakage scales: wired at every scale but 0, ideal wires at 0
+        _topology.cache_clear()
+        masks = [forces for forces, _ in build_dataset("fusion", copies=1, seed=0, f_press=cfg.f_press)]
+        scaled = [_scaled(cfg, scale) for scale in LEAKAGE_SCALES]
+        rng = np.random.default_rng(32)
+        for forces in masks:
+            states = rng.uniform(0.0, 1.0, (4, 2))
+            for cfg_at_scale in scaled:
+                solve_nodal(build_sensor_crossbar(forces, states, cfg_at_scale, parasitic=True), V_SUPPLY)
+        info = _topology.cache_info()
+        assert (len(masks) * len(scaled), info.misses, info.currsize) == (875, 2, 2)
+        _topology(_switched_layout, 4, 2, True)
+        _topology(_switched_layout, 4, 2, False)
+        assert _topology.cache_info().misses == 2
 
 
 class TestScale:
