@@ -31,14 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .devices import (
-    CellConfig,
-    CellState,
-    fsr_conductance,
-    memristor_conductance,
-    series_conductance,
-    switch_conductance,
-)
+from .devices import (CellConfig, CellState, MemristorModel, fsr_conductance, memristor_conductance,
+                      series_conductance, switch_conductance)
 
 __all__ = [
     "Readout",
@@ -155,8 +149,8 @@ def conductance_matrix(spec: CrossbarSpec) -> np.ndarray:
     A cell without a sensor fills the sensor's place in the series with an
     infinite conductance (a short), whose reciprocal adds 0 to the sum.
     """
-    parts = np.array([(memristor_conductance(cell.memristor), switch_conductance(cell.vl_switch),
-                       np.inf if cell.sensor is None else fsr_conductance(cell.sensor, cell.force_f))
+    parts = np.array([(np.inf if cell.sensor is None else fsr_conductance(cell.sensor, cell.force_f),
+                       memristor_conductance(cell.memristor), switch_conductance(cell.vl_switch))
                       for row in spec.cells for cell in row]).T
     return series_conductance(*parts).reshape(spec.m, spec.n)
 
@@ -201,7 +195,7 @@ def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
         ValueError: if any cell is not 2T1M1S.
     """
     sensor, memristor, switch_on, _, _ = _dual_cells(spec)
-    vl, hl = (v_supply * series_conductance(memristor, switch_on, sensor)).reshape(2, spec.m, spec.n)
+    vl, hl = (v_supply * series_conductance(sensor, memristor, switch_on)).reshape(2, spec.m, spec.n)
     return ReadoutVector(vl_currents=vl.cumsum(axis=0)[-1], hl_currents=hl.cumsum(axis=1)[:, -1])
 
 
@@ -611,28 +605,26 @@ def leakage_fraction(ideal: ReadoutVector, actual: ReadoutVector) -> float:
 
 
 def weights_to_differential(
-    weights: np.ndarray, r_on: float, r_off: float, scale: float
+    weights: np.ndarray, memristor: MemristorModel, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map signed weights onto differential conductance pairs.
+    """Map signed weights onto differential conductance pairs of ``memristor`` devices.
 
     Each weight becomes a column pair programmed at
 
         g_plus  = g_base + max(w, 0) * scale
         g_minus = g_base - min(w, 0) * scale
 
-    with g_base = 1/r_off, so g_plus - g_minus = w * scale exactly and
-    both conductances stay inside [1/r_off, 1/r_on].
+    with g_base = 1/r_off, the memristor's conductance at state 0, so
+    g_plus - g_minus = w * scale exactly and both stay in [1/r_off, 1/r_on].
 
     Raises:
         WeightRangeError: naming the first offending index if |w| * scale
-            exceeds the available conductance span.
+            exceeds the memristor span.
     """
-    if not 0.0 < r_on < r_off:
-        raise ValueError(f"need 0 < r_on < r_off, got {r_on}, {r_off}")
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     w = np.asarray(weights, dtype=float)
-    span = 1.0 / r_on - 1.0 / r_off
+    span = memristor.span
     magnitude = np.abs(w) * scale
     # tolerate float rounding when a caller saturates the span exactly
     over = magnitude > span * (1.0 + 1e-9)
@@ -643,7 +635,7 @@ def weights_to_differential(
             f"above the available span {span:.6g} S",
             index=idx,
         )
-    g_base = 1.0 / r_off
+    g_base = memristor_conductance(memristor, 0.0)
     g_plus = g_base + np.maximum(w, 0.0) * scale
     g_minus = g_base + np.maximum(-w, 0.0) * scale
     return g_plus, g_minus

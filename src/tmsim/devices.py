@@ -6,11 +6,13 @@ readout rails.  Conductances therefore compose harmonically, and an open
 in-path switch with zero off-conductance forces the whole cell to zero.
 
 All conductances are in siemens, resistances in ohms, forces in lbf.
+The conductance functions take floats, kept on float arithmetic, or
+arrays; a cell's reciprocals add in the order sensor, memristor, switch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -68,18 +70,20 @@ class MemristorModel:
     """Two-terminal programmable resistor with a linear state map.
 
     ``state_w`` in [0, 1] interpolates conductance linearly between the
-    fully-off (1/r_off) and fully-on (1/r_on) endpoints.
+    fully-off (1/r_off) and fully-on (1/r_on) endpoints, across ``span``.
     """
 
     r_on: float = 1.0e3
     r_off: float = 1.0e5
     state_w: float = 1.0
+    span: float = field(init=False, repr=False, compare=False)  # programmable range 1/r_on - 1/r_off
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r_on < self.r_off:
             raise ValueError(f"need 0 < r_on < r_off, got r_on={self.r_on}, r_off={self.r_off}")
         if not 0.0 <= self.state_w <= 1.0:
             raise ValueError(f"state_w must be in [0, 1], got {self.state_w}")
+        object.__setattr__(self, "span", 1.0 / self.r_on - 1.0 / self.r_off)
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ class CellState:
         else:
             if self.sensor is None or self.force_f is None:
                 raise ValueError(f"{self.config.value} cells need a sensor and a force")
-            if self.force_f < 0.0:
-                raise ValueError(f"force must be non-negative, got {self.force_f}")
+            if not 0.0 <= self.force_f < np.inf:
+                raise ValueError(f"force must be finite and non-negative, got {self.force_f}")
         if self.config is CellConfig.TWO_T1M1S:
             if self.hl_switch is None:
                 raise ValueError("2T1M1S cells need an hl_switch")
@@ -129,18 +133,24 @@ class CellState:
             raise ValueError(f"{self.config.value} cells have no hl_switch")
 
 
-def fsr_conductance(model: SensorModel, force_f: float) -> float:
-    """Sensor conductance in siemens; affine and strictly increasing in force."""
-    if force_f < 0.0:
-        raise ValueError(f"force must be non-negative, got {force_f}")
+def fsr_conductance(model: SensorModel, force_f):
+    """Sensor conductance in siemens; affine and strictly increasing in force.
+
+    Elementwise over a force array.  A negative or NaN force is rejected.
+    """
+    low = force_f if isinstance(force_f, float) else np.minimum.reduce(force_f, axis=None)  # NaN propagates
+    if not low >= 0.0:
+        raise ValueError(f"force must be non-negative, got {low}")
     return model.sensitivity_k * force_f + model.bias_c
 
 
-def memristor_conductance(model: MemristorModel) -> float:
-    """Conductance of the memristor at its programmed state."""
+def memristor_conductance(model: MemristorModel, state_w=None):
+    """Conductance at ``state_w``, by default the model's programmed state.
+
+    Elementwise over a state array, whose values the caller keeps in [0, 1].
+    """
     g_off = 1.0 / model.r_off
-    g_on = 1.0 / model.r_on
-    return g_off + model.state_w * (g_on - g_off)
+    return g_off + (model.state_w if state_w is None else state_w) * model.span
 
 
 def switch_conductance(model: SwitchModel) -> float:
@@ -148,25 +158,34 @@ def switch_conductance(model: SwitchModel) -> float:
     return model.g_on if model.selected else model.g_off
 
 
+def _reciprocal_sum(parts):
+    total = 1.0 / parts[0]
+    for g in parts[1:]:
+        total = total + 1.0 / g
+    return 1.0 / total
+
+
 def series_conductance(*conductances):
-    """Harmonic composition of series conductances, elementwise over arrays.
+    """Harmonic composition of series conductances, elementwise over numpy arrays.
 
     The reciprocals add in argument order.  Any zero element opens the
     path and the result is exactly 0.  Negative conductances are rejected.
-    Scalar arguments give a float.
+    Float arguments give a float.
     """
     if not conductances:
         raise ValueError("series_conductance needs at least one element")
-    parts = [np.asarray(g, dtype=float) for g in conductances]
-    for g in parts:
-        if np.fmin.reduce(g, axis=None) < 0.0:
-            raise ValueError(f"conductance must be non-negative, got {np.fmin.reduce(g, axis=None)}")
-    with np.errstate(divide="ignore"):  # 1/0 = inf makes the sum inf and the result 0
-        total = 1.0 / parts[0]
-        for g in parts[1:]:
-            total = total + 1.0 / g
-        result = 1.0 / total
-    return float(result) if result.ndim == 0 else result
+    low = np.inf
+    for g in conductances:
+        part_low = g if isinstance(g, float) else np.fmin.reduce(g, axis=None)
+        if part_low < low:
+            low = part_low
+    if low < 0.0:
+        raise ValueError(f"conductance must be non-negative, got {low}")
+    if 0.0 < low < np.inf:
+        return _reciprocal_sum(conductances)
+    # numpy division: 1/0 = inf makes the sum inf and the result 0; a path of shorts sums to 0 and gives inf
+    with np.errstate(divide="ignore"):
+        return _reciprocal_sum([np.asarray(g, dtype=float) for g in conductances])
 
 
 def cell_conductance(cell: CellState, line: str = "vl") -> float:
@@ -187,13 +206,6 @@ def cell_conductance(cell: CellState, line: str = "vl") -> float:
     """
     if line not in ("vl", "hl"):
         raise ValueError(f"line must be 'vl' or 'hl', got {line!r}")
-    if cell.config is CellConfig.TWO_T1M1S and line == "hl":
-        switch = cell.hl_switch
-        assert switch is not None  # guaranteed by CellState validation
-    else:
-        switch = cell.vl_switch
-    parts = [memristor_conductance(cell.memristor), switch_conductance(switch)]
-    if cell.sensor is not None:
-        assert cell.force_f is not None
-        parts.append(fsr_conductance(cell.sensor, cell.force_f))
-    return series_conductance(*parts)
+    switch = cell.hl_switch if cell.config is CellConfig.TWO_T1M1S and line == "hl" else cell.vl_switch
+    sensor = np.inf if cell.sensor is None else fsr_conductance(cell.sensor, cell.force_f)
+    return series_conductance(sensor, memristor_conductance(cell.memristor), switch_conductance(switch))

@@ -30,6 +30,7 @@ trains on the resulting bits.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,7 +41,8 @@ from .analog_blocks import SoftmaxParams
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
 from .crossbar import CrossbarSpec, Readout, solve_nodal, weights_to_differential
-from .devices import CellConfig, CellState, MemristorModel, SwitchModel
+from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, fsr_conductance, memristor_conductance,
+                      series_conductance)
 
 __all__ = [
     "NetworkArch",
@@ -202,6 +204,11 @@ class HardwareNetwork:
     def amp_out(self) -> float:
         return 1.0 / self.scale_out
 
+    @functools.cached_property
+    def feature_norm(self) -> float:
+        """``feature_norm_current`` of ``cfg``, computed once per network."""
+        return feature_norm_current(self.cfg)
+
 
 @dataclass(frozen=True)
 class EvalEntry:
@@ -236,10 +243,11 @@ def _check_sensor_arrays(forces: np.ndarray, states: np.ndarray) -> tuple[np.nda
         raise ValueError(f"forces must be {SENSOR_ROWS}x{SENSOR_COLS}, got {forces.shape}")
     if states.shape != (SENSOR_ROWS, SENSOR_COLS):
         raise ValueError(f"states must be {SENSOR_ROWS}x{SENSOR_COLS}, got {states.shape}")
-    if np.any(forces < 0.0):
-        raise ValueError("forces must be non-negative")
-    if np.any((states < 0.0) | (states > 1.0)):
-        raise ValueError("memristor states must lie in [0, 1]")
+    # NaN fails every comparison; the sign of a force is checked where it becomes a conductance
+    if not np.maximum.reduce(forces, axis=None) < np.inf:
+        raise ValueError(f"forces must be finite, got {forces.tolist()}")
+    if not (np.minimum.reduce(states, axis=None) >= 0.0 and np.maximum.reduce(states, axis=None) <= 1.0):
+        raise ValueError(f"memristor states must lie in [0, 1], got {states.tolist()}")
     return forces, states
 
 
@@ -292,17 +300,6 @@ def sensor_layer_forward(
     return solve_nodal(spec, cfg.sensor.v_supply).concatenated()
 
 
-def _memristor_g(states, cfg: SimConfig):
-    g_off = 1.0 / cfg.memristor.r_off
-    return g_off + states * (1.0 / cfg.memristor.r_on - g_off)
-
-
-def _cell_u(states, force, cfg: SimConfig):
-    """Series cell conductance, vectorized over states/forces arrays."""
-    g_s = cfg.sensor.sensitivity_k * force + cfg.sensor.bias_c
-    return 1.0 / (1.0 / g_s + 1.0 / _memristor_g(states, cfg) + 1.0 / cfg.switch_g_on)
-
-
 def _line_sums(conduct: np.ndarray) -> np.ndarray:
     """Cell conductances (..., 4, 2) summed onto their lines: 2 columns then 4 rows."""
     return np.concatenate([conduct.sum(axis=-2), conduct.sum(axis=-1)], axis=-1)
@@ -315,7 +312,15 @@ def _line_currents(forces: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np
     every cell's series conductance sums onto its column line and its row
     line.
     """
-    return _line_sums(_cell_u(states, forces, cfg)) * cfg.sensor.v_supply
+    cells = series_conductance(fsr_conductance(cfg.sensor, forces), memristor_conductance(cfg.memristor, states),
+                               cfg.switch_g_on)
+    return _line_sums(cells) * cfg.sensor.v_supply
+
+
+def _dot_increment(g_m, cfg: SimConfig):
+    """Rise of the cell conductance when its dot is pressed, at memristor conductance ``g_m``."""
+    u_on = series_conductance(fsr_conductance(cfg.sensor, cfg.f_press), g_m, cfg.switch_g_on)
+    return u_on - series_conductance(fsr_conductance(cfg.sensor, 0.0), g_m, cfg.switch_g_on)
 
 
 def feature_norm_current(cfg: SimConfig) -> float:
@@ -324,14 +329,7 @@ def feature_norm_current(cfg: SimConfig) -> float:
     One pressed dot at full memristor conductance raises its column and row
     readout by ``dot_gain`` feature units above the unpressed floor.
     """
-    u_on = _cell_u(1.0, cfg.f_press, cfg)
-    u_off = _cell_u(1.0, 0.0, cfg)
-    return cfg.sensor.v_supply * (u_on - u_off) / cfg.dot_gain
-
-
-def _batch_features(forces: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Normalized sensor features of force grids (N, 4, 2), shape (N, 6)."""
-    return _line_currents(forces, states, cfg) / feature_norm_current(cfg)
+    return cfg.sensor.v_supply * _dot_increment(memristor_conductance(cfg.memristor, 1.0), cfg) / cfg.dot_gain
 
 
 def add_noise(x: np.ndarray, noise: NoiseSpec) -> np.ndarray:
@@ -401,20 +399,19 @@ def _state_increment_ladder(cfg: SimConfig, rng: np.random.Generator) -> np.ndar
     from the first step; gradient descent then refines the rungs.
     """
     w_grid = np.linspace(0.0, 1.0, 2001)
-    increments = _cell_u(w_grid, cfg.f_press, cfg) - _cell_u(w_grid, 0.0, cfg)
+    increments = _dot_increment(memristor_conductance(cfg.memristor, w_grid), cfg)
     targets = np.linspace(increments[0], increments[-1], SENSOR_ROWS * SENSOR_COLS)
     states = np.interp(targets, increments, w_grid)
     return rng.permutation(states).reshape(SENSOR_ROWS, SENSOR_COLS)
 
 
 def _state_sensitivity(u: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Exact d(_cell_u)/d(state): u^2 / g_m^2 * (g_on - g_off) of the memristor.
+    """Exact d(cell conductance)/d(state): u^2 / g_m^2 * the memristor span.
 
-    ``u`` is the cell conductance and ``g_m`` the memristor conductance
-    (``_memristor_g``) at the same states.
+    ``u`` is the series cell conductance and ``g_m`` the memristor
+    conductance (``memristor_conductance``) at the same states.
     """
-    span = 1.0 / cfg.memristor.r_on - 1.0 / cfg.memristor.r_off
-    return (u / g_m) ** 2 * span
+    return (u / g_m) ** 2 * cfg.memristor.span
 
 
 def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> TrainedNetwork:
@@ -438,6 +435,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     w2 = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, arch.n_out))
     b2 = np.zeros(arch.n_out)
 
+    norm = feature_norm_current(cfg)
     analog = hyper.mode == "analog"
     if analog:
         states = _state_increment_ladder(cfg, rng)
@@ -445,19 +443,18 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     else:
         # the states never move, so neither do the noiseless features
         states = np.ones((SENSOR_ROWS, SENSOR_COLS))
-        noiseless = _batch_features(dots * cfg.f_press, states, cfg)
+        noiseless = _line_currents(dots * cfg.f_press, states, cfg) / norm
         threshold = 0.5 * noiseless.max(axis=0)
 
     # dots are 0/1, so every cell sits at one of two forces: each state
-    # update computes both conductances and each batch picks one per cell
-    levels = np.array([cfg.f_press, 0.0]).reshape(2, 1, 1)
+    # update computes both cell conductances and each batch picks one per cell
+    g_sensor = fsr_conductance(cfg.sensor, np.array([cfg.f_press, 0.0]).reshape(2, 1, 1))
     pressed = dots > 0.0
     unpressed = 1.0 - dots
     batch_rows = np.arange(hyper.batch_size)
     sigma = np.sqrt(hyper.sigma2)
     state_lr = hyper.lr * _STATE_LR_FACTOR
     v_supply = cfg.sensor.v_supply
-    norm = feature_norm_current(cfg)
     # d(network input)/d(cell conductance): every feature is a plain sum of
     # cell conductances (its column for features 0..1, its row for 2..5)
     # scaled by v_supply, the normalization and the O(1) input division
@@ -479,7 +476,8 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
         for start in range(0, n_items, hyper.batch_size):
             rows = slice(start, start + hyper.batch_size)
             if analog:
-                u = _cell_u(states, levels, cfg)  # (2, 4, 2): pressed, unpressed
+                g_m = memristor_conductance(cfg.memristor, states)
+                u = series_conductance(g_sensor, g_m, cfg.switch_g_on)  # (2, 4, 2): pressed, unpressed
                 feats = _line_sums(np.where(pressed_e[rows], u[0], u[1])) * v_supply / norm
                 x = feats if noise is None else feats + noise[rows]
                 x = _network_input(x, hyper.mode, threshold, cfg.dot_gain)
@@ -516,7 +514,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
                 dcell = (dx[:, None, :SENSOR_COLS] + dx[:, SENSOR_COLS:, None]) * feat_scale
                 du_on = (dcell * dots_e[rows]).sum(axis=0)
                 du_off = (dcell * unpressed_e[rows]).sum(axis=0)
-                sens_on, sens_off = _state_sensitivity(u, _memristor_g(states, cfg), cfg)
+                sens_on, sens_off = _state_sensitivity(u, g_m, cfg)
                 dstates = du_on * sens_on + du_off * sens_off
                 # descend in increment space: the state-to-increment map is
                 # steep near 0 and nearly flat near 1, so raw state steps
@@ -560,15 +558,10 @@ def map_network(tn: TrainedNetwork, cfg: SimConfig) -> HardwareNetwork:
     at the memristor span, and an amplifier gain of 1/scale so mapped
     activations equal the software ones.
     """
-    span = 1.0 / cfg.memristor.r_on - 1.0 / cfg.memristor.r_off
-    scale_hidden = _layer_scale(tn.w_hidden, span)
-    scale_out = _layer_scale(tn.w_out, span)
-    gp_hidden, gm_hidden = weights_to_differential(
-        tn.w_hidden, cfg.memristor.r_on, cfg.memristor.r_off, scale_hidden
-    )
-    gp_out, gm_out = weights_to_differential(
-        tn.w_out, cfg.memristor.r_on, cfg.memristor.r_off, scale_out
-    )
+    scale_hidden = _layer_scale(tn.w_hidden, cfg.memristor.span)
+    scale_out = _layer_scale(tn.w_out, cfg.memristor.span)
+    gp_hidden, gm_hidden = weights_to_differential(tn.w_hidden, cfg.memristor, scale_hidden)
+    gp_out, gm_out = weights_to_differential(tn.w_out, cfg.memristor, scale_out)
     return HardwareNetwork(
         network=tn,
         cfg=cfg,
@@ -613,7 +606,7 @@ def forward(
     """
     tn = hw.network
     forces, states = _check_sensor_arrays(forces, tn.sensor_states)
-    x = _batch_features(forces[None], states, hw.cfg)
+    x = _line_currents(forces[None], states, hw.cfg) / hw.feature_norm
     if noise is not None:
         x = add_noise(x, noise)
     probs = _hardware_probabilities(hw, x)[0]
@@ -639,7 +632,7 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
     tn = hw.network
     dots, targets = _dataset_arrays(dataset, tn.arch)
     labels = [label for _, label in dataset]
-    feats = _batch_features(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg)
+    feats = _line_currents(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg) / hw.feature_norm
 
     # (name, item indices, true labels) of the whole set and, when it spans
     # several groups, of each group; they depend on the dataset alone.

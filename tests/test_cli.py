@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tmsim.cli import EXIT_CONFIG, EXIT_OK, main
 
 GOLDEN_COST_CSV = Path(__file__).parent / "data" / "cost_golden.csv"
 GOLDEN_LEAKAGE_CSV = Path(__file__).parent / "data" / "leakage_golden.csv"
+DATA = Path(__file__).parent / "data"
 
 
 def _manifest(out_dir, command):
@@ -331,6 +333,43 @@ class TestSweep:
         table = [l for l in (Path(out) / "sweep.csv").read_text().strip().split("\n")
                  if not l.startswith("#")]
         assert table[0] == "group,analog_sigma2=0.1,binary_sigma2=0.1"
+
+
+class TestTrainEvalGoldens:
+    """``train --seed 0 --groups group1`` and ``eval`` of its networks, pinned under tests/data.
+
+    Labels, mode and the printed accuracies compare exactly.  Trained
+    floats compare at rtol 1e-9: another CPU's BLAS may sum the matrix
+    products in another order.
+    """
+
+    TRAINED_FLOATS = ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states", "binary_threshold")
+
+    @pytest.mark.parametrize("mode", ["analog", "binary"])
+    def test_network_matches_golden(self, tmp_path, mode):
+        out = tmp_path / "t"
+        assert main(["train", "--seed", "0", "--groups", "group1", "--mode", mode, "--out", str(out)]) == EXIT_OK
+        got = json.loads((out / "network.json").read_text())
+        want = json.loads((DATA / f"network_group1_{mode}_golden.json").read_text())
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key in self.TRAINED_FLOATS and value is not None:
+                np.testing.assert_allclose(got[key], value, rtol=1e-9, atol=0.0, err_msg=key)
+            else:
+                assert got[key] == value, key
+        assert _manifest(out, "train")["params"] == {"copies": 5, "groups": ["group1"], "mode": mode,
+                                                     "outputs_n": 27, "sigma2": 0.0}
+
+    @pytest.mark.parametrize("mode", ["analog", "binary"])
+    def test_eval_matches_golden(self, tmp_path, mode):
+        out = tmp_path / "e"
+        assert main(["eval", "--seed", "0", "--groups", "group1", "--sigma2", "0.02,0.5",
+                     "--network", str(DATA / f"network_group1_{mode}_golden.json"), "--out", str(out)]) == EXIT_OK
+
+        def rows(path):
+            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+        assert rows(out / "eval.csv") == rows(DATA / f"eval_group1_{mode}_golden.csv")
 
 
 class TestLeakage:

@@ -673,30 +673,31 @@ class TestLeakageFraction:
 class TestDifferentialMapping:
     R_ON, R_OFF = 1e3, 1e5
     SPAN = 1 / R_ON - 1 / R_OFF
+    MEMRISTOR = MemristorModel(r_on=R_ON, r_off=R_OFF)
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             w = rng.uniform(-3.0, 3.0, (6, 14))
             scale = self.SPAN / np.abs(w).max()
-            gp, gm = weights_to_differential(w, self.R_ON, self.R_OFF, scale)
+            gp, gm = weights_to_differential(w, self.MEMRISTOR, scale)
             np.testing.assert_allclose((gp - gm) / scale, w, rtol=1e-12, atol=1e-15)
 
     def test_pairs_stay_inside_the_conductance_range(self):
         rng = np.random.default_rng(13)
         w = rng.uniform(-1.0, 1.0, (5, 5))
-        gp, gm = weights_to_differential(w, self.R_ON, self.R_OFF, self.SPAN)
+        gp, gm = weights_to_differential(w, self.MEMRISTOR, self.SPAN)
         for g in (gp, gm):
             assert np.all(g >= 1 / self.R_OFF - 1e-18)
             assert np.all(g <= 1 / self.R_ON + 1e-18)
 
     def test_zero_weight_maps_to_the_floor_pair(self):
-        gp, gm = weights_to_differential(np.zeros((2, 2)), self.R_ON, self.R_OFF, 1e-4)
+        gp, gm = weights_to_differential(np.zeros((2, 2)), self.MEMRISTOR, 1e-4)
         np.testing.assert_array_equal(gp, np.full((2, 2), 1 / self.R_OFF))
         np.testing.assert_array_equal(gm, np.full((2, 2), 1 / self.R_OFF))
 
     def test_saturating_weight_maps_to_the_extreme_pair(self):
-        gp, gm = weights_to_differential(np.array([[1.0]]), self.R_ON, self.R_OFF, self.SPAN)
+        gp, gm = weights_to_differential(np.array([[1.0]]), self.MEMRISTOR, self.SPAN)
         assert gp[0, 0] == pytest.approx(1 / self.R_ON, rel=1e-12)
         assert gm[0, 0] == pytest.approx(1 / self.R_OFF, rel=1e-12)
 
@@ -704,14 +705,12 @@ class TestDifferentialMapping:
         w = np.zeros((3, 4))
         w[2, 1] = 5.0
         with pytest.raises(WeightRangeError) as err:
-            weights_to_differential(w, self.R_ON, self.R_OFF, self.SPAN)
+            weights_to_differential(w, self.MEMRISTOR, self.SPAN)
         assert err.value.index == (2, 1)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            weights_to_differential(np.zeros((2, 2)), 1e5, 1e3, 1e-4)
-        with pytest.raises(ValueError):
-            weights_to_differential(np.zeros((2, 2)), 1e3, 1e5, 0.0)
+            weights_to_differential(np.zeros((2, 2)), self.MEMRISTOR, 0.0)
 
 
 class TestSpecValidation:

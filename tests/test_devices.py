@@ -1,5 +1,7 @@
 """Device model tests: frozen point values plus monotonicity properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,14 @@ class TestSensor:
         with pytest.raises(ValueError):
             fsr_conductance(SENSOR, -0.5)
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_bad_force_is_rejected_and_named(self, bad):
+        forces = np.full((4, 2), 20.0)
+        forces[2, 1] = bad
+        for force in (forces, bad):
+            with pytest.raises(ValueError, match=f"non-negative, got {bad}"):
+                fsr_conductance(SENSOR, force)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             SensorModel(sensitivity_k=0.0)
@@ -67,6 +77,8 @@ class TestMemristor:
             MemristorModel(state_w=1.5)
         with pytest.raises(ValueError):
             MemristorModel(state_w=-0.1)
+        with pytest.raises(ValueError, match="state_w"):
+            MemristorModel(state_w=np.nan)
         with pytest.raises(ValueError):
             MemristorModel(r_on=1e5, r_off=1e3)
 
@@ -97,6 +109,9 @@ class TestSeriesConductance:
     def test_zero_element_opens_the_path(self):
         assert series_conductance(1e-3, 0.0, 1e-2) == 0.0
 
+    def test_a_path_of_shorts_is_a_short(self):
+        assert series_conductance(np.inf, np.inf) == np.inf
+
     def test_bounded_by_smallest_element(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -108,6 +123,46 @@ class TestSeriesConductance:
             series_conductance(1e-3, -1e-4)
         with pytest.raises(ValueError):
             series_conductance()
+
+
+FORCES = np.array([[0.0, 20.0], [3.25, 40.0], [0.0, 0.0], [20.0, 7.5]])
+STATES = np.array([[1.0, 0.0], [0.5, 0.25], [0.123, 0.9], [1.0, 0.77]])
+MEMRISTOR = MemristorModel()
+
+
+class TestArrayCalls:
+    """Each device function on arrays equals its float calls element by element, bit for bit."""
+
+    @pytest.mark.parametrize("fn, arrays", [
+        (lambda f: fsr_conductance(SENSOR, f), (FORCES,)),
+        (lambda w: memristor_conductance(MEMRISTOR, w), (STATES,)),
+        (series_conductance, (fsr_conductance(SENSOR, FORCES), memristor_conductance(MEMRISTOR, STATES), 1e-2)),
+        (series_conductance, (fsr_conductance(SENSOR, FORCES), memristor_conductance(MEMRISTOR, STATES),
+                              np.array([1e-2, 0.0]))),  # the second column's switch is open, g_off = 0
+    ], ids=["fsr", "memristor", "series", "series-open-switch"])
+    def test_array_equals_elementwise_float_calls(self, fn, arrays):
+        got = fn(*arrays)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, np.vectorize(fn, otypes=[float])(*arrays))
+
+    def test_open_switch_with_zero_off_conductance_gives_exact_zero_without_warning(self):
+        g_s = fsr_conductance(SENSOR, FORCES)
+        g_m = memristor_conductance(MEMRISTOR, STATES)
+        switch = np.where(np.arange(8).reshape(4, 2) % 3 == 0, 0.0, 1e-2)  # g_off = 0 where deselected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = series_conductance(g_s, g_m, switch)
+        assert np.all(g[switch == 0.0] == 0.0)
+        assert np.all(g[switch > 0.0] > 0.0)
+
+    def test_default_state_is_the_programmed_one(self):
+        model = MemristorModel(state_w=0.3)
+        assert memristor_conductance(model) == memristor_conductance(model, 0.3)
+        assert memristor_conductance(model, 0.0) == 1.0 / model.r_off
+
+    def test_negative_element_of_a_conductance_array_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got -1e-05"):
+            series_conductance(np.array([1e-3, -1e-5]), 1e-2)
 
 
 def _sensing_cell(force=20.0, state_w=1.0, vl_selected=True, hl_selected=True):
@@ -147,6 +202,12 @@ class TestCellState:
         with pytest.raises(ValueError):
             CellState(config=CellConfig.ONE_T1M1S, memristor=MemristorModel(),
                       vl_switch=SwitchModel(), sensor=SENSOR, force_f=-1.0)
+
+    @pytest.mark.parametrize("force", [np.nan, np.inf])
+    def test_non_finite_force_rejected(self, force):
+        with pytest.raises(ValueError, match=f"force must be finite and non-negative, got {force}"):
+            CellState(config=CellConfig.ONE_T1M1S, memristor=MemristorModel(),
+                      vl_switch=SwitchModel(), sensor=SENSOR, force_f=force)
 
 
 class TestCellConductance:

@@ -15,6 +15,7 @@ import pytest
 from tmsim.braille import BrailleGroup, build_dataset, encode, label_to_group, symbol_to_forces, symbols
 from tmsim.config import load_config
 from tmsim.crossbar import ideal_dual_readout
+from tmsim.devices import fsr_conductance, memristor_conductance, series_conductance
 from tmsim.pipeline import (
     N_FEATURES,
     N_HIDDEN,
@@ -27,13 +28,10 @@ from tmsim.pipeline import (
     TrainedNetwork,
     TrainingError,
     _STATE_LR_FACTOR,
-    _batch_features,
-    _cell_u,
     _check_sigma2,
     _confusion_pairs,
     _dataset_arrays,
     _hardware_probabilities,
-    _memristor_g,
     _network_input,
     _state_increment_ladder,
     _state_sensitivity,
@@ -82,9 +80,32 @@ def _reference_softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _reference_memristor(states, cfg):
+    g_off = 1.0 / cfg.memristor.r_off
+    return g_off + states * (1.0 / cfg.memristor.r_on - g_off)
+
+
+def _reference_cell(states, force, cfg):
+    """Series cell conductance written out, reciprocals added as sensor, memristor, switch."""
+    g_s = cfg.sensor.sensitivity_k * force + cfg.sensor.bias_c
+    return 1.0 / (1.0 / g_s + 1.0 / _reference_memristor(states, cfg) + 1.0 / cfg.switch_g_on)
+
+
+def _reference_norm(cfg):
+    """Current of one feature unit: a pressed dot at full state adds ``dot_gain`` units."""
+    rise = _reference_cell(1.0, cfg.f_press, cfg) - _reference_cell(1.0, 0.0, cfg)
+    return cfg.sensor.v_supply * rise / cfg.dot_gain
+
+
+def _reference_features(forces, states, cfg):
+    """Normalized features of force grids (N, 4, 2): column sums, then row sums."""
+    u = _reference_cell(states, forces, cfg)
+    return np.concatenate([u.sum(axis=-2), u.sum(axis=-1)], axis=-1) * cfg.sensor.v_supply / _reference_norm(cfg)
+
+
 def _reference_state_sensitivity(states, force, cfg):
     span = 1.0 / cfg.memristor.r_on - 1.0 / cfg.memristor.r_off
-    return (_cell_u(states, force, cfg) / _memristor_g(states, cfg)) ** 2 * span
+    return (_reference_cell(states, force, cfg) / _reference_memristor(states, cfg)) ** 2 * span
 
 
 def _reference_train(dataset, arch, hyper, cfg):
@@ -108,19 +129,19 @@ def _reference_train(dataset, arch, hyper, cfg):
         threshold = None
     else:
         states = np.ones((4, 2))
-        noiseless = _batch_features(forces, states, cfg)
+        noiseless = _reference_features(forces, states, cfg)
         threshold = 0.5 * noiseless.max(axis=0)
 
     sigma = np.sqrt(hyper.sigma2)
     onehot = np.eye(arch.n_out)[targets]
-    feat_scale = cfg.sensor.v_supply / (feature_norm_current(cfg) * cfg.dot_gain)
+    feat_scale = cfg.sensor.v_supply / (_reference_norm(cfg) * cfg.dot_gain)
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n_items)
         for start in range(0, n_items, hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
             a = dots[batch]
-            feats = _batch_features(forces[batch], states, cfg)
+            feats = _reference_features(forces[batch], states, cfg)
             x = feats if sigma == 0.0 else feats + sigma * rng.standard_normal(feats.shape)
             x = _network_input(x, hyper.mode, threshold, cfg.dot_gain)
 
@@ -162,6 +183,20 @@ def _reference_train(dataset, arch, hyper, cfg):
                           b_out=b2, sensor_states=states, binary_threshold=threshold)
 
 
+def _assert_trains_like_the_reference(train_items, cfg, mode, sigma2, batch_size):
+    arch = NetworkArch(labels=tuple(s.label for s in symbols(BrailleGroup.GROUP2)))
+    hyper = TrainHyper(epochs=15, batch_size=batch_size, seed=4, sigma2=sigma2, mode=mode)
+    fast = train(train_items, arch, hyper, cfg)
+    reference = _reference_train(train_items, arch, hyper, cfg)
+    assert fast.arch == reference.arch and fast.mode == reference.mode
+    for field in ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states"):
+        assert np.array_equal(getattr(fast, field), getattr(reference, field)), field
+    if mode == "binary":
+        assert np.array_equal(fast.binary_threshold, reference.binary_threshold)
+    else:
+        assert fast.binary_threshold is None and reference.binary_threshold is None
+
+
 def _reference_evaluate(hw, dataset, sigma2_grid, seed=0):
     """The straightforward evaluation loop that ``evaluate`` must reproduce exactly.
 
@@ -172,7 +207,7 @@ def _reference_evaluate(hw, dataset, sigma2_grid, seed=0):
     dots, targets = _dataset_arrays(dataset, tn.arch)
     labels = [label for _, label in dataset]
     groups = [label_to_group(label).value for label in labels]
-    feats = _batch_features(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg)
+    feats = _reference_features(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg)
 
     entries: list[EvalEntry] = []
     for j, sigma2 in enumerate(sigma2_grid):
@@ -290,6 +325,15 @@ class TestSensorLayer:
             sensor_layer_forward(np.zeros((4, 2)), 2 * ONES, cfg)
         with pytest.raises(ValueError):
             sensor_layer_forward(np.zeros((4, 2)), ONES, cfg, fidelity="spice")
+        for fidelity in ("ideal", "nodal"):
+            for bad in (np.nan, np.inf):
+                forces, states = np.zeros((4, 2)), ONES.copy()
+                forces[1, 0] = bad
+                with pytest.raises(ValueError, match="forces must be finite"):
+                    sensor_layer_forward(forces, states, cfg, fidelity)
+                states[3, 1] = bad
+                with pytest.raises(ValueError, match=r"memristor states must lie in \[0, 1\]"):
+                    sensor_layer_forward(np.zeros((4, 2)), states, cfg, fidelity)
 
 
 class TestAddNoise:
@@ -367,18 +411,15 @@ class TestTraining:
         ("binary", 0.0, 10),
     ])
     def test_bit_identical_to_the_reference_loop(self, cfg, g2_split, mode, sigma2, batch_size):
-        train_items, _ = g2_split
-        arch = NetworkArch(labels=tuple(s.label for s in symbols(BrailleGroup.GROUP2)))
-        hyper = TrainHyper(epochs=15, batch_size=batch_size, seed=4, sigma2=sigma2, mode=mode)
-        fast = train(train_items, arch, hyper, cfg)
-        reference = _reference_train(train_items, arch, hyper, cfg)
-        assert fast.arch == reference.arch and fast.mode == reference.mode
-        for field in ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states"):
-            assert np.array_equal(getattr(fast, field), getattr(reference, field)), field
-        if mode == "binary":
-            assert np.array_equal(fast.binary_threshold, reference.binary_threshold)
-        else:
-            assert fast.binary_threshold is None and reference.binary_threshold is None
+        _assert_trains_like_the_reference(g2_split[0], cfg, mode, sigma2, batch_size)
+
+    def test_bit_identical_where_the_summation_order_shows(self, cfg, g2_split):
+        # At the default devices the reciprocals (1e6 or 32258 for the sensor,
+        # 100 for the switch) add to the same double in almost any order, so
+        # a cell composed in another order than sensor, memristor, switch
+        # would still match.  With a 7 mS switch about a quarter of the
+        # states round differently.
+        _assert_trains_like_the_reference(g2_split[0], replace(cfg, switch_g_on=7e-3), "analog", 0.1, 32)
 
     def test_analog_states_stay_in_range_and_spread(self, g2_net):
         states = g2_net.sensor_states
@@ -390,8 +431,13 @@ class TestTraining:
         states = np.linspace(0.01, 0.99, 99)
         step = 1e-6
         for force in (0.0, cfg.f_press):
-            numeric = (_cell_u(states + step, force, cfg) - _cell_u(states - step, force, cfg)) / (2 * step)
-            exact = _state_sensitivity(_cell_u(states, force, cfg), _memristor_g(states, cfg), cfg)
+            g_s = fsr_conductance(cfg.sensor, force)
+
+            def cell(w):
+                return series_conductance(g_s, memristor_conductance(cfg.memristor, w), cfg.switch_g_on)
+
+            numeric = (cell(states + step) - cell(states - step)) / (2 * step)
+            exact = _state_sensitivity(cell(states), memristor_conductance(cfg.memristor, states), cfg)
             np.testing.assert_allclose(exact, numeric, rtol=1e-6)
 
     def test_binary_mode_fixes_states_and_sets_threshold(self, cfg):
@@ -503,6 +549,12 @@ class TestForward:
             grid = rng.integers(0, 2, (4, 2)) * cfg.f_press
             probs, _ = forward(hw, grid, noise=NoiseSpec(sigma2=0.05, seed=1))
             assert probs.sum() == pytest.approx(1.0, rel=1e-9)
+
+    def test_non_finite_force_rejected(self, cfg, g2_net):
+        grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
+        grid[0, 1] = np.nan
+        with pytest.raises(ValueError, match="forces must be finite"):
+            forward(map_network(g2_net, cfg), grid)
 
     def test_binary_network_without_threshold_rejected(self):
         with pytest.raises(ValueError, match="binary_threshold"):
