@@ -117,6 +117,12 @@ def _table() -> tuple[BrailleSymbol, ...]:
     return tuple(loaded)
 
 
+@lru_cache(maxsize=1)
+def _by_label() -> dict[str, BrailleSymbol]:
+    """Every symbol of the table under its (globally unique) label."""
+    return {sym.label: sym for sym in _table()}
+
+
 def symbols(group: BrailleGroup) -> tuple[BrailleSymbol, ...]:
     """All symbols of one group, in canonical (fixture) order."""
     return tuple(sym for sym in _table() if sym.group is group)
@@ -134,9 +140,9 @@ def encode(label: str, group: BrailleGroup) -> BrailleSymbol:
         UnknownSymbolError: naming the nearest labels when no exact match
             exists.
     """
-    for sym in _table():
-        if sym.group is group and sym.label == label:
-            return sym
+    sym = _by_label().get(label)
+    if sym is not None and sym.group is group:
+        return sym
     candidates = [sym.label for sym in _table() if sym.group is group]
     near = difflib.get_close_matches(label, candidates, n=3, cutoff=0.0)
     raise UnknownSymbolError(f"no symbol {label!r} in {group.value}; nearest: {', '.join(near)}")
@@ -192,7 +198,7 @@ def build_dataset(
 
 def label_to_group(label: str) -> BrailleGroup:
     """Group membership of a label (labels are globally unique)."""
-    for sym in _table():
-        if sym.label == label:
-            return sym.group
+    sym = _by_label().get(label)
+    if sym is not None:
+        return sym.group
     raise UnknownSymbolError(f"no symbol {label!r} in any group")

@@ -165,6 +165,13 @@ def _reciprocal_sum(parts):
     return 1.0 / total
 
 
+def _has_finite_part(parts) -> bool:
+    for g in parts:
+        if np.maximum.reduce(g, axis=None) < np.inf:
+            return True
+    return False
+
+
 def series_conductance(*conductances):
     """Harmonic composition of series conductances, elementwise over numpy arrays.
 
@@ -174,14 +181,21 @@ def series_conductance(*conductances):
     """
     if not conductances:
         raise ValueError("series_conductance needs at least one element")
-    low = np.inf
+    low, finite_float = np.inf, False
     for g in conductances:
-        part_low = g if isinstance(g, float) else np.fmin.reduce(g, axis=None)
+        if isinstance(g, float):
+            part_low = g
+            finite_float = finite_float or g < np.inf
+        else:
+            part_low = np.fmin.reduce(g, axis=None)
         if part_low < low:
             low = part_low
     if low < 0.0:
         raise ValueError(f"conductance must be non-negative, got {low}")
-    if 0.0 < low < np.inf:
+    # plain division is safe when no element is 0 and some part is finite
+    # everywhere, so that every element's reciprocal sum is positive; a
+    # finite float part settles that without a numpy call
+    if 0.0 < low and (finite_float or _has_finite_part(conductances)):
         return _reciprocal_sum(conductances)
     # numpy division: 1/0 = inf makes the sum inf and the result 0; a path of shorts sums to 0 and gives inf
     with np.errstate(divide="ignore"):

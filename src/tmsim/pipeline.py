@@ -209,6 +209,16 @@ class HardwareNetwork:
         """``feature_norm_current`` of ``cfg``, computed once per network."""
         return feature_norm_current(self.cfg)
 
+    @functools.cached_property
+    def g_diff_hidden(self) -> np.ndarray:
+        """``gp_hidden - gm_hidden``: what each hidden-layer pair adds to its column current per volt."""
+        return self.gp_hidden - self.gm_hidden
+
+    @functools.cached_property
+    def g_diff_out(self) -> np.ndarray:
+        """``gp_out - gm_out``, as ``g_diff_hidden`` for the output layer."""
+        return self.gp_out - self.gm_out
+
 
 @dataclass(frozen=True)
 class EvalEntry:
@@ -346,20 +356,25 @@ def add_noise(x: np.ndarray, noise: NoiseSpec) -> np.ndarray:
 
 
 def _dataset_arrays(dataset, arch: NetworkArch) -> tuple[np.ndarray, np.ndarray]:
+    """Pressed-dot grids (N, 4, 2) as 0/1 floats and output indices (N,) of (force grid, label) items."""
     if not dataset:
         raise TrainingError("dataset is empty")
     label_index = {label: i for i, label in enumerate(arch.labels)}
-    dots = np.zeros((len(dataset), SENSOR_ROWS, SENSOR_COLS))
-    targets = np.zeros(len(dataset), dtype=int)
-    for i, (grid, label) in enumerate(dataset):
-        if label not in label_index:
-            raise TrainingError(f"dataset label {label!r} is not in the architecture's outputs")
-        grid = np.asarray(grid, dtype=float)
-        if grid.shape != (SENSOR_ROWS, SENSOR_COLS):
-            raise TrainingError(f"item {i}: force grid must be 4x2, got {grid.shape}")
-        dots[i] = grid > 0.0
-        targets[i] = label_index[label]
-    return dots, targets
+    try:
+        targets = np.array([label_index[label] for _, label in dataset], dtype=int)
+        grids = np.array([grid for grid, _ in dataset], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        grids = None
+    if grids is None or grids.shape[1:] != (SENSOR_ROWS, SENSOR_COLS):
+        # name the first bad item
+        for i, (grid, label) in enumerate(dataset):
+            if label not in label_index:
+                raise TrainingError(f"dataset label {label!r} is not in the architecture's outputs")
+            grid = np.asarray(grid, dtype=float)
+            if grid.shape != (SENSOR_ROWS, SENSOR_COLS):
+                raise TrainingError(f"item {i}: force grid must be 4x2, got {grid.shape}")
+        raise TrainingError("force grids must be 4x2 arrays of numbers")
+    return (grids > 0.0).astype(float), targets
 
 
 def _stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -576,15 +591,48 @@ def map_network(tn: TrainedNetwork, cfg: SimConfig) -> HardwareNetwork:
 
 def _hardware_logits(hw: HardwareNetwork, x: np.ndarray) -> np.ndarray:
     """Differential MACs and amplifier stages up to the softmax input."""
-    i_hidden = x @ (hw.gp_hidden - hw.gm_hidden)
-    v_hidden = np.maximum(hw.amp_hidden * i_hidden + hw.network.b_hidden, 0.0)
-    i_out = v_hidden @ (hw.gp_out - hw.gm_out)
-    return hw.amp_out * i_out + hw.network.b_out
+    v_hidden = x @ hw.g_diff_hidden  # column currents, turned into amplifier voltages in place
+    v_hidden *= hw.amp_hidden
+    v_hidden += hw.network.b_hidden
+    np.maximum(v_hidden, 0.0, out=v_hidden)
+    logits = v_hidden @ hw.g_diff_out
+    logits *= hw.amp_out
+    logits += hw.network.b_out
+    return logits
 
 
 def _circuit_probabilities(logits: np.ndarray, params: SoftmaxParams) -> np.ndarray:
     """Batched equivalent of the analog softmax chain, normalized by r_f * i_s."""
     return (params.r_sum / params.r_f) * _stable_softmax(logits / params.v_t)
+
+
+# Relative gap below which two logits may come out of the softmax circuit as
+# equal outputs.  The circuit is monotone in each logit, so a logit that
+# beats every other by more than this wins there too.  Its float rounding acts
+# at about 1e-16 of max(|logit|, v_t) (dividing by v_t, then exp near 1), so
+# 1e-9 of that leaves a wide guard; trained networks' top two logits lie
+# millivolts apart.
+_LOGIT_TIE_MARGIN = 1e-9
+
+
+def _predicted_outputs(logits: np.ndarray, params: SoftmaxParams) -> np.ndarray:
+    """Index of the largest softmax-circuit output of each row of logits (N, n_out).
+
+    Equal to ``_circuit_probabilities(logits, params).argmax(axis=1)``: rows
+    with a clear largest logit take it, and rows where another logit lies
+    within the margin (or that hold a non-finite logit) go through the
+    circuit, whose rounded outputs can tie; a tie goes to the first index.
+    """
+    predicted = logits.argmax(axis=1)
+    top = logits[np.arange(len(logits)), predicted]
+    floor = top - _LOGIT_TIE_MARGIN * np.maximum(np.abs(top), params.v_t)
+    # a row is clear when all but its top lie below the floor; a NaN floor
+    # (from an inf or NaN top) has nothing below it, so its row is near
+    below = logits < floor[:, None]
+    if np.count_nonzero(below) < below.size - len(below):  # one count over all rows finds any near row
+        near = np.count_nonzero(below, axis=1) < logits.shape[1] - 1
+        predicted[near] = _circuit_probabilities(logits[near], params).argmax(axis=1)
+    return predicted
 
 
 def _hardware_probabilities(hw: HardwareNetwork, feats: np.ndarray) -> np.ndarray:
@@ -613,13 +661,20 @@ def forward(
     return probs, tn.arch.labels[int(np.argmax(probs))]
 
 
-def _confusion_pairs(true_labels, predicted_labels) -> tuple[tuple[tuple[str, str], int], ...]:
-    counts: dict[tuple[str, str], int] = {}
-    for t, p in zip(true_labels, predicted_labels):
-        if t != p:
-            counts[(t, p)] = counts.get((t, p), 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return tuple(ranked)
+def _confusion_pairs(true: np.ndarray, predicted: np.ndarray,
+                     names: Sequence[str]) -> tuple[tuple[tuple[str, str], int], ...]:
+    """((true, predicted), count) of the misclassified items, most frequent first, then by name pair.
+
+    ``true`` and ``predicted`` index ``names``, which is sorted, so that
+    index order is name order.
+    """
+    n = len(names)
+    wrong = predicted != true
+    counts = np.bincount(true[wrong] * n + predicted[wrong])
+    cells = np.flatnonzero(counts)
+    cells = cells[np.argsort(-counts[cells], kind="stable")]
+    return tuple(((names[t], names[p]), c)
+                 for t, p, c in zip((cells // n).tolist(), (cells % n).tolist(), counts[cells].tolist()))
 
 
 def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: int = 0) -> EvalReport:
@@ -627,36 +682,41 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
 
     Per grid point, every item receives one fresh noise draw from a stream
     derived from (seed, grid index); reports are bit-identical across runs
-    with equal arguments.
+    with equal arguments.  Each item is scored by the largest output of the
+    softmax circuit, which ``_predicted_outputs`` reads from the logits.
     """
     tn = hw.network
     dots, targets = _dataset_arrays(dataset, tn.arch)
-    labels = [label for _, label in dataset]
     feats = _line_currents(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg) / hw.feature_norm
+    # outputs renumbered in label order, which orders the confusions
+    sorted_labels = sorted(tn.arch.labels)
+    position = {label: r for r, label in enumerate(sorted_labels)}
+    rank = np.array([position[label] for label in tn.arch.labels])
+    true = rank[targets]
 
-    # (name, item indices, true labels) of the whole set and, when it spans
-    # several groups, of each group; they depend on the dataset alone.
-    scopes = [("overall", np.arange(len(labels)), labels)]
-    groups = np.array([label_to_group(label).value for label in labels])
-    present_groups = sorted(set(groups.tolist()))
-    if len(present_groups) > 1:
-        for g in present_groups:
-            idx = np.flatnonzero(groups == g)
-            scopes.append((g, idx, [labels[i] for i in idx]))
+    # (name, item indices) of the whole set and, when it spans several
+    # groups, of each group; they depend on the dataset alone.
+    scopes = [("overall", np.arange(len(targets)))]
+    present = np.flatnonzero(np.bincount(targets)).tolist()  # each output the dataset holds, once
+    group_of = {t: label_to_group(tn.arch.labels[t]).value for t in present}
+    group_names = sorted(set(group_of.values()))
+    if len(group_names) > 1:
+        groups = np.array([group_of.get(t, "") for t in range(tn.arch.n_out)])[targets]
+        scopes += [(g, np.flatnonzero(groups == g)) for g in group_names]
 
     entries: list[EvalEntry] = []
     for j, sigma2 in enumerate(sigma2_grid):
         _check_sigma2(sigma2)
         rng = np.random.default_rng([seed, j])
         x = feats + np.sqrt(sigma2) * rng.standard_normal(feats.shape) if sigma2 > 0.0 else feats
-        predicted_idx = _hardware_probabilities(hw, x).argmax(axis=1)
-        correct = predicted_idx == targets
-        for name, idx, true_labels in scopes:
-            predicted = [tn.arch.labels[i] for i in predicted_idx[idx].tolist()]
+        x = _network_input(x, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
+        predicted = rank[_predicted_outputs(_hardware_logits(hw, x), hw.cfg.softmax)]
+        correct = predicted == true
+        for name, idx in scopes:
             entries.append(EvalEntry(group=name, sigma2=float(sigma2),
                                      accuracy=100.0 * float(correct[idx].sum()) / idx.size,
                                      n_items=idx.size,
-                                     confusions=_confusion_pairs(true_labels, predicted)))
+                                     confusions=_confusion_pairs(true[idx], predicted[idx], sorted_labels)))
     return EvalReport(mode=tn.mode, seed=seed, entries=tuple(entries))
 
 

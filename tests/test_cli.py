@@ -20,6 +20,11 @@ def _manifest(out_dir, command):
     return json.loads((Path(out_dir) / f"{command}.manifest.json").read_text())
 
 
+def _rows(path):
+    """CSV lines below the ``#`` header, which names the tool version and config hash."""
+    return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+
+
 @pytest.fixture()
 def quick_config(tmp_path):
     """Parameter file that keeps CLI training runs fast."""
@@ -365,11 +370,33 @@ class TestTrainEvalGoldens:
         out = tmp_path / "e"
         assert main(["eval", "--seed", "0", "--groups", "group1", "--sigma2", "0.02,0.5",
                      "--network", str(DATA / f"network_group1_{mode}_golden.json"), "--out", str(out)]) == EXIT_OK
+        assert _rows(out / "eval.csv") == _rows(DATA / f"eval_group1_{mode}_golden.csv")
 
-        def rows(path):
-            return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
-        assert rows(out / "eval.csv") == rows(DATA / f"eval_group1_{mode}_golden.csv")
+class TestDatasetSweepGoldens:
+    """``dataset --seed 0`` and a small ``sweep``, pinned under tests/data.
+
+    Labels, groups, dots and the printed accuracies compare exactly.  The
+    sweep trains at nonzero noise, so it also pins the order of the noise
+    draws within training.
+    """
+
+    def test_dataset_matches_golden(self, tmp_path):
+        out = tmp_path / "d"
+        assert main(["dataset", "--seed", "0", "--out", str(out)]) == EXIT_OK
+        assert _rows(out / "dataset.csv") == _rows(DATA / "dataset_golden.csv")
+
+    def test_sweep_matches_golden(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["sweep", "--seed", "0", "--groups", "group1", "--sigma2", "0.02,0.5", "--mode", "both",
+                     "--out", str(out)]) == EXIT_OK
+        assert _rows(out / "sweep.csv") == _rows(DATA / "sweep_group1_golden.csv")
+        params = _manifest(out, "sweep")["params"]
+        assert {key: value for key, value in params.items() if key != "accuracy"} == {
+            "copies": 5, "groups": ["group1"], "modes": ["analog", "binary"], "sigma2_grid": [0.02, 0.5]}
+        assert {key: f"{value:.2f}" for key, value in params["accuracy"].items()} == {
+            "group1/analog/0.02": "100.00", "group1/analog/0.5": "96.30",
+            "group1/binary/0.02": "40.74", "group1/binary/0.5": "37.04"}
 
 
 class TestLeakage:

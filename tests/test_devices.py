@@ -111,6 +111,9 @@ class TestSeriesConductance:
 
     def test_a_path_of_shorts_is_a_short(self):
         assert series_conductance(np.inf, np.inf) == np.inf
+        # elementwise: only the first element is shorted in every part
+        assert np.array_equal(series_conductance(np.array([np.inf, 1.0]), np.inf), [np.inf, 1.0])
+        assert np.array_equal(series_conductance(np.array([np.inf, 2.0]), np.array([np.inf, 2.0])), [np.inf, 1.0])
 
     def test_bounded_by_smallest_element(self):
         rng = np.random.default_rng(11)

@@ -27,12 +27,14 @@ from tmsim.pipeline import (
     TrainHyper,
     TrainedNetwork,
     TrainingError,
+    _LOGIT_TIE_MARGIN,
     _STATE_LR_FACTOR,
     _check_sigma2,
-    _confusion_pairs,
+    _circuit_probabilities,
     _dataset_arrays,
     _hardware_probabilities,
     _network_input,
+    _predicted_outputs,
     _state_increment_ladder,
     _state_sensitivity,
     add_noise,
@@ -108,13 +110,20 @@ def _reference_state_sensitivity(states, force, cfg):
     return (_reference_cell(states, force, cfg) / _reference_memristor(states, cfg)) ** 2 * span
 
 
+def _reference_dataset_arrays(dataset, arch):
+    """Pressed-dot grids and output indices, item by item."""
+    dots = np.array([np.asarray(grid, dtype=float) > 0.0 for grid, _ in dataset], dtype=float)
+    targets = np.array([arch.labels.index(label) for _, label in dataset])
+    return dots, targets
+
+
 def _reference_train(dataset, arch, hyper, cfg):
     """The straightforward training loop that ``train`` must reproduce bit for bit.
 
     Every step recomputes the cell conductances of the whole batch, draws
     its own noise and builds its one-hot targets.
     """
-    dots, targets = _dataset_arrays(dataset, arch)
+    dots, targets = _reference_dataset_arrays(dataset, arch)
     forces = dots * cfg.f_press
     n_items = len(dataset)
     rng = np.random.default_rng(hyper.seed)
@@ -204,7 +213,7 @@ def _reference_evaluate(hw, dataset, sigma2_grid, seed=0):
     item by item.
     """
     tn = hw.network
-    dots, targets = _dataset_arrays(dataset, tn.arch)
+    dots, targets = _reference_dataset_arrays(dataset, tn.arch)
     labels = [label for _, label in dataset]
     groups = [label_to_group(label).value for label in labels]
     feats = _reference_features(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg)
@@ -225,10 +234,11 @@ def _reference_evaluate(hw, dataset, sigma2_grid, seed=0):
         for name, mask in scopes:
             n = int(mask.sum())
             acc = 100.0 * float(correct[mask].sum()) / n
-            confusions = _confusion_pairs(
-                [l for l, m in zip(labels, mask) if m],
-                [p for p, m in zip(predicted, mask) if m],
-            )
+            counts = {}
+            for t, p, m in zip(labels, predicted, mask):
+                if m and t != p:
+                    counts[(t, p)] = counts.get((t, p), 0) + 1
+            confusions = tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
             entries.append(EvalEntry(group=name, sigma2=float(sigma2), accuracy=acc,
                                      n_items=n, confusions=confusions))
     return EvalReport(mode=tn.mode, seed=seed, entries=tuple(entries))
@@ -467,6 +477,25 @@ class TestTraining:
         with pytest.raises(TrainingError):
             train([(np.zeros((2, 2)), "A")], arch, TrainHyper(epochs=1), cfg)
 
+    def test_dataset_errors_name_the_first_bad_item(self):
+        arch = NetworkArch(labels=("A", "B"))
+        good = (np.zeros((4, 2)), "A")
+        with pytest.raises(TrainingError, match=r"item 1: force grid must be 4x2, got \(2, 2\)"):
+            _dataset_arrays([good, (np.zeros((2, 2)), "B"), (np.zeros((3, 2)), "A")], arch)
+        with pytest.raises(TrainingError, match=r"item 2: force grid must be 4x2, got \(4, 3\)"):
+            _dataset_arrays([good, good, (np.zeros((4, 3)), "B")], arch)
+        with pytest.raises(TrainingError, match="dataset label 'Z' is not in the architecture's outputs"):
+            _dataset_arrays([good, (np.zeros((4, 2)), "Z"), (np.zeros((2, 2)), "B")], arch)
+
+    def test_dataset_arrays_match_item_by_item(self, cfg):
+        dataset = build_dataset("fusion", copies=2, seed=3, f_press=cfg.f_press)
+        dataset = [(grid.tolist() if i % 2 else grid, label) for i, (grid, label) in enumerate(dataset)]
+        arch = arch_for(["fusion"])
+        dots, targets = _dataset_arrays(dataset, arch)
+        want_dots, want_targets = _reference_dataset_arrays(dataset, arch)
+        assert np.array_equal(dots, want_dots) and dots.dtype == want_dots.dtype
+        assert np.array_equal(targets, want_targets)
+
     def test_hyper_validation(self, cfg):
         with pytest.raises(ValueError):
             TrainHyper(mode="ternary")
@@ -559,6 +588,61 @@ class TestForward:
     def test_binary_network_without_threshold_rejected(self):
         with pytest.raises(ValueError, match="binary_threshold"):
             _random_network(["a", "b"], mode="binary")
+
+
+def _crafted_logits(v_t):
+    """Rows of 4 logits around each decision hazard of the argmax shortcut, both orders of every pair."""
+    rows = []
+
+    def both_orders(a, b, rest=(-0.4, -0.5)):
+        rows.extend([[a, b, *rest], [b, a, *rest], [*rest, a, b], [*rest, b, a]])
+
+    for top in (1e-3, 0.3, -0.2, 50.0, -7.0):
+        both_orders(top, top)  # exact tie
+        both_orders(top, np.nextafter(top, np.inf))  # 1 ulp
+        both_orders(top, np.nextafter(np.nextafter(top, -np.inf), -np.inf))  # 2 ulp
+        scale = max(abs(top), v_t)
+        for gap in (0.5, 1.0, 1.01, 2.0):  # inside, at and just beyond the margin
+            both_orders(top, top - gap * _LOGIT_TIE_MARGIN * scale)
+    for spread in (1000.0, 5000.0):  # the others underflow to 0 in the circuit's exp
+        far = spread * v_t
+        both_orders(far, 0.0, rest=(-far, -2.0 * far))
+        both_orders(far, far, rest=(-far, 0.0))
+        both_orders(0.0, np.nextafter(0.0, np.inf), rest=(-far, -far))
+    rows.append([0.25] * 4)
+    return np.array(rows)
+
+
+class TestPredictedOutputs:
+    """``_predicted_outputs`` reads the circuit's argmax from the logits."""
+
+    def test_equals_the_circuit_argmax_on_crafted_logits(self, cfg):
+        logits = _crafted_logits(cfg.softmax.v_t)
+        want = _circuit_probabilities(logits, cfg.softmax).argmax(axis=1)
+        # the crafted rows include ties that only the circuit's rounding makes
+        assert (logits.argmax(axis=1) != want).any()
+        assert np.array_equal(_predicted_outputs(logits, cfg.softmax), want)
+
+    def test_equals_the_circuit_argmax_on_network_logits(self, cfg):
+        rng = np.random.default_rng(9)
+        logits = rng.normal(0.0, 0.2, (2000, 125))
+        logits[::7, 3] = logits[::7].max(axis=1)  # ties with the top at a later or an earlier index
+        want = _circuit_probabilities(logits, cfg.softmax).argmax(axis=1)
+        assert np.array_equal(_predicted_outputs(logits, cfg.softmax), want)
+
+    def test_only_near_ties_reach_the_circuit(self, cfg, monkeypatch):
+        import tmsim.pipeline as pipeline
+
+        seen = []
+        circuit = pipeline._circuit_probabilities
+        monkeypatch.setattr(pipeline, "_circuit_probabilities",
+                            lambda logits, params: seen.append(len(logits)) or circuit(logits, params))
+        clear = np.array([[0.1, 0.2, 0.3], [0.0, -1.0, 0.5], [1.0, 1.0 - 1e-6, 0.0]])
+        assert _predicted_outputs(clear, cfg.softmax).tolist() == [2, 2, 0]
+        assert seen == []
+        tied = np.vstack([clear, [[0.4, 0.4, 0.0]]])
+        assert _predicted_outputs(tied, cfg.softmax).tolist() == [2, 2, 0, 0]
+        assert seen == [1]
 
 
 class TestEvaluate:
