@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analog_blocks import SoftmaxParams
+from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
 from .crossbar import CrossbarSpec, Readout, solve_nodal, weights_to_differential
@@ -601,11 +601,6 @@ def _hardware_logits(hw: HardwareNetwork, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _circuit_probabilities(logits: np.ndarray, params: SoftmaxParams) -> np.ndarray:
-    """Batched equivalent of the analog softmax chain, normalized by r_f * i_s."""
-    return (params.r_sum / params.r_f) * _stable_softmax(logits / params.v_t)
-
-
 # Relative gap below which two logits may come out of the softmax circuit as
 # equal outputs.  The circuit is monotone in each logit, so a logit that
 # beats every other by more than this wins there too.  Its float rounding acts
@@ -618,28 +613,23 @@ _LOGIT_TIE_MARGIN = 1e-9
 def _predicted_outputs(logits: np.ndarray, params: SoftmaxParams) -> np.ndarray:
     """Index of the largest softmax-circuit output of each row of logits (N, n_out).
 
-    Equal to ``_circuit_probabilities(logits, params).argmax(axis=1)``: rows
-    with a clear largest logit take it, and rows where another logit lies
-    within the margin (or that hold a non-finite logit) go through the
-    circuit, whose rounded outputs can tie; a tie goes to the first index.
+    Equal to ``softmax_circuit(logits, params).argmax(axis=1)``: rows with a
+    clear largest logit take it, and rows where another logit lies within
+    the margin go through the circuit, whose rounded outputs can tie; a tie
+    goes to the first index.
     """
     predicted = logits.argmax(axis=1)
     top = logits[np.arange(len(logits)), predicted]
-    floor = top - _LOGIT_TIE_MARGIN * np.maximum(np.abs(top), params.v_t)
     # a row is clear when all but its top lie below the floor; a NaN floor
-    # (from an inf or NaN top) has nothing below it, so its row is near
+    # (from an inf or NaN top) has nothing below it, so its row goes to the
+    # circuit, which rejects it
+    with np.errstate(invalid="ignore"):
+        floor = top - _LOGIT_TIE_MARGIN * np.maximum(np.abs(top), params.v_t)
     below = logits < floor[:, None]
     if np.count_nonzero(below) < below.size - len(below):  # one count over all rows finds any near row
         near = np.count_nonzero(below, axis=1) < logits.shape[1] - 1
-        predicted[near] = _circuit_probabilities(logits[near], params).argmax(axis=1)
+        predicted[near] = softmax_circuit(logits[near], params).argmax(axis=1)
     return predicted
-
-
-def _hardware_probabilities(hw: HardwareNetwork, feats: np.ndarray) -> np.ndarray:
-    """Softmax-circuit outputs of the mapped network for noisy normalized features (N, 6)."""
-    tn = hw.network
-    x = _network_input(feats, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
-    return _circuit_probabilities(_hardware_logits(hw, x), hw.cfg.softmax)
 
 
 def forward(
@@ -650,14 +640,17 @@ def forward(
     """Single-pattern inference through the mapped hardware chain.
 
     Returns the softmax-circuit output normalized by r_f * i_s (so it sums
-    to 1) and the predicted label.
+    to r_sum / r_f, 1 at the default equal resistors) and the predicted label.
     """
     tn = hw.network
     forces, states = _check_sensor_arrays(forces, tn.sensor_states)
-    x = _line_currents(forces[None], states, hw.cfg) / hw.feature_norm
+    feats = _line_currents(forces[None], states, hw.cfg) / hw.feature_norm
     if noise is not None:
-        x = add_noise(x, noise)
-    probs = _hardware_probabilities(hw, x)[0]
+        feats = add_noise(feats, noise)
+    x = _network_input(feats, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
+    params = hw.cfg.softmax
+    probs = softmax_circuit(_hardware_logits(hw, x), params)[0]
+    probs /= params.r_f * params.i_s
     return probs, tn.arch.labels[int(np.argmax(probs))]
 
 

@@ -38,7 +38,7 @@ from tmsim.devices import (
     cell_conductance,
     fsr_conductance,
 )
-from tmsim.pipeline import NetworkArch, build_sensor_crossbar, sweep_point
+from tmsim.pipeline import NetworkArch, build_sensor_crossbar, run_sweep
 
 SIGMA2_GRID = (0.02, 0.05, 0.1, 0.5)
 SEEDS = tuple(range(10))
@@ -57,12 +57,8 @@ def sweep_stats(cfg):
     t0 = time.perf_counter()
 
     def row(groups, mode, sigmas):
-        return {
-            s: float(np.mean([
-                sweep_point(groups, s, mode, seed, cfg).accuracy for seed in SEEDS
-            ]))
-            for s in sigmas
-        }
+        rows = run_sweep([groups], sigmas, [mode], SEEDS, cfg)
+        return {s: float(np.mean([r.accuracy for r in rows if r.sigma2 == s])) for s in sigmas}
 
     stats = {
         "group1_analog": row(["group1"], "analog", SIGMA2_GRID),

@@ -139,8 +139,72 @@ class TestSoftmaxCircuit:
             softmax_circuit([0.1])
 
 
+class TestArrays:
+    """Array calls compute exactly what the scalar and single-vector calls do."""
+
+    def test_blocks_equal_elementwise_scalar_calls(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(0.0, 0.5, (7, 5))
+        x = exp_block(a)
+        assert np.array_equal(x, [[exp_block(float(v)) for v in row] for row in a])
+        total = summation_block(x)
+        assert np.array_equal(total, [summation_block(row.tolist()) for row in x])
+        out = division_block(x, total[:, None])
+        assert np.array_equal(
+            out, [[division_block(float(v), float(t)) for v in row] for row, t in zip(x, total)]
+        )
+
+    @pytest.mark.parametrize("n", [2, 9, 125])
+    def test_rows_of_a_2d_call_equal_1d_calls(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(0.0, 0.5, (40, n))
+        out = softmax_circuit(a)
+        assert out.shape == a.shape
+        assert np.array_equal(out, [softmax_circuit(row) for row in a])
+        stacked = softmax_circuit(a.reshape(4, 10, n))
+        assert np.array_equal(stacked, out.reshape(4, 10, n))
+
+    def test_empty_last_axis_rejected(self):
+        with pytest.raises(ValueError, match="at least one input"):
+            summation_block(np.empty((3, 0)))
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("a, got", [([np.nan, 0.0], "nan"), ([0.0, np.nan], "nan"),
+                                        ([np.inf, 0.0], "inf"), ([-np.inf, -np.inf], "inf")])
+    def test_chain(self, a, got):
+        with pytest.raises(ValueError, match=f"finite maximum in every row, got \\|max\\| = {got}"):
+            softmax_circuit(a)
+
+    def test_chain_rejects_one_bad_row_of_many(self):
+        a = np.zeros((5, 3))
+        a[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite maximum in every row"):
+            softmax_circuit(a)
+
+    def test_negative_infinity_below_a_finite_maximum_gives_zero(self):
+        out = softmax_circuit([-np.inf, 0.0])
+        assert out[0] == 0.0 and out[1] == FULL_SCALE
+
+    def test_exp_block(self):
+        with pytest.raises(ValueError, match="exp_block .* got nan"):
+            exp_block(np.nan)
+        with pytest.raises(ValueError, match="exp_block .* got inf"):
+            exp_block(np.inf)
+
+    def test_division_block_denominator(self):
+        with pytest.raises(ValueError, match="division_block .* got nan"):
+            division_block(1.0, np.nan)
+        with pytest.raises(ValueError, match="division_block .* got nan"):
+            division_block(np.ones(3), np.array([1.0, np.nan, 1.0]))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SoftmaxParams(r_f=0.0)
     with pytest.raises(ValueError):
         SoftmaxParams(v_t=-0.026)
+    with pytest.raises(ValueError, match="v_t .* got nan"):
+        SoftmaxParams(v_t=np.nan)
+    with pytest.raises(ValueError, match="r_f .* got inf"):
+        SoftmaxParams(r_f=np.inf)

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tmsim.analog_blocks import softmax_circuit
 from tmsim.braille import BrailleGroup, build_dataset, encode, label_to_group, symbol_to_forces, symbols
 from tmsim.config import load_config
 from tmsim.crossbar import ideal_dual_readout
@@ -30,9 +31,8 @@ from tmsim.pipeline import (
     _LOGIT_TIE_MARGIN,
     _STATE_LR_FACTOR,
     _check_sigma2,
-    _circuit_probabilities,
     _dataset_arrays,
-    _hardware_probabilities,
+    _hardware_logits,
     _network_input,
     _predicted_outputs,
     _state_increment_ladder,
@@ -223,7 +223,8 @@ def _reference_evaluate(hw, dataset, sigma2_grid, seed=0):
         _check_sigma2(sigma2)
         rng = np.random.default_rng([seed, j])
         x = feats + np.sqrt(sigma2) * rng.standard_normal(feats.shape) if sigma2 > 0.0 else feats
-        predicted_idx = _hardware_probabilities(hw, x).argmax(axis=1)
+        logits = _hardware_logits(hw, _network_input(x, tn.mode, tn.binary_threshold, hw.cfg.dot_gain))
+        predicted_idx = _reference_softmax(logits / hw.cfg.softmax.v_t).argmax(axis=1)
         predicted = [tn.arch.labels[i] for i in predicted_idx]
         correct = predicted_idx == targets
 
@@ -579,6 +580,21 @@ class TestForward:
             probs, _ = forward(hw, grid, noise=NoiseSpec(sigma2=0.05, seed=1))
             assert probs.sum() == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("sigma2", [0.0, 0.05])
+    def test_probabilities_are_the_softmax_chain_outputs(self, cfg, g2_net, sigma2):
+        hw = map_network(g2_net, cfg)
+        tn, params = hw.network, cfg.softmax
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            grid = rng.integers(0, 2, (4, 2)) * cfg.f_press
+            noise = NoiseSpec(sigma2=sigma2, seed=3)
+            probs, label = forward(hw, grid, noise=noise)
+            feats = add_noise(_features(grid, tn.sensor_states, cfg)[None], noise)
+            logits = _hardware_logits(hw, _network_input(feats, tn.mode, None, cfg.dot_gain))
+            want = softmax_circuit(logits, params)[0] / (params.r_f * params.i_s)
+            assert np.array_equal(probs, want)
+            assert label == tn.arch.labels[int(np.argmax(want))]
+
     def test_non_finite_force_rejected(self, cfg, g2_net):
         grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
         grid[0, 1] = np.nan
@@ -618,7 +634,7 @@ class TestPredictedOutputs:
 
     def test_equals_the_circuit_argmax_on_crafted_logits(self, cfg):
         logits = _crafted_logits(cfg.softmax.v_t)
-        want = _circuit_probabilities(logits, cfg.softmax).argmax(axis=1)
+        want = softmax_circuit(logits, cfg.softmax).argmax(axis=1)
         # the crafted rows include ties that only the circuit's rounding makes
         assert (logits.argmax(axis=1) != want).any()
         assert np.array_equal(_predicted_outputs(logits, cfg.softmax), want)
@@ -627,15 +643,15 @@ class TestPredictedOutputs:
         rng = np.random.default_rng(9)
         logits = rng.normal(0.0, 0.2, (2000, 125))
         logits[::7, 3] = logits[::7].max(axis=1)  # ties with the top at a later or an earlier index
-        want = _circuit_probabilities(logits, cfg.softmax).argmax(axis=1)
+        want = softmax_circuit(logits, cfg.softmax).argmax(axis=1)
         assert np.array_equal(_predicted_outputs(logits, cfg.softmax), want)
 
     def test_only_near_ties_reach_the_circuit(self, cfg, monkeypatch):
         import tmsim.pipeline as pipeline
 
         seen = []
-        circuit = pipeline._circuit_probabilities
-        monkeypatch.setattr(pipeline, "_circuit_probabilities",
+        circuit = pipeline.softmax_circuit
+        monkeypatch.setattr(pipeline, "softmax_circuit",
                             lambda logits, params: seen.append(len(logits)) or circuit(logits, params))
         clear = np.array([[0.1, 0.2, 0.3], [0.0, -1.0, 0.5], [1.0, 1.0 - 1e-6, 0.0]])
         assert _predicted_outputs(clear, cfg.softmax).tolist() == [2, 2, 0]
@@ -643,6 +659,13 @@ class TestPredictedOutputs:
         tied = np.vstack([clear, [[0.4, 0.4, 0.0]]])
         assert _predicted_outputs(tied, cfg.softmax).tolist() == [2, 2, 0, 0]
         assert seen == [1]
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logit_rejected_by_the_circuit(self, cfg, bad):
+        logits = np.array([[0.1, 0.2, 0.3], [0.0, bad, 0.5]])
+        with pytest.raises(ValueError, match="softmax_circuit needs a finite maximum"):
+            _predicted_outputs(logits, cfg.softmax)
 
 
 class TestEvaluate:
