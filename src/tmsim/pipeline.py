@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -210,6 +212,11 @@ class HardwareNetwork:
         return feature_norm_current(self.cfg)
 
     @functools.cached_property
+    def g_memristor(self) -> np.ndarray:
+        """Memristor conductances (4, 2) of the sensor cells at the network's states."""
+        return memristor_conductance(self.cfg.memristor, self.network.sensor_states)
+
+    @functools.cached_property
     def g_diff_hidden(self) -> np.ndarray:
         """``gp_hidden - gm_hidden``: what each hidden-layer pair adds to its column current per volt."""
         return self.gp_hidden - self.gm_hidden
@@ -246,16 +253,21 @@ class EvalReport:
 # sensor layer
 
 
-def _check_sensor_arrays(forces: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_forces(forces: np.ndarray) -> np.ndarray:
     forces = np.asarray(forces, dtype=float)
-    states = np.asarray(states, dtype=float)
     if forces.shape != (SENSOR_ROWS, SENSOR_COLS):
         raise ValueError(f"forces must be {SENSOR_ROWS}x{SENSOR_COLS}, got {forces.shape}")
-    if states.shape != (SENSOR_ROWS, SENSOR_COLS):
-        raise ValueError(f"states must be {SENSOR_ROWS}x{SENSOR_COLS}, got {states.shape}")
     # NaN fails every comparison; the sign of a force is checked where it becomes a conductance
     if not np.maximum.reduce(forces, axis=None) < np.inf:
         raise ValueError(f"forces must be finite, got {forces.tolist()}")
+    return forces
+
+
+def _check_sensor_arrays(forces: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    forces = _check_forces(forces)
+    states = np.asarray(states, dtype=float)
+    if states.shape != (SENSOR_ROWS, SENSOR_COLS):
+        raise ValueError(f"states must be {SENSOR_ROWS}x{SENSOR_COLS}, got {states.shape}")
     if not (np.minimum.reduce(states, axis=None) >= 0.0 and np.maximum.reduce(states, axis=None) <= 1.0):
         raise ValueError(f"memristor states must lie in [0, 1], got {states.tolist()}")
     return forces, states
@@ -305,7 +317,8 @@ def sensor_layer_forward(
     if fidelity not in ("ideal", "nodal"):
         raise ValueError(f"fidelity must be 'ideal' or 'nodal', got {fidelity!r}")
     if fidelity == "ideal":
-        return _line_currents(*_check_sensor_arrays(forces, states), cfg)
+        forces, states = _check_sensor_arrays(forces, states)
+        return _line_currents(forces, memristor_conductance(cfg.memristor, states), cfg)
     spec = build_sensor_crossbar(forces, states, cfg, parasitic=True)
     return solve_nodal(spec, cfg.sensor.v_supply).concatenated()
 
@@ -315,15 +328,14 @@ def _line_sums(conduct: np.ndarray) -> np.ndarray:
     return np.concatenate([conduct.sum(axis=-2), conduct.sum(axis=-1)], axis=-1)
 
 
-def _line_currents(forces: np.ndarray, states: np.ndarray, cfg: SimConfig) -> np.ndarray:
+def _line_currents(forces: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Ideal readouts of force grids (..., 4, 2): 2 column sums then 4 row sums.
 
-    The array form of ``ideal_dual_readout`` on ``build_sensor_crossbar``:
-    every cell's series conductance sums onto its column line and its row
-    line.
+    ``g_m`` holds the cells' memristor conductances (4, 2).  The array form
+    of ``ideal_dual_readout`` on ``build_sensor_crossbar``: every cell's
+    series conductance sums onto its column line and its row line.
     """
-    cells = series_conductance(fsr_conductance(cfg.sensor, forces), memristor_conductance(cfg.memristor, states),
-                               cfg.switch_g_on)
+    cells = series_conductance(fsr_conductance(cfg.sensor, forces), g_m, cfg.switch_g_on)
     return _line_sums(cells) * cfg.sensor.v_supply
 
 
@@ -458,7 +470,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     else:
         # the states never move, so neither do the noiseless features
         states = np.ones((SENSOR_ROWS, SENSOR_COLS))
-        noiseless = _line_currents(dots * cfg.f_press, states, cfg) / norm
+        noiseless = _line_currents(dots * cfg.f_press, memristor_conductance(cfg.memristor, states), cfg) / norm
         threshold = 0.5 * noiseless.max(axis=0)
 
     # dots are 0/1, so every cell sits at one of two forces: each state
@@ -643,8 +655,7 @@ def forward(
     to r_sum / r_f, 1 at the default equal resistors) and the predicted label.
     """
     tn = hw.network
-    forces, states = _check_sensor_arrays(forces, tn.sensor_states)
-    feats = _line_currents(forces[None], states, hw.cfg) / hw.feature_norm
+    feats = _line_currents(_check_forces(forces)[None], hw.g_memristor, hw.cfg) / hw.feature_norm
     if noise is not None:
         feats = add_noise(feats, noise)
     x = _network_input(feats, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
@@ -680,7 +691,7 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
     """
     tn = hw.network
     dots, targets = _dataset_arrays(dataset, tn.arch)
-    feats = _line_currents(dots * hw.cfg.f_press, tn.sensor_states, hw.cfg) / hw.feature_norm
+    feats = _line_currents(dots * hw.cfg.f_press, hw.g_memristor, hw.cfg) / hw.feature_norm
     # outputs renumbered in label order, which orders the confusions
     sorted_labels = sorted(tn.arch.labels)
     position = {label: r for r, label in enumerate(sorted_labels)}
@@ -782,14 +793,37 @@ def run_sweep(
     cfg: SimConfig,
     copies: int = 5,
 ) -> list[SweepRow]:
-    """Cartesian sweep over group sets, noise grid, modes and seeds."""
-    rows = []
-    for group_names in group_sets:
-        for mode in modes:
-            for sigma2 in sigma2_grid:
-                for seed in seeds:
-                    rows.append(sweep_point(group_names, sigma2, mode, seed, cfg, copies))
-    return rows
+    """Cartesian sweep over group sets, noise grid, modes and seeds.
+
+    Every grid point is an independent training, so the points run in a pool
+    of one process per available core, at most one per point; on one core
+    they run in this process.  The rows come back in grid order either way,
+    and equal to the serial ones.  The first failing point's exception
+    reaches the caller, and points not yet started are cancelled.
+    """
+    points = [(group_names, sigma2, mode, seed) for group_names in group_sets for mode in modes
+              for sigma2 in sigma2_grid for seed in seeds]
+    point = functools.partial(sweep_point, cfg=cfg, copies=copies)
+    workers = min(len(os.sched_getaffinity(0)), len(points))
+    if workers <= 1:
+        return [point(*args) for args in points]
+    # imported here: processes that never start a pool do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawned workers import tmsim afresh and share nothing with this
+    # process but the pickled arguments; they apply its warning filters
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_use_warning_filters, initargs=(list(warnings.filters),))
+    try:
+        return list(pool.map(point, *zip(*points)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _use_warning_filters(filters: list) -> None:
+    """Pool initializer: make a worker treat warnings as the process that started it does."""
+    warnings.filters[:] = filters
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ directories, plus exit-code and manifest contracts."""
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tmsim.cli import EXIT_CONFIG, EXIT_OK, main
+from tmsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 GOLDEN_COST_CSV = Path(__file__).parent / "data" / "cost_golden.csv"
 GOLDEN_LEAKAGE_CSV = Path(__file__).parent / "data" / "leakage_golden.csv"
@@ -338,6 +339,18 @@ class TestSweep:
         table = [l for l in (Path(out) / "sweep.csv").read_text().strip().split("\n")
                  if not l.startswith("#")]
         assert table[0] == "group,analog_sigma2=0.1,binary_sigma2=0.1"
+
+    def test_diverging_point_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TMSIM_TRAIN__LR", "1e300")
+        monkeypatch.setenv("TMSIM_TRAIN__EPOCHS", "2")
+        out = tmp_path / "s"
+        with warnings.catch_warnings():  # the overflow that precedes the divergence
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["sweep", "--seed", "0", "--groups", "group1", "--mode", "analog",
+                       "--sigma2", "0.02,0.5", "--out", str(out)])
+        assert rc == EXIT_RUNTIME
+        assert "loss diverged" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainEvalGoldens:

@@ -5,7 +5,9 @@ A full default training run on the small-letter group is shared module-wide;
 everything else trains tiny throwaway networks or none at all.
 """
 
+import concurrent.futures
 import json
+import os
 import warnings
 from dataclasses import replace
 
@@ -761,6 +763,50 @@ class TestSweepProtocol:
             ("group1", 0.5, "analog", 0),
         ]
         assert all(r.n_test == 27 for r in rows)
+
+    @staticmethod
+    def _serial_rows(group_sets, sigma2_grid, modes, seeds, cfg):
+        return [sweep_point(g, s, m, seed, cfg) for g in group_sets for m in modes
+                for s in sigma2_grid for seed in seeds]
+
+    def test_pooled_rows_equal_serial_points_in_grid_order(self, monkeypatch):
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        grid = ([["group1"], ["group2"]], [0.02, 0.5], ["analog", "binary"], [0], quick)
+        pools = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, **kwargs)
+
+        # two cores even on a one-core host, so the pool path runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        rows = run_sweep(*grid)
+        assert pools == [2]
+        assert rows == self._serial_rows(*grid)
+
+    def test_workers_apply_the_callers_warning_filters(self, monkeypatch):
+        diverging = load_config(environ={"TMSIM_TRAIN__LR": "1e300", "TMSIM_TRAIN__EPOCHS": "2"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                run_sweep([["group1"]], [0.02, 0.5], ["analog"], [0], diverging)
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingError, match="diverged"):
+                run_sweep([["group1"]], [0.02, 0.5], ["analog"], [0], diverging)
+
+    @pytest.mark.parametrize("cores, sigma2_grid", [({0}, [0.02, 0.5]), ({0, 1}, [0.02])])
+    def test_one_worker_runs_in_process(self, monkeypatch, cores, sigma2_grid):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        grid = ([["group1"]], sigma2_grid, ["analog"], [0], quick)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert run_sweep(*grid) == self._serial_rows(*grid)
 
 
 class TestSerialization:
