@@ -43,8 +43,8 @@ from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
 from .crossbar import CrossbarSpec, Readout, solve_nodal, weights_to_differential
-from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, fsr_conductance, memristor_conductance,
-                      series_conductance)
+from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _reciprocal_sum, fsr_conductance,
+                      memristor_conductance, series_conductance)
 
 __all__ = [
     "NetworkArch",
@@ -136,8 +136,12 @@ class TrainHyper:
         if self.mode not in ("analog", "binary"):
             raise ValueError(f"mode must be 'analog' or 'binary', got {self.mode!r}")
         _check_sigma2(self.sigma2)
-        if self.lr <= 0.0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("bad hyperparameters")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
     def from_config(cls, cfg: SimConfig, seed: int = 0, sigma2: float = 0.0, mode: str = "analog") -> "TrainHyper":
@@ -323,9 +327,11 @@ def sensor_layer_forward(
     return solve_nodal(spec, cfg.sensor.v_supply).concatenated()
 
 
-def _line_sums(conduct: np.ndarray) -> np.ndarray:
-    """Cell conductances (..., 4, 2) summed onto their lines: 2 columns then 4 rows."""
-    return np.concatenate([conduct.sum(axis=-2), conduct.sum(axis=-1)], axis=-1)
+def _line_sums(conduct: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cell conductances (..., 4, 2) summed onto their lines in ``out`` (..., 6): 2 columns then 4 rows."""
+    np.add.reduce(conduct, axis=-2, out=out[..., :SENSOR_COLS])
+    np.add.reduce(conduct, axis=-1, out=out[..., SENSOR_COLS:])
+    return out
 
 
 def _line_currents(forces: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.ndarray:
@@ -336,7 +342,7 @@ def _line_currents(forces: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.nd
     series conductance sums onto its column line and its row line.
     """
     cells = series_conductance(fsr_conductance(cfg.sensor, forces), g_m, cfg.switch_g_on)
-    return _line_sums(cells) * cfg.sensor.v_supply
+    return _line_sums(cells, np.empty(cells.shape[:-2] + (N_FEATURES,))) * cfg.sensor.v_supply
 
 
 def _dot_increment(g_m, cfg: SimConfig):
@@ -386,13 +392,18 @@ def _dataset_arrays(dataset, arch: NetworkArch) -> tuple[np.ndarray, np.ndarray]
             if grid.shape != (SENSOR_ROWS, SENSOR_COLS):
                 raise TrainingError(f"item {i}: force grid must be 4x2, got {grid.shape}")
         raise TrainingError("force grids must be 4x2 arrays of numbers")
+    # NaN fails both comparisons, so a NaN force counts as bad, not as unpressed
+    if not (np.minimum.reduce(grids, axis=None) >= 0.0 and np.maximum.reduce(grids, axis=None) < np.inf):
+        i = int((~((grids >= 0.0) & (grids < np.inf)).all(axis=(1, 2))).argmax())
+        raise TrainingError(f"item {i}: forces must be finite and non-negative, got {grids[i].tolist()}")
     return (grids > 0.0).astype(float), targets
 
 
-def _stable_softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of ``z`` (B, n), written over ``z`` and returned."""
+    np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True), out=z)
+    np.exp(z, out=z)
+    return np.divide(z, np.add.reduce(z, axis=1, keepdims=True), out=z)
 
 
 def _network_input(x: np.ndarray, mode: str, threshold: np.ndarray | None, dot_gain: float) -> np.ndarray:
@@ -441,6 +452,12 @@ def _state_sensitivity(u: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.nda
     return (u / g_m) ** 2 * cfg.memristor.span
 
 
+def _layer_views(flat: np.ndarray, n_out: int) -> tuple[np.ndarray, ...]:
+    """w1 (6, 14), b1 (14,), w2 (14, n_out) and b2 (n_out,) as views of one flat vector."""
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([N_FEATURES * N_HIDDEN, N_HIDDEN, N_HIDDEN * n_out]))
+    return w1.reshape(N_FEATURES, N_HIDDEN), b1, w2.reshape(N_HIDDEN, n_out), b2
+
+
 def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> TrainedNetwork:
     """Mini-batch gradient descent on the software twin of the hardware stack.
 
@@ -455,12 +472,16 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     """
     dots, targets = _dataset_arrays(dataset, arch)
     n_items = len(dataset)
+    n_out, batch_size = arch.n_out, hyper.batch_size
     rng = np.random.default_rng(hyper.seed)
 
-    w1 = rng.normal(0.0, np.sqrt(2.0 / N_FEATURES), (N_FEATURES, N_HIDDEN))
-    b1 = np.zeros(N_HIDDEN)
-    w2 = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, arch.n_out))
-    b2 = np.zeros(arch.n_out)
+    # the layers are views of one flat vector and their gradients views of
+    # another, so that one SGD update is two ufunc calls
+    params, grads = np.zeros((2, (N_FEATURES + 1 + n_out) * N_HIDDEN + n_out))
+    w1, b1, w2, b2 = _layer_views(params, n_out)
+    dw1, db1, dw2, db2 = _layer_views(grads, n_out)
+    w1[...] = rng.normal(0.0, np.sqrt(2.0 / N_FEATURES), (N_FEATURES, N_HIDDEN))
+    w2[...] = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, n_out))
 
     norm = feature_norm_current(cfg)
     analog = hyper.mode == "analog"
@@ -473,19 +494,28 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
         noiseless = _line_currents(dots * cfg.f_press, memristor_conductance(cfg.memristor, states), cfg) / norm
         threshold = 0.5 * noiseless.max(axis=0)
 
-    # dots are 0/1, so every cell sits at one of two forces: each state
-    # update computes both cell conductances and each batch picks one per cell
+    # The step runs on values checked once here: the config's devices, the
+    # 0/1 dots and the states, which the clip keeps in [0, 1].  So it calls
+    # the device formulas without their argument checks.
+    # Dots are 0/1, so every cell sits at one of two forces: each state
+    # update computes both cell conductances and each batch picks one per cell.
     g_sensor = fsr_conductance(cfg.sensor, np.array([cfg.f_press, 0.0]).reshape(2, 1, 1))
+    g_on = cfg.switch_g_on
+    memristor = cfg.memristor
     pressed = dots > 0.0
-    unpressed = 1.0 - dots
-    batch_rows = np.arange(hyper.batch_size)
+    masks = np.stack([dots, 1.0 - dots], axis=1)  # (N, 2, 4, 2): pressed, unpressed
+    # each item's target in the flattened probabilities of its batch
+    row_offsets = np.arange(n_items) % batch_size * n_out
+    x_buf = np.empty((batch_size, N_FEATURES))  # analog: the batch's network input, built in place
     sigma = np.sqrt(hyper.sigma2)
-    state_lr = hyper.lr * _STATE_LR_FACTOR
+    lr = hyper.lr
+    state_lr = lr * _STATE_LR_FACTOR
     v_supply = cfg.sensor.v_supply
+    dot_gain = cfg.dot_gain
     # d(network input)/d(cell conductance): every feature is a plain sum of
     # cell conductances (its column for features 0..1, its row for 2..5)
     # scaled by v_supply, the normalization and the O(1) input division
-    feat_scale = v_supply / (norm * cfg.dot_gain)
+    feat_scale = v_supply / (norm * dot_gain)
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n_items)
@@ -493,21 +523,27 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
         # the same numbers in the same order as one draw per batch
         noise = sigma * rng.standard_normal((n_items, N_FEATURES)) if sigma != 0.0 else None
         if analog:
-            pressed_e, dots_e, unpressed_e = pressed[order], dots[order], unpressed[order]
+            pressed_e, masks_e = pressed[order], masks[order]
         else:
             feats = noiseless[order]
-            inputs_e = _network_input(feats if noise is None else feats + noise,
-                                      hyper.mode, threshold, cfg.dot_gain)
-        targets_e = targets[order]
+            inputs_e = _network_input(feats if noise is None else feats + noise, hyper.mode, threshold, dot_gain)
+        picks_e = row_offsets + targets[order]
 
-        for start in range(0, n_items, hyper.batch_size):
-            rows = slice(start, start + hyper.batch_size)
+        for start in range(0, n_items, batch_size):
+            rows = slice(start, start + batch_size)
             if analog:
-                g_m = memristor_conductance(cfg.memristor, states)
-                u = series_conductance(g_sensor, g_m, cfg.switch_g_on)  # (2, 4, 2): pressed, unpressed
-                feats = _line_sums(np.where(pressed_e[rows], u[0], u[1])) * v_supply / norm
-                x = feats if noise is None else feats + noise[rows]
-                x = _network_input(x, hyper.mode, threshold, cfg.dot_gain)
+                g_m = memristor_conductance(memristor, states)
+                # series_conductance's formula, (2, 4, 2): pressed, unpressed
+                u = _reciprocal_sum((g_sensor, g_m, g_on))
+                cells = np.where(pressed_e[rows], u[0], u[1])
+                # in place, in the order of _line_currents, the normalization,
+                # the noise and _network_input's analog branch
+                x = _line_sums(cells, x_buf[:len(cells)])
+                x *= v_supply
+                x /= norm
+                if noise is not None:
+                    x += noise[rows]
+                x /= dot_gain
             else:
                 x = inputs_e[rows]
             n_batch = len(x)
@@ -517,53 +553,53 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
             hidden = np.maximum(pre1, 0.0)
             logits = hidden @ w2
             logits += b2
-            probs = _stable_softmax(logits)
-            picked_at = (batch_rows[:n_batch], targets_e[rows])
-            picked = probs[picked_at]
+            probs = _softmax_rows(logits)
+            picks = picks_e[rows]
+            picked = probs.take(picks)
             # a softmax row is finite throughout or NaN throughout, so the
-            # mean cross-entropy is non-finite exactly when a pick is NaN
-            if np.isnan(picked).any():
+            # mean cross-entropy is non-finite exactly when a pick is NaN,
+            # which the minimum propagates
+            if not np.minimum.reduce(picked) >= 0.0:
                 loss = -np.log(np.maximum(picked, 1e-300)).mean()
                 raise TrainingError(f"loss diverged at epoch {epoch}: {loss}")
 
             dz = probs  # (probs - onehot) / B, in place
-            dz[picked_at] = picked - 1.0
+            picked -= 1.0
+            dz.put(picks, picked)
             dz /= n_batch
-            dw2 = hidden.T @ dz
-            db2 = dz.sum(axis=0)
-            dhidden = dz @ w2.T
-            dpre1 = dhidden * (pre1 > 0.0)
-            dw1 = x.T @ dpre1
-            db1 = dpre1.sum(axis=0)
+            np.matmul(hidden.T, dz, out=dw2)
+            np.add.reduce(dz, axis=0, out=db2)
+            dpre1 = dz @ w2.T  # d(loss)/d(hidden), masked into d(loss)/d(pre1) in place
+            dpre1 *= pre1 > 0.0
+            np.matmul(x.T, dpre1, out=dw1)
+            np.add.reduce(dpre1, axis=0, out=db1)
 
             if analog:
                 dx = dpre1 @ w1.T  # (B, 6)
-                dcell = (dx[:, None, :SENSOR_COLS] + dx[:, SENSOR_COLS:, None]) * feat_scale
-                du_on = (dcell * dots_e[rows]).sum(axis=0)
-                du_off = (dcell * unpressed_e[rows]).sum(axis=0)
-                sens_on, sens_off = _state_sensitivity(u, g_m, cfg)
-                dstates = du_on * sens_on + du_off * sens_off
+                dcell = dx[:, None, :SENSOR_COLS] + dx[:, SENSOR_COLS:, None]
+                dcell *= feat_scale
+                du = np.add.reduce(dcell[:, None] * masks_e[rows], axis=0)  # (2, 4, 2): pressed, unpressed
+                sens = _state_sensitivity(u, g_m, cfg)
+                dstates = np.add.reduce(du * sens, axis=0)
                 # descend in increment space: the state-to-increment map is
                 # steep near 0 and nearly flat near 1, so raw state steps
                 # either overshoot the sensitive region or stall; dividing by
                 # the squared sensitivity equals gradient descent on the
                 # increment itself
-                cond = np.maximum((sens_on - sens_off) * feat_scale, 1e-2)
+                cond = np.maximum((sens[0] - sens[1]) * feat_scale, 1e-2)
                 # the clip to [0, 1] as two ufuncs: np.clip's wrapper costs more
                 states = np.minimum(np.maximum(states - state_lr * dstates / cond**2, 0.0), 1.0)
 
-            w1 -= hyper.lr * dw1
-            b1 -= hyper.lr * db1
-            w2 -= hyper.lr * dw2
-            b2 -= hyper.lr * db2
+            grads *= lr
+            params -= grads
 
     return TrainedNetwork(
         arch=arch,
         mode=hyper.mode,
-        w_hidden=w1,
-        b_hidden=b1,
-        w_out=w2,
-        b_out=b2,
+        w_hidden=w1.copy(),
+        b_hidden=b1.copy(),
+        w_out=w2.copy(),
+        b_out=b2.copy(),
         sensor_states=states,
         binary_threshold=threshold,
     )

@@ -194,6 +194,26 @@ def _reference_train(dataset, arch, hyper, cfg):
                           b_out=b2, sensor_states=states, binary_threshold=threshold)
 
 
+def _reference_loss(dots, targets, cfg, w_hidden, b_hidden, w_out, b_out, sensor_states):
+    """Mean cross-entropy of the analog network on noiseless pressed-dot grids, written out."""
+    x = _reference_features(dots * cfg.f_press, sensor_states, cfg) / cfg.dot_gain
+    logits = np.maximum(x @ w_hidden + b_hidden, 0.0) @ w_out + b_out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -log_probs[np.arange(len(targets)), targets].mean()
+
+
+def _central_difference(loss, values, step=1e-6):
+    """d(loss)/d(values) element by element; ``loss`` takes an array shaped like ``values``."""
+    grad = np.empty_like(values)
+    for i in np.ndindex(values.shape):
+        up, down = values.copy(), values.copy()
+        up[i] += step
+        down[i] -= step
+        grad[i] = (loss(up) - loss(down)) / (2 * step)
+    return grad
+
+
 def _assert_trains_like_the_reference(train_items, cfg, mode, sigma2, batch_size):
     arch = NetworkArch(labels=tuple(s.label for s in symbols(BrailleGroup.GROUP2)))
     hyper = TrainHyper(epochs=15, batch_size=batch_size, seed=4, sigma2=sigma2, mode=mode)
@@ -468,7 +488,7 @@ class TestTraining:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(TrainingError, match="diverged"):
-                train(dataset, arch, TrainHyper(lr=1e309, epochs=2, batch_size=8, seed=0), cfg)
+                train(dataset, arch, TrainHyper(lr=1e300, epochs=2, batch_size=8, seed=0), cfg)
 
     def test_dataset_validation(self, cfg):
         arch = NetworkArch(labels=("A", "B"))
@@ -509,6 +529,75 @@ class TestTraining:
             cfg.train.lr, cfg.train.epochs, cfg.train.batch_size
         )
         assert (hyper.seed, hyper.sigma2, hyper.mode) == (3, 0.1, "binary")
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("lr", -0.05),
+        ("epochs", 2.5),
+        ("epochs", 0),
+        ("epochs", "3"),
+        ("batch_size", 32.0),
+        ("batch_size", -1),
+    ])
+    def test_bad_hyperparameter_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainHyper(**{field: value})
+
+    def test_integer_hyperparameters_accept_numpy_integers(self):
+        hyper = TrainHyper(epochs=np.int64(3), batch_size=np.int32(8))
+        assert (hyper.epochs, hyper.batch_size) == (3, 8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), -float("inf")])
+    def test_bad_forces_rejected_with_their_item(self, cfg, bad):
+        arch = NetworkArch(labels=("A", "B"))
+        good = (np.zeros((4, 2)), "A")
+        grid = np.full((4, 2), cfg.f_press)
+        grid[2, 1] = bad
+        dataset = [good, good, (grid, "B"), (grid, "A")]
+        with pytest.raises(TrainingError, match=r"item 2: forces must be finite and non-negative"):
+            train(dataset, arch, TrainHyper(epochs=1), cfg)
+        hw = map_network(_random_network(("A", "B")), cfg)
+        with pytest.raises(TrainingError, match=r"item 2: forces must be finite and non-negative"):
+            evaluate(hw, dataset, [0.0])
+
+    def test_one_full_batch_step_follows_the_loss_gradient(self, cfg):
+        # train's backward pass against central differences of a cross-entropy
+        # written out here: one noiseless step over the whole dataset moves
+        # each dense parameter by -lr times its gradient and each state by
+        # -state_lr / cond^2 times its raw gradient
+        dataset = build_dataset(BrailleGroup.GROUP1, copies=2, seed=0, f_press=cfg.f_press)
+        arch = arch_for(["group1"])
+        lr = cfg.train.lr
+        after = train(dataset, arch, TrainHyper(lr=lr, epochs=1, batch_size=len(dataset), seed=5), cfg)
+        rng = np.random.default_rng(5)  # the initial values, drawn as train draws them
+        before = {
+            "w_hidden": rng.normal(0.0, np.sqrt(2.0 / N_FEATURES), (N_FEATURES, N_HIDDEN)),
+            "b_hidden": np.zeros(N_HIDDEN),
+            "w_out": rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, arch.n_out)),
+            "b_out": np.zeros(arch.n_out),
+            "sensor_states": _state_increment_ladder(cfg, rng),
+        }
+        dots, targets = _reference_dataset_arrays(dataset, arch)
+
+        def gradient(field):
+            return _central_difference(lambda v: _reference_loss(dots, targets, cfg, **{**before, field: v}),
+                                       before[field])
+
+        for field in ("w_hidden", "b_hidden", "w_out", "b_out"):
+            stepped = (getattr(after, field) - before[field]) / -lr
+            assert np.abs(stepped).max() > 1e-3, field
+            np.testing.assert_allclose(stepped, gradient(field), rtol=1e-5, atol=1e-8, err_msg=field)
+
+        states = before["sensor_states"]
+        feat_scale = cfg.sensor.v_supply / (_reference_norm(cfg) * cfg.dot_gain)
+        sens_on = _reference_state_sensitivity(states, cfg.f_press, cfg)
+        sens_off = _reference_state_sensitivity(states, 0.0, cfg)
+        cond = np.maximum((sens_on - sens_off) * feat_scale, 1e-2)
+        raw = (after.sensor_states - states) * cond**2 / -(lr * _STATE_LR_FACTOR)
+        free = (after.sensor_states > 0.0) & (after.sensor_states < 1.0)  # cells off the clip
+        assert free.sum() >= 6
+        np.testing.assert_allclose(raw[free], gradient("sensor_states")[free], rtol=1e-5, atol=1e-8)
 
     def test_arch_validation(self):
         with pytest.raises(ValueError):
