@@ -43,6 +43,9 @@ class SoftmaxParams:
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not self.r_f * self.i_s * (self.r_f / self.r_sum) > 0.0:
+            raise ValueError(f"r_f * i_s * r_f / r_sum must not underflow to 0, got r_f={self.r_f}, "
+                             f"i_s={self.i_s}, r_sum={self.r_sum}")
 
 
 def exp_block(a, params: SoftmaxParams = SoftmaxParams()):
@@ -55,16 +58,14 @@ def exp_block(a, params: SoftmaxParams = SoftmaxParams()):
     Raises:
         ValueError: if some a / v_t is NaN or exceeds the float64 overflow guard.
     """
-    ratio = np.divide(a, params.v_t)
-    peak = np.maximum.reduce(ratio, axis=None)  # NaN propagates
+    # the largest a / v_t: v_t > 0 and rounding keep the order; NaN propagates
+    peak = np.maximum.reduce(a, axis=None) / params.v_t
     if not peak <= EXP_ARGUMENT_LIMIT:
         raise ValueError(
             f"exp_block argument must be at most the overflow limit {EXP_ARGUMENT_LIMIT:g}, "
             f"got {peak:.3g}; normalize inputs before exponentiation"
         )
-    out = np.exp(ratio)
-    out *= params.r_f * params.i_s
-    return out
+    return _exp(a, params)
 
 
 def summation_block(x, params: SoftmaxParams = SoftmaxParams()):
@@ -72,11 +73,7 @@ def summation_block(x, params: SoftmaxParams = SoftmaxParams()):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("summation_block needs at least one input")
-    out = np.add.reduce(x, axis=-1)
-    gain = params.r_f / params.r_sum
-    if gain != 1.0:  # equal resistors: multiplying by 1.0 would change no value
-        out *= gain
-    return out
+    return _sum(x, params)
 
 
 def division_block(v1, v2, params: SoftmaxParams = SoftmaxParams()):
@@ -84,6 +81,27 @@ def division_block(v1, v2, params: SoftmaxParams = SoftmaxParams()):
     low = np.minimum.reduce(v2, axis=None)  # NaN propagates
     if not low > 0.0:
         raise ValueError(f"division_block denominator must be positive, got {low}")
+    return _divide(v1, v2, params)
+
+
+# The block formulas, for arguments the caller has checked.
+
+
+def _exp(a, params: SoftmaxParams):
+    out = np.exp(np.divide(a, params.v_t))
+    out *= params.r_f * params.i_s
+    return out
+
+
+def _sum(x: np.ndarray, params: SoftmaxParams):
+    out = np.add.reduce(x, axis=-1)
+    gain = params.r_f / params.r_sum
+    if gain != 1.0:  # equal resistors: multiplying by 1.0 would change no value
+        out *= gain
+    return out
+
+
+def _divide(v1, v2, params: SoftmaxParams):
     out = np.divide(v1, v2)
     out *= params.r_f * params.i_s
     return out
@@ -115,6 +133,8 @@ def softmax_circuit(a, params: SoftmaxParams = SoftmaxParams()) -> np.ndarray:
     bound = np.maximum.reduce(np.abs(shift), axis=None)
     if not bound < np.inf:
         raise ValueError(f"softmax_circuit needs a finite maximum in every row, got |max| = {bound}")
-    x = exp_block(a - shift, params)
-    total = summation_block(x, params)
-    return division_block(x, total[..., None], params)
+    # This check covers the blocks' own: after the shift every exp argument is
+    # at most 0, and every row sum is at least its top channel's output,
+    # r_f * i_s * (r_f / r_sum), which SoftmaxParams keeps positive.
+    x = _exp(a - shift, params)
+    return _divide(x, _sum(x, params)[..., None], params)

@@ -84,6 +84,9 @@ def _parse_sigma2(text: str) -> list[float]:
         raise UsageError(f"bad --sigma2 value: {exc}") from exc
     if not values or not all(0.0 <= v < np.inf for v in values):
         raise UsageError(f"--sigma2 needs one or more finite non-negative numbers, got {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"--sigma2 names {value:g} more than once")
     return values
 
 

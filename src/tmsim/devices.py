@@ -141,6 +141,11 @@ def fsr_conductance(model: SensorModel, force_f):
     low = force_f if isinstance(force_f, float) else np.minimum.reduce(force_f, axis=None)  # NaN propagates
     if not low >= 0.0:
         raise ValueError(f"force must be non-negative, got {low}")
+    return _fsr_affine(model, force_f)
+
+
+def _fsr_affine(model: SensorModel, force_f):
+    """``fsr_conductance``'s formula, for forces the caller has checked."""
     return model.sensitivity_k * force_f + model.bias_c
 
 

@@ -43,8 +43,8 @@ from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
 from .crossbar import CrossbarSpec, Readout, solve_nodal, weights_to_differential
-from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _reciprocal_sum, fsr_conductance,
-                      memristor_conductance, series_conductance)
+from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _fsr_affine, _reciprocal_sum,
+                      fsr_conductance, memristor_conductance, series_conductance)
 
 __all__ = [
     "NetworkArch",
@@ -95,6 +95,11 @@ def _check_sigma2(sigma2: float) -> None:
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2}")
 
 
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class NetworkArch:
     """Output labels of the fixed 6-14-N stack (inputs are the 6 sensor readouts)."""
@@ -121,6 +126,7 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         _check_sigma2(self.sigma2)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,7 @@ class TrainHyper:
         if self.mode not in ("analog", "binary"):
             raise ValueError(f"mode must be 'analog' or 'binary', got {self.mode!r}")
         _check_sigma2(self.sigma2)
+        _check_seed(self.seed)
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         for name in ("epochs", "batch_size"):
@@ -261,9 +268,12 @@ def _check_forces(forces: np.ndarray) -> np.ndarray:
     forces = np.asarray(forces, dtype=float)
     if forces.shape != (SENSOR_ROWS, SENSOR_COLS):
         raise ValueError(f"forces must be {SENSOR_ROWS}x{SENSOR_COLS}, got {forces.shape}")
-    # NaN fails every comparison; the sign of a force is checked where it becomes a conductance
+    # NaN fails every comparison
     if not np.maximum.reduce(forces, axis=None) < np.inf:
         raise ValueError(f"forces must be finite, got {forces.tolist()}")
+    low = np.minimum.reduce(forces, axis=None)
+    if not low >= 0.0:
+        raise ValueError(f"force must be non-negative, got {low}")
     return forces
 
 
@@ -340,9 +350,15 @@ def _line_currents(forces: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.nd
     ``g_m`` holds the cells' memristor conductances (4, 2).  The array form
     of ``ideal_dual_readout`` on ``build_sensor_crossbar``: every cell's
     series conductance sums onto its column line and its row line.
+
+    The callers have checked the forces (finite, non-negative) and the
+    states, so every part of a cell is positive and the device formulas run
+    without their checks, as ``series_conductance`` would on such parts.
     """
-    cells = series_conductance(fsr_conductance(cfg.sensor, forces), g_m, cfg.switch_g_on)
-    return _line_sums(cells, np.empty(cells.shape[:-2] + (N_FEATURES,))) * cfg.sensor.v_supply
+    cells = _reciprocal_sum((_fsr_affine(cfg.sensor, forces), g_m, cfg.switch_g_on))
+    out = _line_sums(cells, np.empty(cells.shape[:-2] + (N_FEATURES,)))
+    out *= cfg.sensor.v_supply
+    return out
 
 
 def _dot_increment(g_m, cfg: SimConfig):
@@ -691,14 +707,15 @@ def forward(
     to r_sum / r_f, 1 at the default equal resistors) and the predicted label.
     """
     tn = hw.network
-    feats = _line_currents(_check_forces(forces)[None], hw.g_memristor, hw.cfg) / hw.feature_norm
+    feats = _line_currents(_check_forces(forces)[None], hw.g_memristor, hw.cfg)
+    feats /= hw.feature_norm
     if noise is not None:
         feats = add_noise(feats, noise)
     x = _network_input(feats, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
     params = hw.cfg.softmax
     probs = softmax_circuit(_hardware_logits(hw, x), params)[0]
     probs /= params.r_f * params.i_s
-    return probs, tn.arch.labels[int(np.argmax(probs))]
+    return probs, tn.arch.labels[probs.argmax()]
 
 
 def _confusion_pairs(true: np.ndarray, predicted: np.ndarray,
@@ -725,6 +742,7 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
     with equal arguments.  Each item is scored by the largest output of the
     softmax circuit, which ``_predicted_outputs`` reads from the logits.
     """
+    _check_seed(seed)
     tn = hw.network
     dots, targets = _dataset_arrays(dataset, tn.arch)
     feats = _line_currents(dots * hw.cfg.f_press, hw.g_memristor, hw.cfg) / hw.feature_norm

@@ -164,6 +164,16 @@ class TestArrays:
         stacked = softmax_circuit(a.reshape(4, 10, n))
         assert np.array_equal(stacked, out.reshape(4, 10, n))
 
+    @pytest.mark.parametrize("params", [P, SoftmaxParams(v_t=0.013, r_sum=2 * P.r_f)])
+    def test_chain_equals_the_checked_blocks_composed(self, params):
+        rng = np.random.default_rng(12)
+        a = rng.normal(0.0, 0.5, (40, 9))
+        a[5, 2] = -np.inf  # below a finite maximum: a zero channel
+        shifted = a - a.max(axis=-1, keepdims=True)
+        x = exp_block(shifted, params)
+        want = division_block(x, summation_block(x, params)[:, None], params)
+        assert np.array_equal(softmax_circuit(a, params), want)
+
     def test_empty_last_axis_rejected(self):
         with pytest.raises(ValueError, match="at least one input"):
             summation_block(np.empty((3, 0)))
@@ -208,3 +218,10 @@ def test_params_validation():
         SoftmaxParams(v_t=np.nan)
     with pytest.raises(ValueError, match="r_f .* got inf"):
         SoftmaxParams(r_f=np.inf)
+
+
+def test_params_reject_an_underflowing_row_sum():
+    with pytest.raises(ValueError, match="must not underflow to 0"):
+        SoftmaxParams(r_f=1e-160, i_s=1e-160)
+    with pytest.raises(ValueError, match="must not underflow to 0"):
+        SoftmaxParams(r_f=1e-10, r_sum=1e300)

@@ -284,6 +284,15 @@ class TestBadFlags:
         assert "--groups names 'group2' more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_repeated_sigma2(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        argv = [command, "--seed", "0", "--groups", "group1", "--sigma2", "0.1,0.02,1e-1", "--out", str(out)]
+        argv += ["--network", str(tmp_path / "network.json")] if command == "eval" else ["--mode", "binary"]
+        assert main(argv) == EXIT_CONFIG
+        assert "--sigma2 names 0.1 more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_accepts_two_copies(self, tmp_path, quick_config):
         assert main(["train", "--seed", "0", "--groups", "group1", "--copies", "2",
                      "--config", quick_config, "--out", str(tmp_path / "t")]) == EXIT_OK

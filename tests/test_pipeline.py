@@ -405,6 +405,15 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="sigma2"):
             TrainHyper(sigma2=sigma2)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            NoiseSpec(sigma2=0.1, seed=seed)
+
+    def test_numpy_integer_seed_draws_the_same_stream(self):
+        x = np.zeros(5)
+        assert np.array_equal(add_noise(x, NoiseSpec(0.1, seed=np.uint32(9))), add_noise(x, NoiseSpec(0.1, seed=9)))
+
 
 class TestTraining:
     def test_single_symbol_memorized_within_fifty_epochs(self, cfg):
@@ -539,6 +548,8 @@ class TestTraining:
         ("epochs", "3"),
         ("batch_size", 32.0),
         ("batch_size", -1),
+        ("seed", -1),
+        ("seed", 1.5),
     ])
     def test_bad_hyperparameter_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -686,10 +697,39 @@ class TestForward:
             assert np.array_equal(probs, want)
             assert label == tn.arch.labels[int(np.argmax(want))]
 
+    @pytest.mark.parametrize("mode", ["analog", "binary"])
+    @pytest.mark.parametrize("sigma2", [None, 0.05])  # None: no NoiseSpec at all
+    def test_fusion_probabilities_are_the_softmax_chain_outputs(self, cfg, mode, sigma2):
+        arch = arch_for(["fusion"])
+        dataset = build_dataset("fusion", copies=1, seed=0, f_press=cfg.f_press)
+        hw = map_network(train(dataset, arch, TrainHyper(epochs=2, seed=0, mode=mode), cfg), cfg)
+        tn, params = hw.network, cfg.softmax
+        assert tn.arch.n_out == 125
+        rng = np.random.default_rng(15)
+        for i in range(20):
+            # pressed-or-not patterns and arbitrary non-negative forces
+            grid = rng.integers(0, 2, (4, 2)) * cfg.f_press if i % 2 else rng.uniform(0.0, 2 * cfg.f_press, (4, 2))
+            noise = None if sigma2 is None else NoiseSpec(sigma2=sigma2, seed=i)
+            probs, label = forward(hw, grid, noise=noise)
+            feats = _features(grid, tn.sensor_states, cfg)[None]
+            if noise is not None:
+                feats = add_noise(feats, noise)
+            logits = _hardware_logits(hw, _network_input(feats, tn.mode, tn.binary_threshold, cfg.dot_gain))
+            want = softmax_circuit(logits, params)[0] / (params.r_f * params.i_s)
+            assert np.array_equal(probs, want)
+            assert label == tn.arch.labels[int(np.argmax(want))]
+
     def test_non_finite_force_rejected(self, cfg, g2_net):
         grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
         grid[0, 1] = np.nan
         with pytest.raises(ValueError, match="forces must be finite"):
+            forward(map_network(g2_net, cfg), grid)
+
+    @pytest.mark.parametrize("bad", [-1.0, -np.inf])
+    def test_negative_force_rejected(self, cfg, g2_net, bad):
+        grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
+        grid[2, 0] = bad
+        with pytest.raises(ValueError, match=f"force must be non-negative, got {bad}"):
             forward(map_network(g2_net, cfg), grid)
 
     def test_binary_network_without_threshold_rejected(self):
@@ -818,6 +858,12 @@ class TestEvaluate:
         report = evaluate(hw, test_items, [0.1])
         with pytest.raises(KeyError):
             report.accuracy("overall", 0.25)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_bad_seed_rejected(self, cfg, g2_net, g2_split, seed):
+        _, test_items = g2_split
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            evaluate(map_network(g2_net, cfg), test_items, [0.1], seed=seed)
 
     def test_csv_layout(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
