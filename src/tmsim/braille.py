@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

@@ -115,38 +115,39 @@ def _header_lines(cfg: SimConfig, seed: int | None) -> str:
 
 
 class _OutputWriter:
-    """Collects output files under one directory and emits the manifest."""
+    """Collects output files under one directory; the manifest writes them all.
+
+    Without ``force`` a run that would overwrite any of its files, the
+    manifest included, is refused before the first file is written.
+    """
 
     def __init__(self, out_dir: str, force: bool) -> None:
         self.dir = Path(out_dir)
         self.force = force
-        self.records: dict[str, dict] = {}
+        self.files: dict[str, bytes] = {}
 
-    def write(self, name: str, text: str) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.dir / name
-        if path.exists() and not self.force:
-            raise UsageError(f"refusing to overwrite {path}; pass --force to allow")
-        data = text.encode()
-        path.write_bytes(data)
-        self.records[name] = {
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        }
-        return path
+    def write(self, name: str, text: str) -> None:
+        self.files[name] = text.encode()
 
-    def manifest(self, command: str, cfg: SimConfig, seed: int | None, params: dict) -> Path:
+    def manifest(self, command: str, cfg: SimConfig, seed: int | None, params: dict) -> None:
+        records = {name: {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+                   for name, data in self.files.items()}
         payload = {
             "command": command,
             "tool_version": __version__,
             "config_hash": config_hash(cfg),
             "seed": seed,
             "params": params,
-            "outputs": self.records,
+            "outputs": records,
         }
-        name = f"{command}.manifest.json"
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        return self.write(name, text)
+        self.write(f"{command}.manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        if not self.force:
+            for name in self.files:
+                if (self.dir / name).exists():
+                    raise UsageError(f"refusing to overwrite {self.dir / name}; pass --force to allow")
+        self.dir.mkdir(parents=True, exist_ok=True)
+        for name, data in self.files.items():
+            (self.dir / name).write_bytes(data)
 
 
 # ---------------------------------------------------------------------------

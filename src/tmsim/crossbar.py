@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .devices import (CellConfig, CellState, MemristorModel, fsr_conductance, memristor_conductance,
+from .devices import (CellConfig, CellState, MemristorModel, _fsr_affine, memristor_conductance,
                       series_conductance, switch_conductance)
 
 __all__ = [
@@ -143,39 +143,46 @@ def ideal_mac_vl(v: Sequence[float], g: np.ndarray) -> np.ndarray:
     return v_arr @ g_arr
 
 
+def _cells(spec: CrossbarSpec) -> tuple[np.ndarray, ...]:
+    """Every cell of the grid, row-major: its sensor conductance (inf for a
+    cell without a sensor) and memristor conductance, then one row per line
+    set (vl, hl) of its switch's conductance in the ideal readout (g_on, or
+    0 when deselected), as driven (``switch_conductance``) and when off
+    (g_off).  A single-switch cell's one switch serves both line sets.
+
+    ``CellState`` has rejected negative and non-finite forces, so the
+    sensor runs ``fsr_conductance``'s formula without its check.
+    """
+    table = []
+    for row in spec.cells:
+        for cell in row:
+            vl = cell.vl_switch
+            hl = cell.hl_switch or vl
+            table += (np.inf if cell.sensor is None else _fsr_affine(cell.sensor, cell.force_f),
+                      memristor_conductance(cell.memristor),
+                      vl.g_on if vl.selected else 0.0, hl.g_on if hl.selected else 0.0,
+                      switch_conductance(vl), switch_conductance(hl), vl.g_off, hl.g_off)
+    table = np.array(table).reshape(-1, 8).T
+    return table[0], table[1], table[2:4], table[4:6], table[6:]
+
+
 def conductance_matrix(spec: CrossbarSpec) -> np.ndarray:
     """Effective cell conductances as seen from the vertical lines: ``cell_conductance(cell, "vl")`` of each cell.
 
     A cell without a sensor fills the sensor's place in the series with an
     infinite conductance (a short), whose reciprocal adds 0 to the sum.
     """
-    parts = np.array([(np.inf if cell.sensor is None else fsr_conductance(cell.sensor, cell.force_f),
-                       memristor_conductance(cell.memristor), switch_conductance(cell.vl_switch))
-                      for row in spec.cells for cell in row]).T
-    return series_conductance(*parts).reshape(spec.m, spec.n)
+    sensor, memristor, _, (vl_driven, _), _ = _cells(spec)
+    return series_conductance(sensor, memristor, vl_driven).reshape(spec.m, spec.n)
 
 
-def _dual_cells(spec: CrossbarSpec) -> tuple[np.ndarray, ...]:
-    """Every cell of a 2T1M1S grid, row-major: its sensor and memristor
-    conductance, then one row per line set (vl, hl) of its switch's
-    conductance in the ideal readout (g_on, or 0 when deselected), as
-    driven (``switch_conductance``) and when off (g_off).
-
-    Raises:
-        ValueError: if any cell is not 2T1M1S (single-switch arrays cannot
-            attribute their current to both line sets).
-    """
-    table = []
-    for row in spec.cells:
-        for cell in row:
-            if cell.config is not CellConfig.TWO_T1M1S:
-                raise ValueError("dual readout requires 2T1M1S cells")
-            vl, hl = cell.vl_switch, cell.hl_switch
-            table += (fsr_conductance(cell.sensor, cell.force_f), memristor_conductance(cell.memristor),
-                      vl.g_on if vl.selected else 0.0, hl.g_on if hl.selected else 0.0,
-                      switch_conductance(vl), switch_conductance(hl), vl.g_off, hl.g_off)
-    table = np.array(table).reshape(-1, 8).T
-    return table[0], table[1], table[2:4], table[4:6], table[6:]
+def _line_sums(vl: np.ndarray, hl: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cell grids (..., m, n) summed onto their lines in ``out`` (..., n + m):
+    the n vertical lines of ``vl``, then the m horizontal lines of ``hl``."""
+    n = vl.shape[-1]
+    np.add.reduce(vl, axis=-2, out=out[..., :n])
+    np.add.reduce(hl, axis=-1, out=out[..., n:])
+    return out
 
 
 def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
@@ -188,15 +195,19 @@ def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
         vl[l] = sum_k v_supply * g_kl * [vl switch selected]
         hl[k] = sum_l v_supply * g_kl * [hl switch selected]
 
-    g_kl is ``cell_conductance`` with that line's switch on, and each line
-    sums its cells in order.
+    g_kl is ``cell_conductance`` with that line's switch on.
 
     Raises:
-        ValueError: if any cell is not 2T1M1S.
+        ValueError: if any cell is not 2T1M1S (single-switch arrays cannot
+            attribute their current to both line sets).
     """
-    sensor, memristor, switch_on, _, _ = _dual_cells(spec)
-    vl, hl = (v_supply * series_conductance(sensor, memristor, switch_on)).reshape(2, spec.m, spec.n)
-    return ReadoutVector(vl_currents=vl.cumsum(axis=0)[-1], hl_currents=hl.cumsum(axis=1)[:, -1])
+    if any(cell.config is not CellConfig.TWO_T1M1S for row in spec.cells for cell in row):
+        raise ValueError("dual readout requires 2T1M1S cells")
+    sensor, memristor, switch_on, _, _ = _cells(spec)
+    vl, hl = series_conductance(sensor, memristor, switch_on).reshape(2, spec.m, spec.n)
+    out = _line_sums(vl, hl, np.empty(spec.n + spec.m))
+    out *= v_supply
+    return ReadoutVector(vl_currents=out[:spec.n], hl_currents=out[spec.n:])
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +524,7 @@ def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[Readout
     set's terminations and is lost to the measurement.
     """
     plan = _topology(_switched_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
-    sensor, memristor, _, (vl_active, hl_active), (vl_idle, hl_idle) = _dual_cells(spec)
+    sensor, memristor, _, (vl_active, hl_active), (vl_idle, hl_idle) = _cells(spec)
     stamps = _line_stamps(spec) | {"body": series_conductance(sensor, memristor)}
     phases = (("vl", {"vl_col": vl_active, "hl": hl_idle, "vl_row": 0.0}),
               ("hl", {"vl_col": 0.0, "hl": hl_active, "vl_row": vl_idle}))

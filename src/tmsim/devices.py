@@ -6,8 +6,8 @@ readout rails.  Conductances therefore compose harmonically, and an open
 in-path switch with zero off-conductance forces the whole cell to zero.
 
 All conductances are in siemens, resistances in ohms, forces in lbf.
-The conductance functions take floats, kept on float arithmetic, or
-arrays; a cell's reciprocals add in the order sensor, memristor, switch.
+The conductance functions take floats or arrays; a cell's reciprocals
+add in the order sensor, memristor, switch.
 """
 
 from __future__ import annotations
@@ -170,39 +170,18 @@ def _reciprocal_sum(parts):
     return 1.0 / total
 
 
-def _has_finite_part(parts) -> bool:
-    for g in parts:
-        if np.maximum.reduce(g, axis=None) < np.inf:
-            return True
-    return False
-
-
 def series_conductance(*conductances):
     """Harmonic composition of series conductances, elementwise over numpy arrays.
 
     The reciprocals add in argument order.  Any zero element opens the
     path and the result is exactly 0.  Negative conductances are rejected.
-    Float arguments give a float.
     """
     if not conductances:
         raise ValueError("series_conductance needs at least one element")
-    low, finite_float = np.inf, False
-    for g in conductances:
-        if isinstance(g, float):
-            part_low = g
-            finite_float = finite_float or g < np.inf
-        else:
-            part_low = np.fmin.reduce(g, axis=None)
-        if part_low < low:
-            low = part_low
+    low = min(np.fmin.reduce(g, axis=None) for g in conductances)
     if low < 0.0:
         raise ValueError(f"conductance must be non-negative, got {low}")
-    # plain division is safe when no element is 0 and some part is finite
-    # everywhere, so that every element's reciprocal sum is positive; a
-    # finite float part settles that without a numpy call
-    if 0.0 < low and (finite_float or _has_finite_part(conductances)):
-        return _reciprocal_sum(conductances)
-    # numpy division: 1/0 = inf makes the sum inf and the result 0; a path of shorts sums to 0 and gives inf
+    # 1/0 = inf makes the sum inf and the result 0; a path of shorts sums to 0 and gives inf
     with np.errstate(divide="ignore"):
         return _reciprocal_sum([np.asarray(g, dtype=float) for g in conductances])
 

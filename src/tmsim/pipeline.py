@@ -42,7 +42,7 @@ import numpy as np
 from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
-from .crossbar import CrossbarSpec, Readout, solve_nodal, weights_to_differential
+from .crossbar import CrossbarSpec, Readout, _line_sums, solve_nodal, weights_to_differential
 from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _fsr_affine, _reciprocal_sum,
                       fsr_conductance, memristor_conductance, series_conductance)
 
@@ -337,26 +337,20 @@ def sensor_layer_forward(
     return solve_nodal(spec, cfg.sensor.v_supply).concatenated()
 
 
-def _line_sums(conduct: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Cell conductances (..., 4, 2) summed onto their lines in ``out`` (..., 6): 2 columns then 4 rows."""
-    np.add.reduce(conduct, axis=-2, out=out[..., :SENSOR_COLS])
-    np.add.reduce(conduct, axis=-1, out=out[..., SENSOR_COLS:])
-    return out
-
-
 def _line_currents(forces: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """Ideal readouts of force grids (..., 4, 2): 2 column sums then 4 row sums.
 
-    ``g_m`` holds the cells' memristor conductances (4, 2).  The array form
-    of ``ideal_dual_readout`` on ``build_sensor_crossbar``: every cell's
-    series conductance sums onto its column line and its row line.
+    ``g_m`` holds the cells' memristor conductances (4, 2).  Every cell's
+    series conductance sums onto its column line and its row line through
+    crossbar's line sums, which ``ideal_dual_readout`` also runs, and the
+    sums are then scaled by ``v_supply``.
 
     The callers have checked the forces (finite, non-negative) and the
     states, so every part of a cell is positive and the device formulas run
     without their checks, as ``series_conductance`` would on such parts.
     """
     cells = _reciprocal_sum((_fsr_affine(cfg.sensor, forces), g_m, cfg.switch_g_on))
-    out = _line_sums(cells, np.empty(cells.shape[:-2] + (N_FEATURES,)))
+    out = _line_sums(cells, cells, np.empty(cells.shape[:-2] + (N_FEATURES,)))
     out *= cfg.sensor.v_supply
     return out
 
@@ -554,7 +548,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
                 cells = np.where(pressed_e[rows], u[0], u[1])
                 # in place, in the order of _line_currents, the normalization,
                 # the noise and _network_input's analog branch
-                x = _line_sums(cells, x_buf[:len(cells)])
+                x = _line_sums(cells, cells, x_buf[:len(cells)])
                 x *= v_supply
                 x /= norm
                 if noise is not None:

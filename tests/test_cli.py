@@ -72,6 +72,17 @@ class TestDataset:
         assert main(["dataset", "--seed", "7", "--out", out]) == EXIT_CONFIG
         assert "--force" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["leakage", "cost"])
+    def test_refused_run_writes_nothing(self, tmp_path, command):
+        # a stale manifest alone refuses the run before any output is written
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = out / f"{command}.manifest.json"
+        stale.write_text("{}\n")
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        assert [path.name for path in out.iterdir()] == [stale.name]
+        assert stale.read_text() == "{}\n"
+
     def test_unknown_group_is_config_error(self, tmp_path):
         assert main(["dataset", "--seed", "0", "--groups", "group9",
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG

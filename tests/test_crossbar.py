@@ -269,12 +269,21 @@ class TestNodalVlOnly:
         _, detail = solve_nodal_detail(spec, rng.uniform(0.1, 0.5, 4))
         assert detail.injected == pytest.approx(detail.absorbed, rel=1e-9)
 
-    def test_conductance_matrix_agrees_with_cells(self):
+    @pytest.mark.parametrize("config", list(CellConfig))
+    def test_conductance_matrix_agrees_with_cells(self, config):
         rng = np.random.default_rng(5)
-        spec = _weight_grid(rng, 3, 3)
+        if config is CellConfig.ONE_T1M:
+            spec = _weight_grid(rng, 3, 3)
+        else:
+            spec = _sensor_grid(rng, g_off=1e-6, config=config)
+        # one deselected vl switch, which the matrix reads at its g_off
+        cells = [list(row) for row in spec.cells]
+        cells[1][0] = replace(cells[1][0], vl_switch=replace(cells[1][0].vl_switch, selected=False))
+        spec = replace(spec, cells=tuple(map(tuple, cells)))
         g = conductance_matrix(spec)
-        for k in range(3):
-            for l in range(3):
+        assert g[1, 0] < g[1, 1]
+        for k in range(spec.m):
+            for l in range(spec.n):
                 assert g[k, l] == cell_conductance(spec.cells[k][l], "vl")
 
 

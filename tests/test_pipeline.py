@@ -337,8 +337,11 @@ class TestSensorLayer:
     def test_norm_current_frozen_value(self, cfg):
         assert feature_norm_current(cfg) == pytest.approx(2.4149047690515002e-06, rel=1e-12)
 
-    def test_ideal_matches_the_cellwise_crossbar_readout(self, cfg):
-        # the scalar CellState chain is the reference for the array path
+    @pytest.mark.parametrize("v_supply", [0.5, 0.3])
+    def test_ideal_matches_the_cellwise_crossbar_readout(self, cfg, v_supply):
+        # the CellState readout is the reference for the array path, bit
+        # for bit also at a supply that is not a power of two
+        cfg = replace(cfg, sensor=replace(cfg.sensor, v_supply=v_supply))
         rng = np.random.default_rng(11)
         for _ in range(100):
             forces = rng.uniform(0.0, 2.0 * cfg.f_press, (4, 2))
@@ -346,8 +349,7 @@ class TestSensorLayer:
             reference = ideal_dual_readout(
                 cfg.sensor.v_supply, build_sensor_crossbar(forces, states, cfg)
             ).concatenated()
-            np.testing.assert_allclose(sensor_layer_forward(forces, states, cfg), reference,
-                                       rtol=1e-12, atol=0.0)
+            assert np.array_equal(sensor_layer_forward(forces, states, cfg), reference)
 
     def test_input_validation(self, cfg):
         with pytest.raises(ValueError):
