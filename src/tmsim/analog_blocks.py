@@ -1,13 +1,15 @@
-"""Analog computing blocks built around op-amp/BJT current mapping.
+"""The analog softmax chain, built around op-amp/BJT current mapping.
 
-The exponential block converts an input voltage into a current through a
-diode-connected transistor and reads it back through a feedback resistor,
-giving ``r_f * i_s * exp(a / v_t)``.  A summation block accumulates such
-voltages, and a translinear division block forms ratios.  Chained together
-they evaluate a softmax entirely in the analog domain.
+``softmax_circuit`` runs three blocks in a chain.  The exponential block
+converts an input voltage into a current through a diode-connected
+transistor and reads it back through a feedback resistor, giving
+``r_f * i_s * exp(a / v_t)``.  A summation block accumulates those
+voltages, and a translinear division block divides each one by the sum.
+The chain checks its input once; the block formulas behind it run
+unchecked.
 
-The blocks take floats or arrays (exponential elementwise, summation over
-the last axis, division broadcast), so one chain call runs a whole batch.
+The chain takes arrays (channels on the last axis), so one call runs a
+whole batch.
 """
 
 from __future__ import annotations
@@ -18,15 +20,8 @@ import numpy as np
 
 __all__ = [
     "SoftmaxParams",
-    "EXP_ARGUMENT_LIMIT",
-    "exp_block",
-    "summation_block",
-    "division_block",
     "softmax_circuit",
 ]
-
-# exp() overflows float64 just above exp(709); reject a safe distance before.
-EXP_ARGUMENT_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -48,52 +43,18 @@ class SoftmaxParams:
                              f"i_s={self.i_s}, r_sum={self.r_sum}")
 
 
-def exp_block(a, params: SoftmaxParams = SoftmaxParams()):
-    """Exponential current generator output, r_f * i_s * exp(a / v_t), elementwise.
-
-    Args:
-        a: input voltage(s) in volts.
-        params: block component values.
-
-    Raises:
-        ValueError: if some a / v_t is NaN or exceeds the float64 overflow guard.
-    """
-    # the largest a / v_t: v_t > 0 and rounding keep the order; NaN propagates
-    peak = np.maximum.reduce(a, axis=None) / params.v_t
-    if not peak <= EXP_ARGUMENT_LIMIT:
-        raise ValueError(
-            f"exp_block argument must be at most the overflow limit {EXP_ARGUMENT_LIMIT:g}, "
-            f"got {peak:.3g}; normalize inputs before exponentiation"
-        )
-    return _exp(a, params)
-
-
-def summation_block(x, params: SoftmaxParams = SoftmaxParams()):
-    """Inverting summer output, (r_f / r_sum) * sum(x), over the last axis."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] == 0:
-        raise ValueError("summation_block needs at least one input")
-    return _sum(x, params)
-
-
-def division_block(v1, v2, params: SoftmaxParams = SoftmaxParams()):
-    """Translinear divider output, r_f * i_s * (v1 / v2), broadcast; v2 must be positive."""
-    low = np.minimum.reduce(v2, axis=None)  # NaN propagates
-    if not low > 0.0:
-        raise ValueError(f"division_block denominator must be positive, got {low}")
-    return _divide(v1, v2, params)
-
-
 # The block formulas, for arguments the caller has checked.
 
 
 def _exp(a, params: SoftmaxParams):
+    """Exponential block output, r_f * i_s * exp(a / v_t), elementwise."""
     out = np.exp(np.divide(a, params.v_t))
     out *= params.r_f * params.i_s
     return out
 
 
 def _sum(x: np.ndarray, params: SoftmaxParams):
+    """Inverting summer output, (r_f / r_sum) * sum(x), over the last axis."""
     out = np.add.reduce(x, axis=-1)
     gain = params.r_f / params.r_sum
     if gain != 1.0:  # equal resistors: multiplying by 1.0 would change no value
@@ -102,6 +63,7 @@ def _sum(x: np.ndarray, params: SoftmaxParams):
 
 
 def _divide(v1, v2, params: SoftmaxParams):
+    """Translinear divider output, r_f * i_s * (v1 / v2), broadcast."""
     out = np.divide(v1, v2)
     out *= params.r_f * params.i_s
     return out
@@ -112,8 +74,8 @@ def softmax_circuit(a, params: SoftmaxParams = SoftmaxParams()) -> np.ndarray:
 
     Each row's largest input is subtracted from every channel before the
     exponential stage; that keeps every exp argument non-positive, so the
-    overflow guard never trips, without changing the ratios.  A row whose
-    largest input is NaN or infinite is rejected.  Outputs are the
+    exponential cannot overflow, and leaves the ratios unchanged.  A row
+    whose largest input is NaN or infinite is rejected.  Outputs are the
     per-channel division-block voltages: they are proportional to
     softmax(a / v_t) and each row sums to r_sum * i_s.
 
@@ -133,8 +95,8 @@ def softmax_circuit(a, params: SoftmaxParams = SoftmaxParams()) -> np.ndarray:
     bound = np.maximum.reduce(np.abs(shift), axis=None)
     if not bound < np.inf:
         raise ValueError(f"softmax_circuit needs a finite maximum in every row, got |max| = {bound}")
-    # This check covers the blocks' own: after the shift every exp argument is
-    # at most 0, and every row sum is at least its top channel's output,
+    # This check is the chain's only one: after the shift every exp argument
+    # is at most 0, and every row sum is at least its top channel's output,
     # r_f * i_s * (r_f / r_sum), which SoftmaxParams keeps positive.
     x = _exp(a - shift, params)
     return _divide(x, _sum(x, params)[..., None], params)

@@ -25,19 +25,12 @@ __all__ = [
     "BrailleGroup",
     "BrailleSymbol",
     "UnknownSymbolError",
-    "GROUP_SIZES",
-    "GROUP_SELECT_DOTS",
     "DOT_CELL_POSITIONS",
-    "DEFAULT_PRESS_FORCE",
     "symbols",
-    "all_symbols",
-    "encode",
     "symbol_to_forces",
     "build_dataset",
     "label_to_group",
 ]
-
-DEFAULT_PRESS_FORCE = 20.0  # lbf, nominal reading force of one raised dot
 
 # Grid position (row, col) of each dot D1..D8 on the 4x2 sensor array.
 DOT_CELL_POSITIONS = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (3, 0), (3, 1))
@@ -50,7 +43,7 @@ class BrailleGroup(str, Enum):
     GROUP4 = "group4"  # numbers, punctuation and symbols
 
 
-GROUP_SIZES = {
+_GROUP_SIZES = {
     BrailleGroup.GROUP1: 27,
     BrailleGroup.GROUP2: 26,
     BrailleGroup.GROUP3: 46,
@@ -58,7 +51,7 @@ GROUP_SIZES = {
 }
 
 # (D7, D8) values that tag each group.
-GROUP_SELECT_DOTS = {
+_GROUP_SELECT_DOTS = {
     BrailleGroup.GROUP1: (False, False),
     BrailleGroup.GROUP2: (False, True),
     BrailleGroup.GROUP3: (True, False),
@@ -79,7 +72,7 @@ class BrailleSymbol:
     def __post_init__(self) -> None:
         if len(self.dots) != 8:
             raise ValueError(f"expected 8 dots, got {len(self.dots)}")
-        if (self.dots[6], self.dots[7]) != GROUP_SELECT_DOTS[self.group]:
+        if (self.dots[6], self.dots[7]) != _GROUP_SELECT_DOTS[self.group]:
             raise ValueError(f"{self.label}: group-select dots do not match {self.group.value}")
 
 
@@ -103,7 +96,7 @@ def _table() -> tuple[BrailleSymbol, ...]:
     by_group: dict[BrailleGroup, list[BrailleSymbol]] = {g: [] for g in BrailleGroup}
     for sym in loaded:
         by_group[sym.group].append(sym)
-    for group, expected in GROUP_SIZES.items():
+    for group, expected in _GROUP_SIZES.items():
         got = len(by_group[group])
         if got != expected:
             raise ValueError(f"{group.value}: expected {expected} symbols, found {got}")
@@ -128,12 +121,7 @@ def symbols(group: BrailleGroup) -> tuple[BrailleSymbol, ...]:
     return tuple(sym for sym in _table() if sym.group is group)
 
 
-def all_symbols() -> tuple[BrailleSymbol, ...]:
-    """The 125-symbol fusion set, groups concatenated in canonical order."""
-    return _table()
-
-
-def encode(label: str, group: BrailleGroup) -> BrailleSymbol:
+def _encode(label: str, group: BrailleGroup) -> BrailleSymbol:
     """Look up a symbol by label within a group.
 
     Raises:
@@ -148,8 +136,8 @@ def encode(label: str, group: BrailleGroup) -> BrailleSymbol:
     raise UnknownSymbolError(f"no symbol {label!r} in {group.value}; nearest: {', '.join(near)}")
 
 
-def symbol_to_forces(symbol: BrailleSymbol, f_press: float = DEFAULT_PRESS_FORCE) -> np.ndarray:
-    """4x2 force grid for a symbol: f_press on raised dots, 0 elsewhere."""
+def symbol_to_forces(symbol: BrailleSymbol, f_press: float) -> np.ndarray:
+    """4x2 force grid for a symbol: f_press (lbf) on raised dots, 0 elsewhere."""
     if f_press <= 0.0:
         raise ValueError(f"f_press must be positive, got {f_press}")
     grid = np.zeros((4, 2))
@@ -178,7 +166,8 @@ def build_dataset(
     groups: Iterable[BrailleGroup | str] | str,
     copies: int = 5,
     seed: int = 0,
-    f_press: float = DEFAULT_PRESS_FORCE,
+    *,
+    f_press: float,
 ) -> list[tuple[np.ndarray, str]]:
     """Deterministic dataset of (force grid, label) pairs.
 

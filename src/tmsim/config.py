@@ -1,6 +1,6 @@
 """Simulation parameter bundle, flat config files and environment overrides.
 
-Every tunable lives in ``DEFAULTS`` under a dotted key.  A config file
+Every tunable has its one default here, under a dotted key.  A config file
 overrides defaults one assignment per line (``key = value``, ``#``
 comments); environment variables override both, spelled with the ``TMSIM_``
 prefix and ``__`` in place of dots (``TMSIM_sensor__bias_c=2e-6``).
@@ -23,14 +23,12 @@ __all__ = [
     "TrainParams",
     "Parasitics",
     "ConfigError",
-    "DEFAULTS",
-    "ENV_PREFIX",
     "load_config",
     "config_hash",
     "read_assignments",
 ]
 
-ENV_PREFIX = "TMSIM_"
+_ENV_PREFIX = "TMSIM_"
 
 # Defaults, one dotted key per physical or training parameter.
 #
@@ -41,7 +39,7 @@ ENV_PREFIX = "TMSIM_"
 # pipeline.dot_gain is calibrated with them: it sets the normalized feature
 # increment contributed by one pressed dot, fixing how large the dimensionless
 # noise variances are relative to the signal.
-DEFAULTS: dict[str, float | int] = {
+_DEFAULTS: dict[str, float | int] = {
     "sensor.sensitivity_k": 1.5e-6,
     "sensor.bias_c": 1.0e-6,
     "sensor.v_supply": 0.5,
@@ -203,10 +201,10 @@ def read_assignments(path: str | Path, known: Collection[str]) -> dict[str, floa
 def _env_overrides(environ: dict[str, str]) -> dict[str, float | int]:
     overrides: dict[str, float | int] = {}
     for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX):
+        if not name.startswith(_ENV_PREFIX):
             continue
-        key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        if key not in DEFAULTS:
+        key = name[len(_ENV_PREFIX):].lower().replace("__", ".")
+        if key not in _DEFAULTS:
             raise ConfigError(f"{name}: unknown key {key!r}")
         overrides[key] = _parse_value(key, value, name)
     return overrides
@@ -214,9 +212,9 @@ def _env_overrides(environ: dict[str, str]) -> dict[str, float | int]:
 
 def load_config(path: str | Path | None = None, environ: dict[str, str] | None = None) -> SimConfig:
     """Defaults, overridden by an optional config file, then by environment."""
-    values = dict(DEFAULTS)
+    values = dict(_DEFAULTS)
     if path is not None:
-        values.update(read_assignments(path, DEFAULTS))
+        values.update(read_assignments(path, _DEFAULTS))
     env = os.environ if environ is None else environ
     values.update(_env_overrides(dict(env)))
     return SimConfig.from_values(values)

@@ -33,23 +33,20 @@ from typing import Sequence
 from .pipeline import N_FEATURES, N_HIDDEN, NetworkArch, SENSOR_COLS, SENSOR_ROWS
 
 __all__ = [
-    "STYLES",
-    "PROCESSINGS",
     "REFERENCE_BLOCK_FIGURES",
     "MissingCostError",
     "CostTable",
     "BlockCounts",
     "CostReport",
     "CompareSummary",
-    "block_counts",
     "default_table",
     "estimate",
     "compare",
     "reports_to_csv",
 ]
 
-STYLES = ("analog", "binary")
-PROCESSINGS = ("parallel", "serial")
+_STYLES = ("analog", "binary")
+_PROCESSINGS = ("parallel", "serial")
 
 N_SENSORS = SENSOR_ROWS * SENSOR_COLS
 
@@ -172,16 +169,21 @@ class CostReport:
         }
 
 
-def block_counts(arch: NetworkArch, processing: str) -> BlockCounts:
-    """Instance counts per circuit block.
+def _check_combination(style: str, processing: str) -> None:
+    if style not in _STYLES:
+        raise ValueError(f"style must be one of {_STYLES}, got {style!r}")
+    if processing not in _PROCESSINGS:
+        raise ValueError(f"processing must be one of {_PROCESSINGS}, got {processing!r}")
+
+
+def _block_counts(arch: NetworkArch, processing: str) -> BlockCounts:
+    """Instance counts per circuit block, for a checked ``processing``.
 
     Two crossbar cells realize one dense weight (differential pair).  In
     parallel processing every output line owns an amplifier and every
     network output owns a normalizer unit; serial processing multiplexes
     each layer onto one amplifier and shares a single normalizer.
     """
-    if processing not in PROCESSINGS:
-        raise ValueError(f"processing must be one of {PROCESSINGS}, got {processing!r}")
     cells_l23 = 2 * (N_FEATURES * N_HIDDEN + N_HIDDEN * arch.n_out)
     if processing == "parallel":
         amps_l1 = N_FEATURES
@@ -203,7 +205,7 @@ def block_counts(arch: NetworkArch, processing: str) -> BlockCounts:
 
 def _reference_counts(processing: str) -> BlockCounts:
     arch = NetworkArch(labels=tuple(f"out{i}" for i in range(125)))
-    return block_counts(arch, processing)
+    return _block_counts(arch, processing)
 
 
 def default_table(style: str, processing: str) -> CostTable:
@@ -216,10 +218,7 @@ def default_table(style: str, processing: str) -> CostTable:
     land on the reference totals); the binary figures admit no shared
     split, so each processing keeps its own calibrated pair.
     """
-    if style not in STYLES:
-        raise ValueError(f"style must be one of {STYLES}, got {style!r}")
-    if processing not in PROCESSINGS:
-        raise ValueError(f"processing must be one of {PROCESSINGS}, got {processing!r}")
+    _check_combination(style, processing)
     figures = REFERENCE_BLOCK_FIGURES[(style, processing)]
     counts = _reference_counts(processing)
 
@@ -248,9 +247,8 @@ def default_table(style: str, processing: str) -> CostTable:
 
 def estimate(arch: NetworkArch, table: CostTable, style: str, processing: str) -> CostReport:
     """Counts times unit costs for one (style, processing) combination."""
-    if style not in STYLES:
-        raise ValueError(f"style must be one of {STYLES}, got {style!r}")
-    counts = block_counts(arch, processing)
+    _check_combination(style, processing)
+    counts = _block_counts(arch, processing)
     return CostReport(
         style=style,
         processing=processing,

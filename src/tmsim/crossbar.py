@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .devices import (CellConfig, CellState, MemristorModel, _fsr_affine, memristor_conductance,
-                      series_conductance, switch_conductance)
+                      series_conductance)
 
 __all__ = [
     "Readout",
@@ -147,8 +147,9 @@ def _cells(spec: CrossbarSpec) -> tuple[np.ndarray, ...]:
     """Every cell of the grid, row-major: its sensor conductance (inf for a
     cell without a sensor) and memristor conductance, then one row per line
     set (vl, hl) of its switch's conductance in the ideal readout (g_on, or
-    0 when deselected), as driven (``switch_conductance``) and when off
-    (g_off).  A single-switch cell's one switch serves both line sets.
+    0 when deselected) and when off (g_off); ``_driven`` derives the driven
+    value from the two.  A single-switch cell's one switch serves both line
+    sets.
 
     ``CellState`` has rejected negative and non-finite forces, so the
     sensor runs ``fsr_conductance``'s formula without its check.
@@ -160,10 +161,16 @@ def _cells(spec: CrossbarSpec) -> tuple[np.ndarray, ...]:
             hl = cell.hl_switch or vl
             table += (np.inf if cell.sensor is None else _fsr_affine(cell.sensor, cell.force_f),
                       memristor_conductance(cell.memristor),
-                      vl.g_on if vl.selected else 0.0, hl.g_on if hl.selected else 0.0,
-                      switch_conductance(vl), switch_conductance(hl), vl.g_off, hl.g_off)
-    table = np.array(table).reshape(-1, 8).T
-    return table[0], table[1], table[2:4], table[4:6], table[6:]
+                      vl.g_on if vl.selected else 0.0, hl.g_on if hl.selected else 0.0, vl.g_off, hl.g_off)
+    table = np.array(table).reshape(-1, 6).T
+    return table[0], table[1], table[2:4], table[4:]
+
+
+def _driven(on: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Switch conductances as driven, g_on when selected and g_off otherwise,
+    from ``_cells``' ideal (``on``) and off values: ``SwitchModel`` keeps
+    g_on > g_off >= 0, so ``on`` is positive exactly when selected."""
+    return np.where(on > 0.0, on, off)
 
 
 def conductance_matrix(spec: CrossbarSpec) -> np.ndarray:
@@ -172,8 +179,8 @@ def conductance_matrix(spec: CrossbarSpec) -> np.ndarray:
     A cell without a sensor fills the sensor's place in the series with an
     infinite conductance (a short), whose reciprocal adds 0 to the sum.
     """
-    sensor, memristor, _, (vl_driven, _), _ = _cells(spec)
-    return series_conductance(sensor, memristor, vl_driven).reshape(spec.m, spec.n)
+    sensor, memristor, on, off = _cells(spec)
+    return series_conductance(sensor, memristor, _driven(on[0], off[0])).reshape(spec.m, spec.n)
 
 
 def _line_sums(vl: np.ndarray, hl: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -203,7 +210,7 @@ def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
     """
     if any(cell.config is not CellConfig.TWO_T1M1S for row in spec.cells for cell in row):
         raise ValueError("dual readout requires 2T1M1S cells")
-    sensor, memristor, switch_on, _, _ = _cells(spec)
+    sensor, memristor, switch_on, _ = _cells(spec)
     vl, hl = series_conductance(sensor, memristor, switch_on).reshape(2, spec.m, spec.n)
     out = _line_sums(vl, hl, np.empty(spec.n + spec.m))
     out *= v_supply
@@ -524,7 +531,9 @@ def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[Readout
     set's terminations and is lost to the measurement.
     """
     plan = _topology(_switched_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
-    sensor, memristor, _, (vl_active, hl_active), (vl_idle, hl_idle) = _cells(spec)
+    sensor, memristor, switch_on, switch_off = _cells(spec)
+    vl_active, hl_active = _driven(switch_on, switch_off)
+    vl_idle, hl_idle = switch_off
     stamps = _line_stamps(spec) | {"body": series_conductance(sensor, memristor)}
     phases = (("vl", {"vl_col": vl_active, "hl": hl_idle, "vl_row": 0.0}),
               ("hl", {"vl_col": 0.0, "hl": hl_active, "vl_row": vl_idle}))

@@ -25,7 +25,6 @@ __all__ = [
     "CellState",
     "fsr_conductance",
     "memristor_conductance",
-    "switch_conductance",
     "series_conductance",
     "cell_conductance",
 ]
@@ -158,11 +157,6 @@ def memristor_conductance(model: MemristorModel, state_w=None):
     return g_off + (model.state_w if state_w is None else state_w) * model.span
 
 
-def switch_conductance(model: SwitchModel) -> float:
-    """g_on when selected, g_off otherwise."""
-    return model.g_on if model.selected else model.g_off
-
-
 def _reciprocal_sum(parts):
     total = 1.0 / parts[0]
     for g in parts[1:]:
@@ -206,4 +200,5 @@ def cell_conductance(cell: CellState, line: str = "vl") -> float:
         raise ValueError(f"line must be 'vl' or 'hl', got {line!r}")
     switch = cell.hl_switch if cell.config is CellConfig.TWO_T1M1S and line == "hl" else cell.vl_switch
     sensor = np.inf if cell.sensor is None else fsr_conductance(cell.sensor, cell.force_f)
-    return series_conductance(sensor, memristor_conductance(cell.memristor), switch_conductance(switch))
+    return series_conductance(sensor, memristor_conductance(cell.memristor),
+                              switch.g_on if switch.selected else switch.g_off)

@@ -15,8 +15,8 @@ biases are realized as line-amplifier output offsets rather than extra
 conductances.
 
 Sensor readouts are normalized before entering the hidden layer: dividing
-by ``feature_norm_current`` scales the contribution of one pressed dot
-(at full memristor conductance) to ``pipeline.dot_gain`` feature units.
+by the current of one feature unit scales the contribution of one pressed
+dot (at full memristor conductance) to ``pipeline.dot_gain`` feature units.
 Additive Gaussian noise with the dimensionless variances of the noise
 grid is applied to these normalized features, during training
 (augmentation) and at evaluation, so ``dot_gain`` fixes the signal
@@ -58,8 +58,6 @@ __all__ = [
     "InvalidNetworkError",
     "build_sensor_crossbar",
     "sensor_layer_forward",
-    "feature_norm_current",
-    "add_noise",
     "train",
     "map_network",
     "forward",
@@ -219,8 +217,8 @@ class HardwareNetwork:
 
     @functools.cached_property
     def feature_norm(self) -> float:
-        """``feature_norm_current`` of ``cfg``, computed once per network."""
-        return feature_norm_current(self.cfg)
+        """``_feature_norm_current`` of ``cfg``, computed once per network."""
+        return _feature_norm_current(self.cfg)
 
     @functools.cached_property
     def g_memristor(self) -> np.ndarray:
@@ -361,7 +359,7 @@ def _dot_increment(g_m, cfg: SimConfig):
     return u_on - series_conductance(fsr_conductance(cfg.sensor, 0.0), g_m, cfg.switch_g_on)
 
 
-def feature_norm_current(cfg: SimConfig) -> float:
+def _feature_norm_current(cfg: SimConfig) -> float:
     """Current of one normalized feature unit.
 
     One pressed dot at full memristor conductance raises its column and row
@@ -370,7 +368,7 @@ def feature_norm_current(cfg: SimConfig) -> float:
     return cfg.sensor.v_supply * _dot_increment(memristor_conductance(cfg.memristor, 1.0), cfg) / cfg.dot_gain
 
 
-def add_noise(x: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+def _add_noise(x: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     """Additive i.i.d. Gaussian noise of variance sigma2 on a normalized signal."""
     x = np.asarray(x, dtype=float)
     if noise.sigma2 == 0.0:
@@ -493,7 +491,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     w1[...] = rng.normal(0.0, np.sqrt(2.0 / N_FEATURES), (N_FEATURES, N_HIDDEN))
     w2[...] = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, n_out))
 
-    norm = feature_norm_current(cfg)
+    norm = _feature_norm_current(cfg)
     analog = hyper.mode == "analog"
     if analog:
         states = _state_increment_ladder(cfg, rng)
@@ -704,7 +702,7 @@ def forward(
     feats = _line_currents(_check_forces(forces)[None], hw.g_memristor, hw.cfg)
     feats /= hw.feature_norm
     if noise is not None:
-        feats = add_noise(feats, noise)
+        feats = _add_noise(feats, noise)
     x = _network_input(feats, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
     params = hw.cfg.softmax
     probs = softmax_circuit(_hardware_logits(hw, x), params)[0]

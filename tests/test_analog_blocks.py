@@ -1,8 +1,9 @@
 """Analog softmax chain tests.
 
-Point values are frozen from scalar evaluation of the block transfer
-functions; the chain-level checks compare the composed circuit against the
-mathematical softmax it should realize.
+Point values are frozen from scalar evaluation of the block formulas; the
+chain-level checks compare the composed circuit against the mathematical
+softmax it should realize.  The chain makes the only input check, so every
+guard is tested through ``softmax_circuit``.
 """
 
 import math
@@ -10,14 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from tmsim.analog_blocks import (
-    EXP_ARGUMENT_LIMIT,
-    SoftmaxParams,
-    division_block,
-    exp_block,
-    softmax_circuit,
-    summation_block,
-)
+from tmsim.analog_blocks import SoftmaxParams, _divide, _exp, _sum, softmax_circuit
 
 P = SoftmaxParams()
 FULL_SCALE = P.r_f * P.i_s  # 1e-4 V
@@ -31,53 +25,37 @@ def _reference_softmax(a, v_t):
 
 class TestExpBlock:
     def test_zero_input_gives_full_scale(self):
-        assert exp_block(0.0) == pytest.approx(1e-4, rel=1e-12)
+        assert _exp(0.0, P) == pytest.approx(1e-4, rel=1e-12)
 
     def test_unit_exponent(self):
-        assert exp_block(P.v_t) == pytest.approx(1e-4 * math.e, rel=1e-12)
+        assert _exp(P.v_t, P) == pytest.approx(1e-4 * math.e, rel=1e-12)
 
     def test_tenth_volt(self):
-        assert exp_block(0.1) == pytest.approx(0.004681266781732767, rel=1e-12)
-
-    def test_overflow_guard(self):
-        limit_volts = EXP_ARGUMENT_LIMIT * P.v_t
-        exp_block(limit_volts)  # at the limit: allowed
-        with pytest.raises(ValueError):
-            exp_block(limit_volts * 1.01)
+        assert _exp(0.1, P) == pytest.approx(0.004681266781732767, rel=1e-12)
 
 
 class TestSummationBlock:
     def test_equal_resistors_plain_sum(self):
-        assert summation_block([1e-4, 1e-4]) == pytest.approx(2e-4, rel=1e-12)
+        assert _sum(np.array([1e-4, 1e-4]), P) == pytest.approx(2e-4, rel=1e-12)
 
     def test_half_gain(self):
         half = SoftmaxParams(r_sum=2 * P.r_f)
-        assert summation_block([2e-4], half) == pytest.approx(1e-4, rel=1e-12)
+        assert _sum(np.array([2e-4]), half) == pytest.approx(1e-4, rel=1e-12)
 
     def test_composition_with_exp(self):
-        x = [exp_block(0.0), exp_block(P.v_t)]
-        assert summation_block(x) == pytest.approx(1e-4 * (1 + math.e), rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summation_block([])
+        x = _exp(np.array([0.0, P.v_t]), P)
+        assert _sum(x, P) == pytest.approx(1e-4 * (1 + math.e), rel=1e-12)
 
 
 class TestDivisionBlock:
     def test_unity_ratio(self):
-        assert division_block(3.3e-3, 3.3e-3) == pytest.approx(1e-4, rel=1e-12)
+        assert _divide(3.3e-3, 3.3e-3, P) == pytest.approx(1e-4, rel=1e-12)
 
     def test_zero_numerator(self):
-        assert division_block(0.0, 1e-3) == 0.0
+        assert _divide(0.0, 1e-3, P) == 0.0
 
     def test_half_ratio(self):
-        assert division_block(4.6813e-3, 9.3626e-3) == pytest.approx(5e-5, rel=1e-12)
-
-    def test_nonpositive_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            division_block(1e-4, 0.0)
-        with pytest.raises(ValueError):
-            division_block(1e-4, -1e-4)
+        assert _divide(4.6813e-3, 9.3626e-3, P) == pytest.approx(5e-5, rel=1e-12)
 
 
 class TestSoftmaxCircuit:
@@ -122,10 +100,11 @@ class TestSoftmaxCircuit:
             assert int(np.argmax(softmax_circuit(a))) == int(np.argmax(a))
 
     def test_large_inputs_do_not_overflow(self):
-        # raw exp of 100 V / 26 mV would overflow; internal shift must not
-        out = softmax_circuit([100.0, 100.0 + P.v_t])
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out.sum(), FULL_SCALE, rtol=1e-9)
+        # raw exp of 100 V / 26 mV, or of 710, would overflow; internal shift must not
+        for a in ([100.0, 100.0 + P.v_t], [0.0, 710 * P.v_t]):
+            out = softmax_circuit(a)
+            assert np.all(np.isfinite(out))
+            np.testing.assert_allclose(out.sum(), FULL_SCALE, rtol=1e-9)
 
     def test_lower_thermal_voltage_sharpens(self):
         rng = np.random.default_rng(10)
@@ -135,8 +114,9 @@ class TestSoftmaxCircuit:
             assert softmax_circuit(a, sharp).max() >= softmax_circuit(a).max()
 
     def test_single_channel_rejected(self):
-        with pytest.raises(ValueError):
-            softmax_circuit([0.1])
+        for a in ([0.1], 0.1, []):
+            with pytest.raises(ValueError, match="at least two channels"):
+                softmax_circuit(a)
 
 
 class TestArrays:
@@ -145,13 +125,13 @@ class TestArrays:
     def test_blocks_equal_elementwise_scalar_calls(self):
         rng = np.random.default_rng(11)
         a = rng.normal(0.0, 0.5, (7, 5))
-        x = exp_block(a)
-        assert np.array_equal(x, [[exp_block(float(v)) for v in row] for row in a])
-        total = summation_block(x)
-        assert np.array_equal(total, [summation_block(row.tolist()) for row in x])
-        out = division_block(x, total[:, None])
+        x = _exp(a, P)
+        assert np.array_equal(x, [[_exp(float(v), P) for v in row] for row in a])
+        total = _sum(x, P)
+        assert np.array_equal(total, [_sum(row, P) for row in x])
+        out = _divide(x, total[:, None], P)
         assert np.array_equal(
-            out, [[division_block(float(v), float(t)) for v in row] for row, t in zip(x, total)]
+            out, [[_divide(float(v), float(t), P) for v in row] for row, t in zip(x, total)]
         )
 
     @pytest.mark.parametrize("n", [2, 9, 125])
@@ -170,18 +150,19 @@ class TestArrays:
         a = rng.normal(0.0, 0.5, (40, 9))
         a[5, 2] = -np.inf  # below a finite maximum: a zero channel
         shifted = a - a.max(axis=-1, keepdims=True)
-        x = exp_block(shifted, params)
-        want = division_block(x, summation_block(x, params)[:, None], params)
+        x = _exp(shifted, params)
+        want = _divide(x, _sum(x, params)[:, None], params)
         assert np.array_equal(softmax_circuit(a, params), want)
 
     def test_empty_last_axis_rejected(self):
-        with pytest.raises(ValueError, match="at least one input"):
-            summation_block(np.empty((3, 0)))
+        with pytest.raises(ValueError, match="at least two channels, got 0"):
+            softmax_circuit(np.empty((3, 0)))
 
 
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("a, got", [([np.nan, 0.0], "nan"), ([0.0, np.nan], "nan"),
-                                        ([np.inf, 0.0], "inf"), ([-np.inf, -np.inf], "inf")])
+                                        ([np.inf, 0.0], "inf"), ([-np.inf, -np.inf], "inf"),
+                                        ([0.0, np.inf], "inf"), ([1.0, np.nan, 1.0], "nan")])
     def test_chain(self, a, got):
         with pytest.raises(ValueError, match=f"finite maximum in every row, got \\|max\\| = {got}"):
             softmax_circuit(a)
@@ -195,18 +176,6 @@ class TestNonFiniteRejected:
     def test_negative_infinity_below_a_finite_maximum_gives_zero(self):
         out = softmax_circuit([-np.inf, 0.0])
         assert out[0] == 0.0 and out[1] == FULL_SCALE
-
-    def test_exp_block(self):
-        with pytest.raises(ValueError, match="exp_block .* got nan"):
-            exp_block(np.nan)
-        with pytest.raises(ValueError, match="exp_block .* got inf"):
-            exp_block(np.inf)
-
-    def test_division_block_denominator(self):
-        with pytest.raises(ValueError, match="division_block .* got nan"):
-            division_block(1.0, np.nan)
-        with pytest.raises(ValueError, match="division_block .* got nan"):
-            division_block(np.ones(3), np.array([1.0, np.nan, 1.0]))
 
 
 def test_params_validation():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tmsim.config import DEFAULTS, ConfigError, config_hash, load_config
+from tmsim.config import ConfigError, _DEFAULTS, config_hash, load_config
 
 
 class TestDefaults:
@@ -29,7 +29,7 @@ class TestDefaults:
         assert isinstance(cfg.train.epochs, int)
 
     def test_raw_view_covers_every_key(self, cfg):
-        assert dict(cfg.raw) == DEFAULTS
+        assert dict(cfg.raw) == _DEFAULTS
 
 
 class TestFileOverrides:

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from tmsim.cost_model import (
-    PROCESSINGS,
     REFERENCE_BLOCK_FIGURES,
-    STYLES,
     CostTable,
     MissingCostError,
-    block_counts,
+    _PROCESSINGS,
+    _STYLES,
+    _block_counts,
     compare,
     default_table,
     estimate,
@@ -24,7 +24,7 @@ GOLDEN_CSV = Path(__file__).parent / "data" / "cost_golden.csv"
 
 REFERENCE_ARCH = NetworkArch(labels=tuple(f"sym{i}" for i in range(125)))
 
-ALL_COMBOS = [(s, p) for s in STYLES for p in PROCESSINGS]
+ALL_COMBOS = [(s, p) for s in _STYLES for p in _PROCESSINGS]
 
 
 def _reference_report(style, processing):
@@ -33,27 +33,29 @@ def _reference_report(style, processing):
 
 class TestBlockCounts:
     def test_reference_architecture_counts(self):
-        counts = block_counts(REFERENCE_ARCH, "parallel")
+        counts = _block_counts(REFERENCE_ARCH, "parallel")
         assert counts.sensors == 8
         assert counts.cells_l23 == 2 * (6 * 14 + 14 * 125) == 3668
         assert counts.cells_total == 3676
         assert (counts.amps_l1, counts.amps_l23, counts.divisions) == (6, 139, 125)
 
     def test_serial_processing_multiplexes(self):
-        counts = block_counts(REFERENCE_ARCH, "serial")
+        counts = _block_counts(REFERENCE_ARCH, "serial")
         assert (counts.amps_l1, counts.amps_l23, counts.divisions) == (1, 2, 1)
         # crossbar hardware is unchanged by the processing style
-        assert counts.cells_total == block_counts(REFERENCE_ARCH, "parallel").cells_total
+        assert counts.cells_total == _block_counts(REFERENCE_ARCH, "parallel").cells_total
 
     def test_counts_scale_with_architecture(self):
         small = NetworkArch(labels=("x", "y"))
-        counts = block_counts(small, "parallel")
+        counts = _block_counts(small, "parallel")
         assert counts.cells_l23 == 2 * (6 * 14 + 14 * 2)
         assert counts.divisions == 2
 
     def test_bad_processing_rejected(self):
-        with pytest.raises(ValueError, match="processing"):
-            block_counts(REFERENCE_ARCH, "batch")
+        # the counts run unchecked; estimate checks the processing at its entry
+        table = default_table("analog", "parallel")
+        with pytest.raises(ValueError, match=r"^processing must be one of \('parallel', 'serial'\), got 'batch'$"):
+            estimate(REFERENCE_ARCH, table, "analog", "batch")
 
 
 class TestDefaultTables:

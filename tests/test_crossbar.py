@@ -269,13 +269,14 @@ class TestNodalVlOnly:
         _, detail = solve_nodal_detail(spec, rng.uniform(0.1, 0.5, 4))
         assert detail.injected == pytest.approx(detail.absorbed, rel=1e-9)
 
-    @pytest.mark.parametrize("config", list(CellConfig))
-    def test_conductance_matrix_agrees_with_cells(self, config):
+    @pytest.mark.parametrize("config, g_off", [pytest.param(c, 1e-6, id=c.value) for c in CellConfig]
+                             + [pytest.param(CellConfig.TWO_T1M1S, 0.0, id="2T1M1S-g_off-0")])
+    def test_conductance_matrix_agrees_with_cells(self, config, g_off):
         rng = np.random.default_rng(5)
         if config is CellConfig.ONE_T1M:
             spec = _weight_grid(rng, 3, 3)
         else:
-            spec = _sensor_grid(rng, g_off=1e-6, config=config)
+            spec = _sensor_grid(rng, g_off=g_off, config=config)
         # one deselected vl switch, which the matrix reads at its g_off
         cells = [list(row) for row in spec.cells]
         cells[1][0] = replace(cells[1][0], vl_switch=replace(cells[1][0].vl_switch, selected=False))

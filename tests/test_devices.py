@@ -15,7 +15,6 @@ from tmsim.devices import (
     fsr_conductance,
     memristor_conductance,
     series_conductance,
-    switch_conductance,
 )
 
 SENSOR = SensorModel()
@@ -85,9 +84,13 @@ class TestMemristor:
 
 class TestSwitch:
     def test_levels(self):
-        assert switch_conductance(SwitchModel(selected=True)) == 1.0e-2
-        assert switch_conductance(SwitchModel(selected=False)) == 0.0
-        assert switch_conductance(SwitchModel(g_off=1e-6, selected=False)) == 1e-6
+        # a cell reads its switch at g_on when selected, at g_off otherwise
+        memristor = MemristorModel()
+        g_m = memristor_conductance(memristor)
+        for switch, level in ((SwitchModel(selected=True), 1.0e-2), (SwitchModel(selected=False), 0.0),
+                              (SwitchModel(g_off=1e-6, selected=False), 1e-6)):
+            cell = CellState(config=CellConfig.ONE_T1M, memristor=memristor, vl_switch=switch)
+            assert cell_conductance(cell) == series_conductance(np.inf, g_m, level)
 
     def test_validation(self):
         with pytest.raises(ValueError):

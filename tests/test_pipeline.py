@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tmsim.analog_blocks import softmax_circuit
-from tmsim.braille import BrailleGroup, build_dataset, encode, label_to_group, symbol_to_forces, symbols
+from tmsim.braille import BrailleGroup, _encode, build_dataset, label_to_group, symbol_to_forces, symbols
 from tmsim.config import load_config
 from tmsim.crossbar import ideal_dual_readout
 from tmsim.devices import fsr_conductance, memristor_conductance, series_conductance
@@ -32,19 +32,19 @@ from tmsim.pipeline import (
     TrainingError,
     _LOGIT_TIE_MARGIN,
     _STATE_LR_FACTOR,
+    _add_noise,
     _check_sigma2,
     _dataset_arrays,
+    _feature_norm_current,
     _hardware_logits,
     _network_input,
     _predicted_outputs,
     _state_increment_ladder,
     _state_sensitivity,
-    add_noise,
     arch_for,
     build_sensor_crossbar,
     evaluate,
     eval_report_to_csv,
-    feature_norm_current,
     forward,
     map_network,
     network_from_json,
@@ -60,7 +60,7 @@ ONES = np.ones((4, 2))
 
 
 def _features(forces, states, cfg):
-    return sensor_layer_forward(forces, states, cfg) / feature_norm_current(cfg)
+    return sensor_layer_forward(forces, states, cfg) / _feature_norm_current(cfg)
 
 
 def _random_network(labels, seed=0, mode="analog"):
@@ -291,7 +291,7 @@ class TestSensorLayer:
         assert np.all(readouts[2:] <= 2 * bias_current)  # row sums, 2 cells each
 
     def test_single_dot_dominates_its_column_and_row(self, cfg):
-        grid = symbol_to_forces(encode("A", BrailleGroup.GROUP1), cfg.f_press)
+        grid = symbol_to_forces(_encode("A", BrailleGroup.GROUP1), cfg.f_press)
         readouts = sensor_layer_forward(grid, ONES, cfg)
         cols, rows = readouts[:2], readouts[2:]
         assert cols[0] > cols[1]
@@ -309,7 +309,7 @@ class TestSensorLayer:
 
     def test_doubling_supply_doubles_readouts(self, cfg):
         cfg2 = replace(cfg, sensor=replace(cfg.sensor, v_supply=2 * cfg.sensor.v_supply))
-        grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
+        grid = symbol_to_forces(_encode("t", BrailleGroup.GROUP2), cfg.f_press)
         states = np.full((4, 2), 0.7)
         for fidelity in ("ideal", "nodal"):
             one = sensor_layer_forward(grid, states, cfg, fidelity)
@@ -319,7 +319,7 @@ class TestSensorLayer:
     def test_nodal_matches_ideal_when_parasitics_vanish(self, cfg):
         clean = replace(cfg, parasitics=replace(cfg.parasitics, wire_resistance=0.0,
                                                 switch_g_off=0.0))
-        grid = symbol_to_forces(encode("b", BrailleGroup.GROUP2), cfg.f_press)
+        grid = symbol_to_forces(_encode("b", BrailleGroup.GROUP2), cfg.f_press)
         states = np.full((4, 2), 0.4)
         np.testing.assert_allclose(
             sensor_layer_forward(grid, states, clean, "nodal"),
@@ -335,7 +335,7 @@ class TestSensorLayer:
         assert delta[2 + 1] == pytest.approx(cfg.dot_gain, rel=1e-9)
 
     def test_norm_current_frozen_value(self, cfg):
-        assert feature_norm_current(cfg) == pytest.approx(2.4149047690515002e-06, rel=1e-12)
+        assert _feature_norm_current(cfg) == pytest.approx(2.4149047690515002e-06, rel=1e-12)
 
     @pytest.mark.parametrize("v_supply", [0.5, 0.3])
     def test_ideal_matches_the_cellwise_crossbar_readout(self, cfg, v_supply):
@@ -374,25 +374,25 @@ class TestSensorLayer:
 class TestAddNoise:
     def test_zero_variance_is_identity(self):
         x = np.linspace(0.0, 5.0, 7)
-        out = add_noise(x, NoiseSpec(sigma2=0.0))
+        out = _add_noise(x, NoiseSpec(sigma2=0.0))
         np.testing.assert_array_equal(out, x)
         assert out is not x
 
     def test_sample_mean_within_three_sigma(self):
         n = 100_000
         sigma2 = 0.1
-        out = add_noise(np.zeros(n), NoiseSpec(sigma2=sigma2, seed=123))
+        out = _add_noise(np.zeros(n), NoiseSpec(sigma2=sigma2, seed=123))
         assert abs(out.mean()) < 3 * np.sqrt(sigma2 / n)
 
     def test_sample_variance_within_five_percent(self):
-        out = add_noise(np.zeros(100_000), NoiseSpec(sigma2=0.1, seed=123))
+        out = _add_noise(np.zeros(100_000), NoiseSpec(sigma2=0.1, seed=123))
         assert out.var() == pytest.approx(0.1, rel=0.05)
 
     def test_deterministic_per_seed(self):
         x = np.ones(50)
-        a = add_noise(x, NoiseSpec(sigma2=0.5, seed=9))
-        b = add_noise(x, NoiseSpec(sigma2=0.5, seed=9))
-        c = add_noise(x, NoiseSpec(sigma2=0.5, seed=10))
+        a = _add_noise(x, NoiseSpec(sigma2=0.5, seed=9))
+        b = _add_noise(x, NoiseSpec(sigma2=0.5, seed=9))
+        c = _add_noise(x, NoiseSpec(sigma2=0.5, seed=10))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -414,12 +414,13 @@ class TestAddNoise:
 
     def test_numpy_integer_seed_draws_the_same_stream(self):
         x = np.zeros(5)
-        assert np.array_equal(add_noise(x, NoiseSpec(0.1, seed=np.uint32(9))), add_noise(x, NoiseSpec(0.1, seed=9)))
+        assert np.array_equal(_add_noise(x, NoiseSpec(0.1, seed=np.uint32(9))),
+                              _add_noise(x, NoiseSpec(0.1, seed=9)))
 
 
 class TestTraining:
     def test_single_symbol_memorized_within_fifty_epochs(self, cfg):
-        grid = symbol_to_forces(encode("A", BrailleGroup.GROUP1), cfg.f_press)
+        grid = symbol_to_forces(_encode("A", BrailleGroup.GROUP1), cfg.f_press)
         dataset = [(grid, "A")] * 4
         arch = NetworkArch(labels=("A", "B"))
         tn = train(dataset, arch, TrainHyper(epochs=50, batch_size=4, seed=0), cfg)
@@ -505,7 +506,7 @@ class TestTraining:
         arch = NetworkArch(labels=("A", "B"))
         with pytest.raises(TrainingError):
             train([], arch, TrainHyper(epochs=1), cfg)
-        grid = symbol_to_forces(encode("A", BrailleGroup.GROUP1), cfg.f_press)
+        grid = symbol_to_forces(_encode("A", BrailleGroup.GROUP1), cfg.f_press)
         with pytest.raises(TrainingError):
             train([(grid, "Z")], arch, TrainHyper(epochs=1), cfg)
         with pytest.raises(TrainingError):
@@ -668,7 +669,7 @@ class TestMapping:
 class TestForward:
     def test_noiseless_t_is_recognized(self, cfg, g2_net):
         hw = map_network(g2_net, cfg)
-        grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
+        grid = symbol_to_forces(_encode("t", BrailleGroup.GROUP2), cfg.f_press)
         probs, label = forward(hw, grid)
         assert label == "t"
         assert probs.shape == (26,)
@@ -693,7 +694,7 @@ class TestForward:
             grid = rng.integers(0, 2, (4, 2)) * cfg.f_press
             noise = NoiseSpec(sigma2=sigma2, seed=3)
             probs, label = forward(hw, grid, noise=noise)
-            feats = add_noise(_features(grid, tn.sensor_states, cfg)[None], noise)
+            feats = _add_noise(_features(grid, tn.sensor_states, cfg)[None], noise)
             logits = _hardware_logits(hw, _network_input(feats, tn.mode, None, cfg.dot_gain))
             want = softmax_circuit(logits, params)[0] / (params.r_f * params.i_s)
             assert np.array_equal(probs, want)
@@ -715,21 +716,21 @@ class TestForward:
             probs, label = forward(hw, grid, noise=noise)
             feats = _features(grid, tn.sensor_states, cfg)[None]
             if noise is not None:
-                feats = add_noise(feats, noise)
+                feats = _add_noise(feats, noise)
             logits = _hardware_logits(hw, _network_input(feats, tn.mode, tn.binary_threshold, cfg.dot_gain))
             want = softmax_circuit(logits, params)[0] / (params.r_f * params.i_s)
             assert np.array_equal(probs, want)
             assert label == tn.arch.labels[int(np.argmax(want))]
 
     def test_non_finite_force_rejected(self, cfg, g2_net):
-        grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
+        grid = symbol_to_forces(_encode("t", BrailleGroup.GROUP2), cfg.f_press)
         grid[0, 1] = np.nan
         with pytest.raises(ValueError, match="forces must be finite"):
             forward(map_network(g2_net, cfg), grid)
 
     @pytest.mark.parametrize("bad", [-1.0, -np.inf])
     def test_negative_force_rejected(self, cfg, g2_net, bad):
-        grid = symbol_to_forces(encode("t", BrailleGroup.GROUP2), cfg.f_press)
+        grid = symbol_to_forces(_encode("t", BrailleGroup.GROUP2), cfg.f_press)
         grid[2, 0] = bad
         with pytest.raises(ValueError, match=f"force must be non-negative, got {bad}"):
             forward(map_network(g2_net, cfg), grid)
@@ -844,7 +845,7 @@ class TestEvaluate:
 
     def test_confusions_listed_for_misclassified_items(self, cfg):
         tn = _random_network(tuple("ABCD"), seed=13)
-        grids = [symbol_to_forces(encode(l, BrailleGroup.GROUP1), cfg.f_press)
+        grids = [symbol_to_forces(_encode(l, BrailleGroup.GROUP1), cfg.f_press)
                  for l in "ABCD"]
         report = evaluate(map_network(tn, cfg), list(zip(grids, "ABCD")), [0.0])
         entry = report.entries[0]
