@@ -277,7 +277,7 @@ def _equal_currents_flag(cfg: SimConfig) -> bool:
     from .devices import CellConfig, CellState, SwitchModel
     from .crossbar import CrossbarSpec
 
-    switch = SwitchModel(g_on=cfg.switch_g_on, g_off=cfg.switch_g_off, selected=True)
+    switch = SwitchModel(g_on=cfg.switch_g_on)
     cells = tuple(
         tuple(
             CellState(
@@ -325,18 +325,13 @@ def _cmd_leakage(args, cfg: SimConfig) -> int:
 
 def _cmd_cost(args, cfg: SimConfig) -> int:
     overrides = read_assignments(args.table, CostTable.__dataclass_fields__) if args.table else {}
-    try:
-        CostTable(**overrides)  # the range check, once, naming the file
+    try:  # the range check, naming the file
+        tables = {(style, processing): replace(default_table(style, processing), **overrides)
+                  for style in ("analog", "binary") for processing in ("parallel", "serial")}
     except ValueError as exc:
         raise ConfigError(f"{args.table}: {exc}") from exc
     arch = arch_for(["fusion"])
-    reports = []
-    for style in ("analog", "binary"):
-        for processing in ("parallel", "serial"):
-            table = default_table(style, processing)
-            if overrides:
-                table = replace(table, **overrides)
-            reports.append(estimate(arch, table, style, processing))
+    reports = [estimate(arch, table, style, processing) for (style, processing), table in tables.items()]
     by_key = {(r.style, r.processing): r for r in reports}
     serial_vs_parallel = compare(by_key[("analog", "serial")], by_key[("analog", "parallel")])
     analog_vs_binary = compare(by_key[("analog", "parallel")], by_key[("binary", "parallel")])

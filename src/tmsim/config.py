@@ -46,7 +46,6 @@ _DEFAULTS: dict[str, float | int] = {
     "memristor.r_on": 1.0e3,
     "memristor.r_off": 1.0e5,
     "switch.g_on": 1.0e-2,
-    "switch.g_off": 0.0,
     "parasitics.wire_resistance": 2.0,
     "parasitics.switch_g_off": 1.9e-3,
     "parasitics.termination_conductance": 1.0e6,
@@ -94,7 +93,6 @@ class SimConfig:
     sensor: SensorModel
     memristor: MemristorModel
     switch_g_on: float
-    switch_g_off: float
     parasitics: Parasitics
     softmax: SoftmaxParams
     f_press: float
@@ -111,11 +109,10 @@ class SimConfig:
             raise ConfigError(f"sensor.v_supply must be positive, got {self.sensor.v_supply}")
         if self.switch_g_on <= 0.0:
             raise ConfigError(f"switch.g_on must be positive, got {self.switch_g_on}")
-        for key, g_off in (("switch.g_off", self.switch_g_off),
-                           ("parasitics.switch_g_off", self.parasitics.switch_g_off)):
-            if not 0.0 <= g_off < self.switch_g_on:
-                raise ConfigError(f"{key} must be >= 0 and below switch.g_on "
-                                  f"({self.switch_g_on}), got {g_off}")
+        g_off = self.parasitics.switch_g_off
+        if not 0.0 <= g_off < self.switch_g_on:
+            raise ConfigError("parasitics.switch_g_off must be >= 0 and below switch.g_on "
+                              f"({self.switch_g_on}), got {g_off}")
         if self.parasitics.wire_resistance < 0.0:
             raise ConfigError("parasitics.wire_resistance must be non-negative, "
                               f"got {self.parasitics.wire_resistance}")
@@ -134,7 +131,6 @@ class SimConfig:
             ),
             memristor=MemristorModel(r_on=v["memristor.r_on"], r_off=v["memristor.r_off"]),
             switch_g_on=v["switch.g_on"],
-            switch_g_off=v["switch.g_off"],
             parasitics=Parasitics(
                 wire_resistance=v["parasitics.wire_resistance"],
                 switch_g_off=v["parasitics.switch_g_off"],

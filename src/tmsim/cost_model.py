@@ -34,7 +34,6 @@ from .pipeline import N_FEATURES, N_HIDDEN, NetworkArch, SENSOR_COLS, SENSOR_ROW
 
 __all__ = [
     "REFERENCE_BLOCK_FIGURES",
-    "MissingCostError",
     "CostTable",
     "BlockCounts",
     "CostReport",
@@ -88,17 +87,9 @@ REFERENCE_BLOCK_FIGURES = {
 }
 
 
-class MissingCostError(ValueError):
-    """A unit cost needed for the requested estimate is absent."""
-
-    def __init__(self, block: str) -> None:
-        super().__init__(f"cost table has no entry for block {block!r}")
-        self.block = block
-
-
 @dataclass(frozen=True)
 class CostTable:
-    """Per-instance unit costs; ``None`` marks an entry as absent.
+    """Per-instance unit costs.
 
     One table describes one (style, processing) combination: the amplifier
     entries of a serial table already include the multiplexing overhead,
@@ -106,25 +97,19 @@ class CostTable:
     stack rather than a softmax channel.
     """
 
-    sensor_area: float | None = None  # one sensor patch, m^2
-    cell_area: float | None = None  # one layers-2&3 crossbar cell, m^2
-    cell_power: float | None = None  # one crossbar cell, any layer, W
-    amp_area_l1: float | None = None  # one layer-1 line amplifier, m^2
-    amp_area_l23: float | None = None  # one layers-2&3 line amplifier, m^2
-    amp_power: float | None = None  # one line amplifier, W
-    division_area: float | None = None  # one per-output normalizer unit, m^2
-    division_power: float | None = None  # one per-output normalizer unit, W
+    sensor_area: float  # one sensor patch, m^2
+    cell_area: float  # one layers-2&3 crossbar cell, m^2
+    cell_power: float  # one crossbar cell, any layer, W
+    amp_area_l1: float  # one layer-1 line amplifier, m^2
+    amp_area_l23: float  # one layers-2&3 line amplifier, m^2
+    amp_power: float  # one line amplifier, W
+    division_area: float  # one per-output normalizer unit, m^2
+    division_power: float  # one per-output normalizer unit, W
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if value is not None and value < 0.0:
+            if value < 0.0:
                 raise ValueError(f"unit cost {name} must be non-negative, got {value}")
-
-    def require(self, field_name: str, block: str) -> float:
-        value = getattr(self, field_name)
-        if value is None:
-            raise MissingCostError(block)
-        return float(value)
 
 
 @dataclass(frozen=True)
@@ -254,38 +239,24 @@ def estimate(arch: NetworkArch, table: CostTable, style: str, processing: str) -
         processing=processing,
         arch_dims=(N_FEATURES, N_HIDDEN, arch.n_out),
         counts=counts,
-        area_crossbar_l1=counts.sensors * table.require("sensor_area", "sensor crossbar (layer 1)"),
-        area_crossbar_l23=counts.cells_l23 * table.require("cell_area", "weight crossbars (layers 2&3)"),
-        area_amps_l1=counts.amps_l1 * table.require("amp_area_l1", "amplifiers (layer 1)"),
-        area_amps_l23=(
-            counts.amps_l23 * table.require("amp_area_l23", "amplifiers (layers 2&3)")
-            + counts.divisions * table.require("division_area", "normalizer units (layers 2&3)")
-        ),
-        power_crossbars=counts.cells_total * table.require("cell_power", "crossbar cells"),
-        power_amps=(
-            counts.amps_l1 + counts.amps_l23
-        ) * table.require("amp_power", "line amplifiers")
-        + counts.divisions * table.require("division_power", "normalizer units"),
+        area_crossbar_l1=counts.sensors * table.sensor_area,
+        area_crossbar_l23=counts.cells_l23 * table.cell_area,
+        area_amps_l1=counts.amps_l1 * table.amp_area_l1,
+        area_amps_l23=counts.amps_l23 * table.amp_area_l23 + counts.divisions * table.division_area,
+        power_crossbars=counts.cells_total * table.cell_power,
+        power_amps=(counts.amps_l1 + counts.amps_l23) * table.amp_power + counts.divisions * table.division_power,
     )
 
 
 @dataclass(frozen=True)
 class CompareSummary:
-    block_area_delta: dict[str, float]  # b minus a
-    block_power_delta: dict[str, float]
-    total_area_delta: float
-    total_power_delta: float
     orderings: tuple[tuple[str, bool], ...]  # (description, holds)
 
 
 def compare(a: CostReport, b: CostReport) -> CompareSummary:
-    """Per-block deltas (b - a) plus checks of the expected power orderings."""
+    """Checks of the expected power orderings between two reports of one architecture."""
     if a.arch_dims != b.arch_dims:
         raise ValueError(f"reports cover different architectures: {a.arch_dims} vs {b.arch_dims}")
-    area_keys = ["area_crossbar_l1", "area_crossbar_l23", "area_amps_l1", "area_amps_l23"]
-    power_keys = ["power_crossbars", "power_amps"]
-    fa, fb = a.block_figures(), b.block_figures()
-
     orderings: list[tuple[str, bool]] = []
     by_proc = {r.processing: r for r in (a, b)}
     by_style = {r.style: r for r in (a, b)}
@@ -299,13 +270,7 @@ def compare(a: CostReport, b: CostReport) -> CompareSummary:
             ("analog total power < binary total power",
              by_style["analog"].total_power < by_style["binary"].total_power)
         )
-    return CompareSummary(
-        block_area_delta={k: fb[k] - fa[k] for k in area_keys},
-        block_power_delta={k: fb[k] - fa[k] for k in power_keys},
-        total_area_delta=b.total_area - a.total_area,
-        total_power_delta=b.total_power - a.total_power,
-        orderings=tuple(orderings),
-    )
+    return CompareSummary(orderings=tuple(orderings))
 
 
 _CSV_BLOCK_ROWS = (

@@ -20,6 +20,13 @@ laid out and compiled once into a cached plan that holds the node
 numbering, the branch ends and every index array of the banded
 elimination; a solve stamps the branch conductances and the drive into
 the plan and eliminates.
+
+Every readout is a layout plus its phases, each phase the line sets it
+senses and its stamps: ``VL_ONLY`` is one phase that senses the vertical
+lines, a 2T1M1S dual readout a column phase and a row phase, and a
+1T1M1S array read on both line sets one phase that senses both.  One
+rule reads every line: each line ends at a ground of its own, and its
+current is the current flowing into that ground.
 """
 
 from __future__ import annotations
@@ -403,43 +410,44 @@ class NodalDetail:
     """Bookkeeping from a nodal solve, for conservation checks."""
 
     injected: float  # A, net current delivered by the drive sources
-    absorbed: float  # A, net current sunk by grounds and terminations
+    absorbed: float  # A, net current sunk by the grounds
     unknown_nodes: int  # unknown potentials solved for, summed over readout phases
 
 
-def _line_sets(layout: _Layout, m: int, n: int, wired: bool, ends: dict[str, np.ndarray], hl_at: int,
-               terminated: bool, outs: bool) -> dict[str, np.ndarray]:
+def _line_sets(layout: _Layout, m: int, n: int, wired: bool, ends: dict[str, np.ndarray],
+               dual: bool) -> dict[str, np.ndarray]:
     """Lay out both line sets; returns the node of each set at every cell, shape (m, n).
 
-    Vertical line l meets ``ends["vl"][l]`` at its last crossing and
-    horizontal line k meets ``ends["hl"][k]`` at crossing ``hl_at``,
-    through a sense termination (group "term") when ``terminated``, or
-    else through one more wire segment, which merges an ideal line into
-    its end node.  Neighbouring crossings are joined by wire segments
-    (group "wire"); ideal wires make each line a single node.  ``outs``
-    adds a new output node per cell under "out".
+    Vertical line l meets ``ends["vl"][l]`` at its last crossing.  In a
+    VL_ONLY array horizontal line k meets ``ends["hl"][k]`` at its first
+    crossing through one more wire segment, which merges an ideal line into
+    its end node.  In a ``dual`` readout horizontal lines end at their last
+    crossing, every line meets its end through a sense termination (group
+    "term"), and each cell gets a new output node under "out".
+    Neighbouring crossings are joined by wire segments (group "wire");
+    ideal wires make each line a single node.
 
     With wire resistance a cell's nodes (vl crossing, hl crossing, output)
     are numbered together, cell by cell in row-major order, so every
     coupling stays within 3n places of the diagonal and the banded solve
     runs on narrow blocks.
     """
-    end = "term" if terminated else "wire"
+    end = "term" if dual else "wire"
     if wired:
-        names = ("vl", "hl", "out") if outs else ("vl", "hl")
+        names = ("vl", "hl", "out") if dual else ("vl", "hl")
         grid = layout.nodes(m * n * len(names)).reshape(m, n, len(names))
         nodes = {name: grid[:, :, i] for i, name in enumerate(names)}
-        for name, lines, at in (("vl", nodes["vl"].T, -1), ("hl", nodes["hl"], hl_at)):
+        for name, lines, at in (("vl", nodes["vl"].T, -1), ("hl", nodes["hl"], -1 if dual else 0)):
             layout.branch("wire", lines[:, :-1], lines[:, 1:])
             layout.branch(end, lines[:, at], ends[name])
         return nodes
     nodes = {}
     for name, shape in (("vl", (1, n)), ("hl", (m, 1))):
-        lines = layout.nodes(ends[name].size) if terminated else ends[name]
-        if terminated:
+        lines = layout.nodes(ends[name].size) if dual else ends[name]
+        if dual:
             layout.branch("term", lines, ends[name])
         nodes[name] = np.broadcast_to(lines.reshape(shape), (m, n))
-    if outs:
+    if dual:
         nodes["out"] = layout.nodes(m * n).reshape(m, n)
     return nodes
 
@@ -448,22 +456,26 @@ def _vl_only_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     """Horizontal lines driven at their first crossing, vertical lines grounded after their last."""
     sources = layout.nodes(m, fixed=True)
     grounds = layout.nodes(n, fixed=True)
-    lines = _line_sets(layout, m, n, wired, {"vl": grounds, "hl": sources}, 0, terminated=False, outs=False)
+    lines = _line_sets(layout, m, n, wired, {"vl": grounds, "hl": sources}, dual=False)
     layout.branch("cell", lines["hl"], lines["vl"])
-    return layout.compile(sources=sources, grounds=grounds)
+    return layout.compile(sources=sources, grounds=grounds, vl=grounds)
 
 
-def _dual_lines(layout: _Layout, m: int, n: int, wired: bool) -> tuple[int, dict[str, np.ndarray], dict]:
-    """Both line sets of a dual readout, every line ending in a sense termination to ground.
+def _dual_grounds(layout: _Layout, m: int, n: int) -> dict[str, np.ndarray]:
+    """One ground per line of a dual readout, numbered before any unknown node: all, then per line set."""
+    grounds = layout.nodes(n + m, fixed=True)
+    return {"grounds": grounds, "vl": grounds[:n], "hl": grounds[n:]}
 
-    Returns the ground node, the node of each line set and of each cell
-    output at every cell, row-major, and the terminal node of each line.
+
+def _dual_lines(layout: _Layout, m: int, n: int, wired: bool) -> tuple[dict, dict[str, np.ndarray]]:
+    """Both line sets of a dual readout, every line ending in a sense termination to its own ground.
+
+    Returns the ground sites and the node of each line set and of each
+    cell output at every cell, row-major.
     """
-    gnd = layout.nodes(1, fixed=True)
-    lines = _line_sets(layout, m, n, wired, {"vl": np.repeat(gnd, n), "hl": np.repeat(gnd, m)}, -1,
-                       terminated=True, outs=True)
-    at = {name: nodes.ravel() for name, nodes in lines.items()}
-    return int(gnd[0]), at, {"vl": lines["vl"][-1], "hl": lines["hl"][:, -1]}
+    grounds = _dual_grounds(layout, m, n)
+    lines = _line_sets(layout, m, n, wired, grounds, dual=True)
+    return grounds, {name: nodes.ravel() for name, nodes in lines.items()}
 
 
 def _switched_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
@@ -474,31 +486,30 @@ def _switched_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     stamps "vl_col" and "hl", the row phase "hl" and "vl_row", and the
     group a phase does not use carries zeros.
     """
-    gnd, at, terminals = _dual_lines(layout, m, n, wired)
+    grounds, at = _dual_lines(layout, m, n, wired)
     sources = layout.nodes(m * n, fixed=True)
     layout.branch("body", sources, at["out"])
     layout.branch("vl_col", at["out"], at["vl"])
     layout.branch("hl", at["out"], at["hl"])
     layout.branch("vl_row", at["out"], at["vl"])
-    return layout.compile(sources=sources, gnd=gnd, **terminals)
+    return layout.compile(sources=sources, **grounds)
 
 
 def _shorted_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     """Single-switch cells hard-wired to both lines; ideal wires merge every line into one bus node."""
     if wired:
-        gnd, at, terminals = _dual_lines(layout, m, n, wired)
+        grounds, at = _dual_lines(layout, m, n, wired)
         outs = at["out"]
     else:
-        gnd, bus = int(layout.nodes(1, fixed=True)[0]), layout.nodes(1)
-        layout.branch("term", np.repeat(bus, n + m), np.repeat(gnd, n + m))
+        grounds, bus = _dual_grounds(layout, m, n), layout.nodes(1)
+        layout.branch("term", np.repeat(bus, n + m), grounds["grounds"])
         outs = np.repeat(bus, m * n)
-        terminals = {"vl": np.repeat(bus, n), "hl": np.repeat(bus, m)}
     sources = layout.nodes(m * n, fixed=True)
     layout.branch("cell", sources, outs)
     if wired:
         layout.branch("wire", outs, at["vl"])
         layout.branch("wire", outs, at["hl"])
-    return layout.compile(sources=sources, gnd=gnd, **terminals)
+    return layout.compile(sources=sources, **grounds)
 
 
 @functools.lru_cache
@@ -507,92 +518,70 @@ def _topology(lay, m: int, n: int, wired: bool) -> _Plan:
     return lay(_Layout(), m, n, wired)
 
 
-def _line_stamps(spec: CrossbarSpec) -> dict[str, float]:
-    """Conductances of the sense terminations and of the wire segments, which ideal wires lack."""
-    rw = spec.wire_resistance_per_segment
-    return {"term": spec.termination_conductance} | ({"wire": 1.0 / rw} if rw > 0.0 else {})
+def _phases(spec: CrossbarSpec) -> tuple[object, list[tuple[tuple[str, ...], dict]]]:
+    """The readout's layout function and its phases: the line sets each phase senses, and its stamps.
 
+    A 2T1M1S array is read in a column phase, then a row phase.  During a
+    phase the other line set's switches are driven off, so they contribute
+    only their off-state leakage, which drains into that line set's
+    terminations and is lost to the measurement.  A 1T1M1S array has one
+    switch per cell, so its output is hard-wired to both its lines: every
+    cell shorts the two line sets together and the sensed currents smear
+    across all lines (the miswiring case).
 
-def _solve_vl_only(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
-    plan = _topology(_vl_only_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
-    stamps = _line_stamps(spec) | {"cell": conductance_matrix(spec).ravel()}
-    _, inflow, unknowns = plan.solve(*plan.stamp(stamps, drive))
-    sensed = inflow[plan.sites["grounds"]]
-    detail = NodalDetail(injected=-float(inflow[plan.sites["sources"]].sum()), absorbed=float(sensed.sum()),
-                         unknown_nodes=unknowns)
-    return ReadoutVector(vl_currents=sensed, hl_currents=np.zeros(0)), detail
-
-
-def _solve_dual_switched(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
-    """2T1M1S dual readout: a column phase, then a row phase.
-
-    During a phase the other line set's switches are driven off, so they
-    contribute only their off-state leakage, which drains into that line
-    set's terminations and is lost to the measurement.
+    Raises:
+        ValueError: if a dual readout's cells are not all 1T1M1S or all 2T1M1S.
     """
-    plan = _topology(_switched_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
+    if spec.readout is Readout.VL_ONLY:
+        return _vl_only_layout, [(("vl",), {"cell": conductance_matrix(spec).ravel()})]
+    configs = {cell.config for row in spec.cells for cell in row}
+    if configs == {CellConfig.ONE_T1M1S}:
+        return _shorted_layout, [(("vl", "hl"), {"cell": conductance_matrix(spec).ravel()})]
+    if configs != {CellConfig.TWO_T1M1S}:
+        raise ValueError("dual readout supports uniform 1T1M1S or 2T1M1S grids only")
     sensor, memristor, switch_on, switch_off = _cells(spec)
     vl_active, hl_active = _driven(switch_on, switch_off)
     vl_idle, hl_idle = switch_off
-    stamps = _line_stamps(spec) | {"body": series_conductance(sensor, memristor)}
-    phases = (("vl", {"vl_col": vl_active, "hl": hl_idle, "vl_row": 0.0}),
-              ("hl", {"vl_col": 0.0, "hl": hl_active, "vl_row": vl_idle}))
-    drive = drive.ravel()
-    sensed = {}
-    injected = absorbed = 0.0
-    unknowns = 0
-    for line, switch_stamps in phases:
-        potential, inflow, size = plan.solve(*plan.stamp(stamps | switch_stamps, drive))
-        sensed[line] = spec.termination_conductance * potential[plan.sites[line]]
-        injected -= inflow[plan.sites["sources"]].sum()
-        absorbed += inflow[plan.sites["gnd"]]
-        unknowns += size
-    detail = NodalDetail(injected=float(injected), absorbed=float(absorbed), unknown_nodes=unknowns)
-    return ReadoutVector(vl_currents=sensed["vl"], hl_currents=sensed["hl"]), detail
+    body = series_conductance(sensor, memristor)
+    return _switched_layout, [(("vl",), {"body": body, "vl_col": vl_active, "hl": hl_idle, "vl_row": 0.0}),
+                              (("hl",), {"body": body, "vl_col": 0.0, "hl": hl_active, "vl_row": vl_idle})]
 
 
-def _solve_dual_shorted(spec: CrossbarSpec, drive: np.ndarray) -> tuple[ReadoutVector, NodalDetail]:
-    """Single-switch cells read on both line sets at once (the miswiring case).
-
-    With only one switch per cell the output node has to be hard-wired to
-    both its vertical and horizontal line, so every cell shorts the two
-    line sets together and the sensed currents smear across all lines.
-    With ideal wires the shorts merge every line into one bus node, which
-    the m + n sense terminations tie to ground.
-    """
-    plan = _topology(_shorted_layout, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
-    stamps = _line_stamps(spec) | {"cell": conductance_matrix(spec).ravel()}
-    potential, inflow, unknowns = plan.solve(*plan.stamp(stamps, drive.ravel()))
-    g_term = spec.termination_conductance
-    readouts = ReadoutVector(vl_currents=g_term * potential[plan.sites["vl"]],
-                             hl_currents=g_term * potential[plan.sites["hl"]])
-    detail = NodalDetail(injected=-float(inflow[plan.sites["sources"]].sum()),
-                         absorbed=float(inflow[plan.sites["gnd"]]), unknown_nodes=unknowns)
-    return readouts, detail
-
-
-def _dual_drive(spec: CrossbarSpec, drive) -> np.ndarray:
+def _drive(spec: CrossbarSpec, drive) -> np.ndarray:
+    """The source potentials: one per horizontal line (VL_ONLY) or one per cell, row-major."""
     arr = np.asarray(drive, dtype=float)
+    if spec.readout is Readout.VL_ONLY:
+        return np.broadcast_to(arr, (spec.m,))
     if arr.ndim == 0:
-        return np.full((spec.m, spec.n), float(arr))
+        return np.full(spec.m * spec.n, float(arr))
     if arr.shape != (spec.m, spec.n):
         raise ValueError(f"dual-readout drive must be scalar or {spec.m} x {spec.n}, got {arr.shape}")
-    return arr
+    return arr.ravel()
 
 
 def solve_nodal_detail(spec: CrossbarSpec, drive) -> tuple[ReadoutVector, NodalDetail]:
-    """Full nodal solve returning readouts plus conservation bookkeeping."""
-    if spec.readout is Readout.VL_ONLY:
-        drive_arr = np.broadcast_to(np.asarray(drive, dtype=float), (spec.m,))
-        return _solve_vl_only(spec, drive_arr)
+    """Full nodal solve returning readouts plus conservation bookkeeping.
 
-    configs = {cell.config for row in spec.cells for cell in row}
-    drive_arr = _dual_drive(spec, drive)
-    if configs == {CellConfig.TWO_T1M1S}:
-        return _solve_dual_switched(spec, drive_arr)
-    if configs == {CellConfig.ONE_T1M1S}:
-        return _solve_dual_shorted(spec, drive_arr)
-    raise ValueError("dual readout supports uniform 1T1M1S or 2T1M1S grids only")
+    Every phase stamps the readout's one plan and solves it; a line is
+    sensed as the current flowing into its ground.
+    """
+    drive = _drive(spec, drive)
+    lay, phases = _phases(spec)
+    rw = spec.wire_resistance_per_segment
+    plan = _topology(lay, spec.m, spec.n, rw > 0.0)
+    lines = {"term": spec.termination_conductance} | ({"wire": 1.0 / rw} if rw > 0.0 else {})
+    sensed = {"hl": np.zeros(0)}
+    injected = absorbed = 0.0
+    unknowns = 0
+    for senses, stamps in phases:
+        _, inflow, size = plan.solve(*plan.stamp(lines | stamps, drive))
+        for line in senses:
+            sensed[line] = inflow[plan.sites[line]]
+        injected -= inflow[plan.sites["sources"]].sum()
+        absorbed += np.add.accumulate(inflow[plan.sites["grounds"]])[-1]  # one after another, in ground order
+        unknowns += size
+    detail = NodalDetail(injected=float(injected), absorbed=float(absorbed), unknown_nodes=unknowns)
+    return ReadoutVector(vl_currents=sensed["vl"], hl_currents=sensed["hl"]), detail
 
 
 def solve_nodal(spec: CrossbarSpec, drive) -> ReadoutVector:

@@ -291,10 +291,11 @@ def build_sensor_crossbar(
     """4x2 dual-readout 2T1M1S array for one force pattern.
 
     ``parasitic`` swaps in the calibrated wire resistance and switch
-    off-conductance so ``solve_nodal`` exposes the sneak-path droop.
+    off-conductance so ``solve_nodal`` exposes the sneak-path droop;
+    without it the array is ideal: ideal wires and switches that do not leak.
     """
     forces, states = _check_sensor_arrays(forces, states)
-    g_off = cfg.parasitics.switch_g_off if parasitic else cfg.switch_g_off
+    g_off = cfg.parasitics.switch_g_off if parasitic else 0.0
     wire = cfg.parasitics.wire_resistance if parasitic else 0.0
     switch = SwitchModel(g_on=cfg.switch_g_on, g_off=g_off, selected=True)
     r_on, r_off = cfg.memristor.r_on, cfg.memristor.r_off

@@ -322,7 +322,8 @@ class TestBadFlags:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("sensor.r_divider", "1e4"), ("softmax.i_s", "1e-9")])
+    @pytest.mark.parametrize("key, value", [("sensor.r_divider", "1e4"), ("softmax.i_s", "1e-9"),
+                                            ("switch.g_off", "1e-3")])
     @pytest.mark.parametrize("source", ["file", "env"])
     def test_removed_config_key_exits_before_output(self, tmp_path, monkeypatch, capsys,
                                                     key, value, source):

@@ -9,7 +9,6 @@ import pytest
 from tmsim.cost_model import (
     REFERENCE_BLOCK_FIGURES,
     CostTable,
-    MissingCostError,
     _PROCESSINGS,
     _STYLES,
     _block_counts,
@@ -100,15 +99,9 @@ class TestEstimate:
         for block, figure in one.block_figures().items():
             assert two.block_figures()[block] == pytest.approx(2 * figure, rel=1e-12)
 
-    def test_missing_entry_names_the_block(self):
-        table = replace(default_table("analog", "parallel"), division_power=None)
-        with pytest.raises(MissingCostError, match="normalizer units") as exc_info:
-            estimate(REFERENCE_ARCH, table, "analog", "parallel")
-        assert exc_info.value.block == "normalizer units"
-
     def test_negative_unit_cost_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            CostTable(cell_area=-1e-9)
+            replace(default_table("analog", "parallel"), cell_area=-1e-9)
 
     def test_bad_style_rejected(self):
         with pytest.raises(ValueError, match="style"):
@@ -118,26 +111,19 @@ class TestEstimate:
 class TestCompare:
     def test_self_comparison_is_all_zero_with_no_orderings(self):
         report = _reference_report("analog", "parallel")
-        summary = compare(report, report)
-        assert all(v == 0.0 for v in summary.block_area_delta.values())
-        assert all(v == 0.0 for v in summary.block_power_delta.values())
-        assert summary.total_area_delta == 0.0
-        assert summary.total_power_delta == 0.0
-        assert summary.orderings == ()
+        assert compare(report, report).orderings == ()
 
     def test_serial_beats_parallel_on_power_for_analog(self):
         summary = compare(
             _reference_report("analog", "parallel"), _reference_report("analog", "serial")
         )
         assert summary.orderings == (("serial total power < parallel total power", True),)
-        assert summary.total_power_delta < 0.0
 
     def test_analog_beats_binary_on_power_in_parallel(self):
         summary = compare(
             _reference_report("analog", "parallel"), _reference_report("binary", "parallel")
         )
         assert summary.orderings == (("analog total power < binary total power", True),)
-        assert summary.total_power_delta > 0.0
 
     def test_architecture_mismatch_rejected(self):
         other = NetworkArch(labels=("x", "y"))

@@ -6,8 +6,10 @@ leakage) and for the conservation and degeneracy properties that hold in
 every regime.
 """
 
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,7 @@ from tmsim.pipeline import build_sensor_crossbar
 SENSOR = SensorModel()
 V_SUPPLY = 0.5
 LEAKAGE_SCALES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)  # the scales of `tmsim leakage`
+NODAL_GOLDEN = Path(__file__).parent / "data" / "nodal_readouts_golden.json"
 
 
 def _reference_solve(a, b, g, volts):
@@ -503,6 +506,12 @@ class TestAgainstDenseSolve:
         solve_nodal(_weight_grid(rng, 24, 24, wire_resistance=2.0), rng.uniform(0.1, 0.5, 24))
         assert against_dense == [2 * 24 * 24]
 
+    def test_vl_only_grid_with_ideal_wires(self, against_dense):
+        # every line is a fixed node, so the solve has no unknowns and only the ground inflows remain
+        rng = np.random.default_rng(35)
+        solve_nodal(_weight_grid(rng, 6, 5), rng.uniform(0.1, 0.5, 6))
+        assert against_dense == [0]
+
     @pytest.mark.parametrize("wire_resistance", [0.0, 2.0])
     def test_shorted_readout(self, against_dense, wire_resistance):
         spec = _sensor_grid(np.random.default_rng(27), g_off=1.9e-3, wire_resistance=wire_resistance,
@@ -525,7 +534,12 @@ class TestAgainstDenseSolve:
         cells = [list(row) for row in tight.cells]
         cells[2][1] = replace(cells[2][1], hl_switch=SwitchModel(selected=False))
         one_deselected = replace(tight, cells=tuple(map(tuple, cells)))
-        specs = [leaky, tight, one_deselected, grid(0.0, selected=False), grid(1.9e-3, selected=False), leaky]
+        cells = [list(row) for row in leaky.cells]
+        cells[0][1] = replace(cells[0][1], vl_switch=replace(cells[0][1].vl_switch, selected=False))
+        cells[3][0] = replace(cells[3][0], hl_switch=replace(cells[3][0].hl_switch, selected=False))
+        leaky_deselected = replace(leaky, cells=tuple(map(tuple, cells)))
+        specs = [leaky, tight, one_deselected, grid(0.0, selected=False), grid(1.9e-3, selected=False),
+                 leaky_deselected, leaky]
 
         _topology(_switched_layout, 4, 2, wire_resistance > 0.0)
         compiled = _topology.cache_info().misses
@@ -539,10 +553,30 @@ class TestAgainstDenseSolve:
         assert results[4][0].concatenated().min() > 0.0  # off-state leakage still reaches every line
         # the deselected hl switch of cell (2, 1) costs row 2 that cell's current
         assert results[2][0].hl_currents[2] < results[1][0].hl_currents[2]
+        # a leaky deselected switch passes only its leakage: column 1 and row 3 lose most of a cell's current
+        (masked, _), (full, _) = results[5], results[0]
+        assert masked.vl_currents[1] < full.vl_currents[1] and masked.hl_currents[3] < full.hl_currents[3]
         if not wire_resistance:  # ideal wires and no leakage: each readout is the ideal one
             for spec, (readout, _) in zip(specs[1:4], results[1:4]):
                 np.testing.assert_allclose(readout.concatenated(), ideal_dual_readout(V_SUPPLY, spec).concatenated(),
                                            rtol=1e-9)
+
+
+class TestNodalGolden:
+    """Line currents of five symbol masks with seeded states at every `tmsim leakage` scale, pinned
+    within 1e-12: LAPACK builds may sum in another order, as for the dense reference."""
+
+    def test_readouts_match_the_golden(self, cfg):
+        golden = json.loads(NODAL_GOLDEN.read_text())
+        assert golden["scales"] == list(LEAKAGE_SCALES) and len(golden["patterns"]) == 5
+        for pattern in golden["patterns"]:
+            forces = cfg.f_press * np.array(pattern["dots"])
+            for scale in LEAKAGE_SCALES:
+                spec = build_sensor_crossbar(forces, pattern["states"], _scaled(cfg, scale), parasitic=True)
+                got = solve_nodal(spec, golden["v_supply"])
+                want = pattern["readouts"][repr(scale)]
+                np.testing.assert_allclose(got.vl_currents, want["vl_currents"], rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(got.hl_currents, want["hl_currents"], rtol=1e-12, atol=0.0)
 
 
 class TestTopologyCache:

@@ -21,7 +21,7 @@ PERFBENCH = ROOT / "perfbench"
 # Types and exceptions that public functions return, raise or hold: a caller
 # meets them without naming them, so they stay public without a user.
 RESULT_TYPES = {
-    "BrailleSymbol", "UnknownSymbolError", "TrainParams", "Parasitics", "MissingCostError", "BlockCounts",
+    "BrailleSymbol", "UnknownSymbolError", "TrainParams", "Parasitics", "BlockCounts",
     "CostReport", "CompareSummary", "ReadoutVector", "SingularNetworkError", "WeightRangeError",
     "NodalDetail", "TrainedNetwork", "HardwareNetwork", "EvalEntry", "EvalReport", "SweepRow",
 }
