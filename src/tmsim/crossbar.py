@@ -14,12 +14,19 @@ segments, switch off-state leakage, finite sense-amp termination -- and is
 the reference for sneak-path studies; the ``ideal_*`` functions implement
 the loss-free algebra the network should approach as parasitics vanish.
 
+A spec's cells are read once, on first use, into a cached read-only table
+of arrays (sensor, memristor and switch conductances, and the set of cell
+wirings) that ``conductance_matrix``, the ideal readout and the nodal
+stamps all read.
+
 The network's shape depends only on its topology: the readout, the cell
 wiring, m, n and whether the wires have resistance.  Each topology is
 laid out and compiled once into a cached plan that holds the node
 numbering, the branch ends and every index array of the banded
 elimination; a solve stamps the branch conductances and the drive into
-the plan and eliminates.
+the plan, scatters them into the matrix blocks in one ``np.bincount`` and
+eliminates, carrying from block to block only the columns that couple
+to the next block.
 
 Every readout is a layout plus its phases, each phase the line sets it
 senses and its stamps: ``VL_ONLY`` is one phase that senses the vertical
@@ -34,12 +41,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .devices import (CellConfig, CellState, MemristorModel, _fsr_affine, memristor_conductance,
-                      series_conductance)
+from .devices import (CellConfig, CellState, MemristorModel, _fsr_affine, _reciprocal_sum,
+                      memristor_conductance, series_conductance)
 
 __all__ = [
     "Readout",
@@ -125,12 +132,19 @@ class CrossbarSpec:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"crossbar needs m, n >= 1, got {self.m} x {self.n}")
+        # tuples, so that the grid ``_table`` caches cannot change under it
+        object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
         if len(self.cells) != self.m or any(len(row) != self.n for row in self.cells):
             raise ValueError(f"cell grid must be {self.m} x {self.n}")
         if self.wire_resistance_per_segment < 0.0:
             raise ValueError("wire resistance must be non-negative")
         if self.termination_conductance <= 0.0:
             raise ValueError("termination conductance must be positive")
+
+    @functools.cached_property
+    def _table(self) -> _CellTable:
+        """The cells as arrays, read by ``_cells`` on first use and kept: a spec and its cells are immutable."""
+        return _cells(self)
 
 
 def ideal_mac_vl(v: Sequence[float], g: np.ndarray) -> np.ndarray:
@@ -150,27 +164,42 @@ def ideal_mac_vl(v: Sequence[float], g: np.ndarray) -> np.ndarray:
     return v_arr @ g_arr
 
 
-def _cells(spec: CrossbarSpec) -> tuple[np.ndarray, ...]:
+class _CellTable(NamedTuple):
+    """A spec's cells as read-only arrays over the grid, row-major; see ``_cells``."""
+
+    sensor: np.ndarray  # (m * n,)
+    memristor: np.ndarray  # (m * n,)
+    on: np.ndarray  # (2, m * n): vl, hl
+    off: np.ndarray  # (2, m * n): vl, hl
+    configs: frozenset  # the CellConfig of every cell
+
+
+def _cells(spec: CrossbarSpec) -> _CellTable:
     """Every cell of the grid, row-major: its sensor conductance (inf for a
     cell without a sensor) and memristor conductance, then one row per line
     set (vl, hl) of its switch's conductance in the ideal readout (g_on, or
     0 when deselected) and when off (g_off); ``_driven`` derives the driven
     value from the two.  A single-switch cell's one switch serves both line
-    sets.
+    sets.  Also the set of the cells' wirings.
 
     ``CellState`` has rejected negative and non-finite forces, so the
-    sensor runs ``fsr_conductance``'s formula without its check.
+    sensor runs ``fsr_conductance``'s formula without its check.  Every
+    reader of a spec shares its one table (``CrossbarSpec._table``), so the
+    arrays are read-only.
     """
-    table = []
+    table, configs = [], set()
     for row in spec.cells:
         for cell in row:
+            configs.add(cell.config)
             vl = cell.vl_switch
             hl = cell.hl_switch or vl
             table += (np.inf if cell.sensor is None else _fsr_affine(cell.sensor, cell.force_f),
                       memristor_conductance(cell.memristor),
                       vl.g_on if vl.selected else 0.0, hl.g_on if hl.selected else 0.0, vl.g_off, hl.g_off)
     table = np.array(table).reshape(-1, 6).T
-    return table[0], table[1], table[2:4], table[4:]
+    cells = _CellTable(table[0], table[1], table[2:4], table[4:], frozenset(configs))
+    _freeze(cells._asdict())
+    return cells
 
 
 def _driven(on: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -186,7 +215,7 @@ def conductance_matrix(spec: CrossbarSpec) -> np.ndarray:
     A cell without a sensor fills the sensor's place in the series with an
     infinite conductance (a short), whose reciprocal adds 0 to the sum.
     """
-    sensor, memristor, on, off = _cells(spec)
+    sensor, memristor, on, off, _ = spec._table
     return series_conductance(sensor, memristor, _driven(on[0], off[0])).reshape(spec.m, spec.n)
 
 
@@ -209,16 +238,18 @@ def ideal_dual_readout(v_supply: float, spec: CrossbarSpec) -> ReadoutVector:
         vl[l] = sum_k v_supply * g_kl * [vl switch selected]
         hl[k] = sum_l v_supply * g_kl * [hl switch selected]
 
-    g_kl is ``cell_conductance`` with that line's switch on.
+    g_kl is ``cell_conductance`` with that line's switch on.  The cell
+    models have checked every part, so the series formula runs unchecked.
 
     Raises:
         ValueError: if any cell is not 2T1M1S (single-switch arrays cannot
             attribute their current to both line sets).
     """
-    if any(cell.config is not CellConfig.TWO_T1M1S for row in spec.cells for cell in row):
+    sensor, memristor, switch_on, _, configs = spec._table
+    if configs != {CellConfig.TWO_T1M1S}:
         raise ValueError("dual readout requires 2T1M1S cells")
-    sensor, memristor, switch_on, _ = _cells(spec)
-    vl, hl = series_conductance(sensor, memristor, switch_on).reshape(2, spec.m, spec.n)
+    with np.errstate(divide="ignore"):  # a deselected switch stamps an exact 0, and the cell reads 0
+        vl, hl = _reciprocal_sum((sensor, memristor, switch_on)).reshape(2, spec.m, spec.n)
     out = _line_sums(vl, hl, np.empty(spec.n + spec.m))
     out *= v_supply
     return ReadoutVector(vl_currents=out[:spec.n], hl_currents=out[spec.n:])
@@ -236,7 +267,8 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _freeze(*namespaces: dict) -> None:
-    """Make the arrays among the values read-only: one cached plan serves every solve of its topology."""
+    """Make the arrays among the values read-only: one cached plan serves every solve of its
+    topology, and one cell table every reader of its spec."""
     for namespace in namespaces:
         for value in namespace.values():
             if isinstance(value, np.ndarray):
@@ -293,15 +325,11 @@ class _Plan:
         index = np.full(fixed.size, -1)
         index[self.unknowns] = np.arange(size)
         ia, ib = index[a], index[b]
-        ends = _interleave(ia, ib)
-        free = ends >= 0
-        # diagonal[at[i]] += g[of[i]], and so on: each pair is a bincount's bins and weights
-        self.diagonal_at, self.diagonal_of = ends[free], np.repeat(np.arange(a.size), 2)[free]
         one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
+        # rhs[at[i]] += g[of[i]] * volts[from[i]]: a bincount's bins and weights
         self.rhs_at, self.rhs_of = np.where(ia >= 0, ia, ib)[one], np.flatnonzero(one)
         self.rhs_from = np.where(ia >= 0, b, a)[one]
-        self.couplings = np.flatnonzero((ia >= 0) & (ib >= 0))
-        self.band = _Band(size, ia[self.couplings], ib[self.couplings])
+        self.band = _Band(size, ia, ib)
         self.flow_at = _interleave(a, b)
         _freeze(vars(self), sites)
 
@@ -328,15 +356,16 @@ class _Plan:
             raise ValueError(f"branch conductance must be non-negative, got {low}")
         unknowns = self.unknowns
         size = unknowns.size
-        diagonal = np.bincount(self.diagonal_at, g[self.diagonal_of], size)
         rhs = np.bincount(self.rhs_at, g[self.rhs_of] * volts[self.rhs_from], size)
 
         if size:
+            stacked = self.band.assemble(g)
+            diagonal = stacked[self.band.diagonal]
             if not diagonal.all():
                 isolated = unknowns[diagonal == 0.0]
                 raise SingularNetworkError(f"isolated nodes with no conductive path: {isolated.tolist()!r}")
             try:
-                volts[unknowns] = self.band.solve(diagonal, g[self.couplings], rhs)
+                volts[unknowns] = self.band.solve(stacked, rhs)
             except np.linalg.LinAlgError as exc:
                 raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
 
@@ -353,18 +382,33 @@ class _Plan:
 
 
 class _Band:
-    """Block partition of G u = rhs, G = diag(diagonal) minus g at (ia, ib) and (ib, ia).
+    """Block partition of the nodal matrix G of the branches ``ia[i]--ib[i]``
+    between unknowns, where -1 marks a fixed end.
 
-    The unknowns are cut into equal blocks, as many as fit at least as wide
-    as the half-bandwidth of the couplings and ``MIN_BLOCK``, so G is block
-    tridiagonal with diagonal blocks D_k and upper blocks U_k.  Forward
-    elimination forms the Schur complements
+    G has on its diagonal the conductance of every branch that meets each
+    unknown, and -g at (ia, ib) and (ib, ia) of every branch between two
+    unknowns.  The unknowns are cut into equal blocks, as many as fit at
+    least as wide as the half-bandwidth of the couplings and ``MIN_BLOCK``,
+    so G is block tridiagonal with diagonal blocks D_k and upper blocks U_k;
+    ``assemble`` scatters a solve's conductances into all of them in one
+    ``np.bincount``.  Forward elimination forms the Schur complements
     S_k = D_k - U_{k-1}^T S_{k-1}^-1 U_{k-1}; G is symmetric positive
-    definite, so no pivoting across blocks is needed.  The last block is
-    padded with identity rows.  A system of one block is a dense solve.
+    definite, so no pivoting across blocks is needed.  The couplings
+    between blocks reach only some columns of the next block (``columns``;
+    where the band sets the width, a block is a row of cells and these are
+    its n vertical-line crossings, of 3n unknowns in a wired dual array and
+    of 2n in a wired VL_ONLY grid), so U_k keeps only those columns, they
+    alone are carried through each block's solve, and the update changes
+    only their rows and columns of S_{k+1}.  The last block is padded with
+    identity rows.  A system of one block is a dense solve.
     """
 
     def __init__(self, size: int, ia: np.ndarray, ib: np.ndarray) -> None:
+        ends = _interleave(ia, ib)
+        free = ends >= 0  # each end at an unknown adds its branch to that unknown's diagonal entry
+        diagonal_at, diagonal_of = ends[free], np.repeat(np.arange(ia.size), 2)[free]
+        coupled = np.flatnonzero((ia >= 0) & (ib >= 0))
+        ia, ib = ia[coupled], ib[coupled]
         # below two narrowest blocks of unknowns the system is one block, whatever its band
         half = int(np.abs(ia - ib).max()) if size >= 2 * MIN_BLOCK and ia.size else 0
         self.size = size
@@ -373,35 +417,53 @@ class _Band:
         self.spare = blocks * width - size
         inner = ia // width == ib // width if blocks > 1 else np.ones(ia.size, dtype=bool)
         rows, cols = _interleave(ia[inner], ib[inner]), _interleave(ib[inner], ia[inner])
-        # entry (i, j) of a block sits at i * width + j % width of the stacked blocks
-        self.inner_at, self.inner_of = rows * width + cols % width, np.repeat(np.flatnonzero(inner), 2)
-        cross = np.flatnonzero(~inner)
+        cross = ~inner
         lo, hi = np.minimum(ia[cross], ib[cross]), np.maximum(ia[cross], ib[cross])
-        self.cross_at, self.cross_of = lo * width + hi % width, cross
+        self.columns = columns = np.unique(hi % width)
+        # stacked blocks: D_0, ..., D_{B-1}, then U_0, ..., U_{B-2} on the coupled columns only;
+        # entry (i, j) of a D_k sits at i * width + j % width, of a U_k at i * |columns| + j's place in columns
+        square = blocks * width * width
+        self.bins = square + (blocks - 1) * width * columns.size
+        node = np.arange(blocks * width)
+        diagonal = node * width + node % width
+        self.diagonal, self.padding = diagonal[:size], diagonal[size:]
+        # stacked[at[i]] += g[of[i]], the diagonal entries first, then from ``first_coupling`` on with -g
+        self.at = np.concatenate((diagonal[diagonal_at], rows * width + cols % width,
+                                  square + lo * columns.size + np.searchsorted(columns, hi % width)))
+        self.of = np.concatenate((diagonal_of, np.repeat(coupled[inner], 2), coupled[cross]))
+        self.first_coupling = diagonal_at.size
         _freeze(vars(self))
 
-    def solve(self, diagonal: np.ndarray, g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        blocks, width, spare = self.blocks, self.width, self.spare
-        d = np.bincount(self.inner_at, -g[self.inner_of], blocks * width * width)
-        d = d.astype(float, copy=False).reshape(blocks, width, width)  # no weights gives ints
-        if spare:
-            diagonal, rhs = np.concatenate((diagonal, np.ones(spare))), np.concatenate((rhs, np.zeros(spare)))
-        d.reshape(blocks, width * width)[:, :: width + 1] = diagonal.reshape(blocks, width)
-        y = rhs.reshape(blocks, width)
-        if blocks == 1:
-            return np.linalg.solve(d[0], y[0])
+    def assemble(self, g: np.ndarray) -> np.ndarray:
+        """Every block of G for the branch conductances ``g``, stacked flat in one scatter."""
+        weights = g[self.of]
+        weights[self.first_coupling:] *= -1.0
+        stacked = np.bincount(self.at, weights, self.bins)
+        if self.spare:
+            stacked[self.padding] = 1.0
+        return stacked
 
-        u = np.bincount(self.cross_at, -g[self.cross_of], (blocks - 1) * width * width)
-        u = u.reshape(blocks - 1, width, width)
+    def solve(self, stacked: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The unknowns of G u = rhs, G from ``assemble``."""
+        blocks, width, cols = self.blocks, self.width, self.columns
+        d = stacked[: blocks * width * width].reshape(blocks, width, width)
+        if blocks == 1:
+            return np.linalg.solve(d[0], rhs)
+
+        u = stacked[blocks * width * width:].reshape(blocks - 1, width, cols.size)
+        y = np.concatenate((rhs, np.zeros(self.spare))).reshape(blocks, width)  # a copy: r is updated in place
+        across = np.ix_(cols, cols)
         carried = []  # S_k^-1 [U_k | y'_k]
         s, r = d[0], y[0]
         for k in range(blocks - 1):
             carried.append(np.linalg.solve(s, np.column_stack((u[k], r))))
             update = u[k].T @ carried[-1]
-            s, r = d[k + 1] - update[:, :-1], y[k + 1] - update[:, -1]
+            s, r = d[k + 1], y[k + 1]
+            s[across] -= update[:, :-1]
+            r[cols] -= update[:, -1]
         x = [np.linalg.solve(s, r)]
         for solved in reversed(carried):
-            x.append(solved[:, -1] - solved[:, :-1] @ x[-1])
+            x.append(solved[:, -1] - solved[:, :-1] @ x[-1][cols])
         return np.concatenate(x[::-1])[: self.size]
 
 
@@ -534,23 +596,31 @@ def _phases(spec: CrossbarSpec) -> tuple[object, list[tuple[tuple[str, ...], dic
     """
     if spec.readout is Readout.VL_ONLY:
         return _vl_only_layout, [(("vl",), {"cell": conductance_matrix(spec).ravel()})]
-    configs = {cell.config for row in spec.cells for cell in row}
+    sensor, memristor, switch_on, switch_off, configs = spec._table
     if configs == {CellConfig.ONE_T1M1S}:
         return _shorted_layout, [(("vl", "hl"), {"cell": conductance_matrix(spec).ravel()})]
     if configs != {CellConfig.TWO_T1M1S}:
         raise ValueError("dual readout supports uniform 1T1M1S or 2T1M1S grids only")
-    sensor, memristor, switch_on, switch_off = _cells(spec)
     vl_active, hl_active = _driven(switch_on, switch_off)
     vl_idle, hl_idle = switch_off
-    body = series_conductance(sensor, memristor)
+    body = _reciprocal_sum((sensor, memristor))  # checked parts, both positive
     return _switched_layout, [(("vl",), {"body": body, "vl_col": vl_active, "hl": hl_idle, "vl_row": 0.0}),
                               (("hl",), {"body": body, "vl_col": 0.0, "hl": hl_active, "vl_row": vl_idle})]
 
 
 def _drive(spec: CrossbarSpec, drive) -> np.ndarray:
-    """The source potentials: one per horizontal line (VL_ONLY) or one per cell, row-major."""
+    """The source potentials: one per horizontal line (VL_ONLY) or one per cell, row-major.
+
+    Raises:
+        ValueError: naming the first potential that is not finite, or the
+            shape of a drive that fits neither a scalar nor the sources.
+    """
     arr = np.asarray(drive, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"drive must be finite, got {arr[~np.isfinite(arr)][0]}")
     if spec.readout is Readout.VL_ONLY:
+        if arr.shape not in ((), (spec.m,)):
+            raise ValueError(f"VL_ONLY drive must be scalar or length {spec.m}, got {arr.shape}")
         return np.broadcast_to(arr, (spec.m,))
     if arr.ndim == 0:
         return np.full(spec.m * spec.n, float(arr))

@@ -7,6 +7,7 @@ every regime.
 """
 
 import json
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from tmsim.crossbar import (
     SingularNetworkError,
     WeightRangeError,
     _Band,
+    _cells,
     _interleave,
     _Layout,
     _Plan,
@@ -369,6 +371,25 @@ class TestNodalContract:
         with pytest.raises(ValueError, match="non-negative"):
             plan.solve(*plan.stamp({"r": [1e-3, -1e-4]}, 0.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_non_finite_drive_is_rejected(self, dual, bad):
+        rng = np.random.default_rng(36)
+        if dual:
+            spec, drive = _sensor_grid(rng, g_off=1.9e-3, wire_resistance=2.0), np.full((4, 2), 0.5)
+            drive[2, 1] = bad
+        else:
+            spec, drive = _weight_grid(rng, 3, 2, wire_resistance=2.0), bad
+        with pytest.raises(ValueError, match=f"^drive must be finite, got {bad}$"):
+            solve_nodal(spec, drive)
+
+    @pytest.mark.parametrize("drive", [[0.1, 0.2], np.full((3, 1), 0.2)])
+    def test_vl_only_drive_of_the_wrong_shape_is_rejected(self, drive):
+        spec = _weight_grid(np.random.default_rng(37), 3, 2, wire_resistance=2.0)
+        shape = np.shape(drive)
+        with pytest.raises(ValueError, match=re.escape(f"VL_ONLY drive must be scalar or length 3, got {shape}")):
+            solve_nodal(spec, drive)
+
     def test_divider_with_a_short(self):
         potential, inflow, unknowns = _divider()
         assert unknowns == 1
@@ -405,31 +426,57 @@ class TestNodalContract:
 
 
 def _band_system(rng, size, half):
-    """Random symmetric, diagonally dominant system with couplings within ``half`` of the diagonal.
-
-    Off-diagonal entries are negative and every row has a positive excess,
-    so the inverse is positive and a positive right-hand side gives a
-    solution with no entry near zero.  Returns the branch form that
-    ``_Band`` takes and the dense matrix.
-    """
+    """Random system of ``_branch_system`` with couplings within ``half`` of the diagonal."""
     i = np.concatenate([np.arange(size - k) for k in range(1, min(half, size - 1) + 1)])
     j = i + np.concatenate([np.full(size - k, k) for k in range(1, min(half, size - 1) + 1)])
     keep = rng.permutation(i.size)[: max(1, i.size * 3 // 4)]
     keep = keep[np.argsort(rng.uniform(size=keep.size))]
-    i, j = i[keep], j[keep]
+    return _branch_system(rng, size, i[keep], j[keep])
+
+
+def _branch_system(rng, size, i, j):
+    """Random symmetric, diagonally dominant system with couplings ``i[k]--j[k]`` between unknowns.
+
+    Off-diagonal entries are negative and every unknown has one more
+    branch, to a fixed node, that gives its row a positive excess, so the
+    inverse is positive and a positive right-hand side gives a solution
+    with no entry near zero.  Returns the branch form that ``_Band`` takes
+    (ends, -1 for the fixed one, conductances and right-hand side) and the
+    dense matrix.
+    """
     swap = rng.uniform(size=i.size) < 0.5
     i, j = np.where(swap, j, i), np.where(swap, i, j)
     g = rng.uniform(0.1, 1.0, i.size)
-    diagonal = (np.bincount(i, weights=g, minlength=size) + np.bincount(j, weights=g, minlength=size)
-                + rng.uniform(0.01, 1.0, size))
-    dense = np.diag(diagonal)
+    excess = rng.uniform(0.01, 1.0, size)
+    dense = np.diag(np.bincount(i, weights=g, minlength=size) + np.bincount(j, weights=g, minlength=size) + excess)
     np.add.at(dense, (i, j), -g)
     np.add.at(dense, (j, i), -g)
-    return (diagonal, i, j, g, rng.uniform(0.5, 1.0, size)), dense
+    branches = (np.concatenate((i, np.arange(size))), np.concatenate((j, np.full(size, -1))),
+                np.concatenate((g, excess)))
+    return branches + (rng.uniform(0.5, 1.0, size),), dense
 
 
 class TestBandedSolve:
     """The block-tridiagonal elimination against a dense solve."""
+
+    @staticmethod
+    def _solve(monkeypatch, size, system, blocks):
+        """Solves ``system`` of ``_branch_system`` with one ``np.linalg.solve`` per block; returns the band."""
+        (ia, ib, g, rhs), dense = system
+        want = np.linalg.solve(dense, rhs)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*a):
+            calls.append(a[0].shape[0])
+            return solve(*a)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        band = _Band(size, ia, ib)
+        got = band.solve(band.assemble(g), rhs)
+        assert len(calls) == blocks
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        return band
 
     @pytest.mark.parametrize("size, half, blocks", [
         (4 * MIN_BLOCK, 5, 4),  # a multiple of the block width
@@ -440,20 +487,22 @@ class TestBandedSolve:
         (5 * MIN_BLOCK, 2 * MIN_BLOCK + 1, 2),  # the band sets the width
     ])
     def test_matches_dense_solve(self, monkeypatch, size, half, blocks):
-        args, dense = _band_system(np.random.default_rng(size + half), size, half)
-        want = np.linalg.solve(dense, args[-1])
-        calls = []
-        solve = np.linalg.solve
+        self._solve(monkeypatch, size, _band_system(np.random.default_rng(size + half), size, half), blocks)
 
-        def counted(*a):
-            calls.append(a[0].shape[0])
-            return solve(*a)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        diagonal, i, j, g, rhs = args
-        got = _Band(size, i, j).solve(diagonal, g, rhs)
-        assert len(calls) == blocks
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    @pytest.mark.parametrize("every_column", [True, False])
+    def test_carries_only_the_coupled_columns(self, monkeypatch, every_column):
+        # four blocks of MIN_BLOCK unknowns, each a chain; across each block boundary every unknown
+        # couples to its counterpart in the next block, or every one to the next block's first unknown
+        width, blocks = MIN_BLOCK, 4
+        size = width * blocks
+        chain = np.flatnonzero(np.arange(size - 1) % width != width - 1)
+        head = np.arange(size - width)
+        across = head + width if every_column else (head // width + 1) * width
+        system = _branch_system(np.random.default_rng(33), size, np.concatenate((chain, head)),
+                                np.concatenate((chain + 1, across)))
+        band = self._solve(monkeypatch, size, system, blocks)
+        assert band.width == width
+        assert band.columns.tolist() == (list(range(width)) if every_column else [0])
 
     @pytest.mark.parametrize("chained", [False, True])
     @pytest.mark.parametrize("floating", [
@@ -595,6 +644,47 @@ class TestTopologyCache:
         _topology(_switched_layout, 4, 2, True)
         _topology(_switched_layout, 4, 2, False)
         assert _topology.cache_info().misses == 2
+
+
+class TestCellTable:
+    """A spec's cells are read into arrays once, and every reader shares them."""
+
+    def test_solve_and_ideal_readout_read_the_cells_once(self, cfg, monkeypatch):
+        builds = []
+
+        def counted(spec):
+            builds.append(spec)
+            return _cells(spec)
+
+        monkeypatch.setattr("tmsim.crossbar._cells", counted)
+        rng = np.random.default_rng(38)
+        spec = build_sensor_crossbar(rng.uniform(0.0, 40.0, (4, 2)), rng.uniform(0.0, 1.0, (4, 2)), cfg,
+                                     parasitic=True)
+        solve_nodal(spec, V_SUPPLY)
+        ideal_dual_readout(V_SUPPLY, spec)
+        conductance_matrix(spec)
+        assert len(builds) == 1 and builds[0] is spec
+        solve_nodal(replace(spec), V_SUPPLY)  # an equal spec is another object with a table of its own
+        assert len(builds) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        spec = _sensor_grid(np.random.default_rng(39), g_off=1.9e-3, wire_resistance=2.0)
+        before = solve_nodal(spec, V_SUPPLY).concatenated()
+        table = spec._table
+        for array in (table.sensor, table.memristor, table.on, table.off):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert spec._table is table
+        assert np.array_equal(solve_nodal(spec, V_SUPPLY).concatenated(), before)
+
+    def test_a_grid_of_lists_is_stored_as_tuples(self):
+        base = _sensor_grid(np.random.default_rng(40), g_off=1.9e-3, wire_resistance=2.0)
+        rows = [list(row) for row in base.cells]
+        spec = CrossbarSpec(m=4, n=2, cells=rows, wire_resistance_per_segment=2.0, readout=Readout.VL_AND_HL)
+        assert spec.cells == base.cells and all(type(row) is tuple for row in (spec.cells, *spec.cells))
+        before = ideal_dual_readout(V_SUPPLY, spec).concatenated()
+        rows[0][0] = rows[3][1]  # the caller's lists no longer reach the cached table
+        assert np.array_equal(ideal_dual_readout(V_SUPPLY, spec).concatenated(), before)
 
 
 class TestScale:

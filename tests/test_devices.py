@@ -130,6 +130,15 @@ class TestSeriesConductance:
         with pytest.raises(ValueError):
             series_conductance()
 
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array])
+    def test_float_and_array_parts_agree(self, kind):
+        # a Python float, a numpy scalar and an array part give the same result, type and message
+        assert series_conductance(kind(3.1e-5), 1e-3, kind(1e-2)) == series_conductance(3.1e-5, 1e-3, 1e-2)
+        assert type(series_conductance(kind(3.1e-5), 1e-3)) is np.float64
+        with pytest.raises(ValueError, match=r"^conductance must be non-negative, got -0\.0001$"):
+            series_conductance(1e-3, kind(-1e-4), 1e-2)
+        assert np.isnan(series_conductance(kind(np.nan), 1e-3))
+
 
 FORCES = np.array([[0.0, 20.0], [3.25, 40.0], [0.0, 0.0], [20.0, 7.5]])
 STATES = np.array([[1.0, 0.0], [0.5, 0.25], [0.123, 0.9], [1.0, 0.77]])
