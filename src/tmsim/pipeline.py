@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import braille
 from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
@@ -461,6 +462,28 @@ def _state_sensitivity(u: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.nda
     return (u / g_m) ** 2 * cfg.memristor.span
 
 
+def _cell_slots(dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each item of pressed-dot grids (N, 4, 2) reads its cells in one step's conductances.
+
+    A step flattens its cell conductances (2, 4, 2) -- pressed, then
+    unpressed -- into slots 0..15 and holds 0 in slot 16.  An item's cell
+    (r, c) reads slot ``2 r + c``, plus 8 when its dot is not pressed.
+
+    Returns ``lines`` (4, N, 6) and ``cells`` (N, 8).  ``lines[:, i, j]``
+    lists the slots of item i's line j in ``_line_sums``' order: a column
+    line's four cells top to bottom, a row line's two cells left to right
+    and then slot 16 twice.  ``cells[i]`` lists the eight cells' slots in
+    row-major order.
+    """
+    n_cells = SENSOR_ROWS * SENSOR_COLS
+    cells = np.arange(n_cells) + np.where(dots.reshape(len(dots), n_cells) > 0.0, 0, n_cells)
+    grid = cells.reshape(len(dots), SENSOR_ROWS, SENSOR_COLS).transpose(1, 0, 2)  # (4, N, 2)
+    lines = np.full((SENSOR_ROWS, len(dots), N_FEATURES), 2 * n_cells)
+    lines[:, :, :SENSOR_COLS] = grid
+    lines[:SENSOR_COLS, :, SENSOR_COLS:] = grid.transpose(2, 1, 0)
+    return lines, cells
+
+
 def _layer_views(flat: np.ndarray, n_out: int) -> tuple[np.ndarray, ...]:
     """w1 (6, 14), b1 (14,), w2 (14, n_out) and b2 (n_out,) as views of one flat vector."""
     w1, b1, w2, b2 = np.split(flat, np.cumsum([N_FEATURES * N_HIDDEN, N_HIDDEN, N_HIDDEN * n_out]))
@@ -507,12 +530,14 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     # 0/1 dots and the states, which the clip keeps in [0, 1].  So it calls
     # the device formulas without their argument checks.
     # Dots are 0/1, so every cell sits at one of two forces: each state
-    # update computes both cell conductances and each batch picks one per cell.
+    # update computes both cell conductances u (2, 4, 2) and each item reads
+    # one per cell, by the slots that _cell_slots gives it once here.
     g_sensor = fsr_conductance(cfg.sensor, np.array([cfg.f_press, 0.0]).reshape(2, 1, 1))
     g_on = cfg.switch_g_on
     memristor = cfg.memristor
-    pressed = dots > 0.0
-    masks = np.stack([dots, 1.0 - dots], axis=1)  # (N, 2, 4, 2): pressed, unpressed
+    line_slots, cell_slots = _cell_slots(dots)
+    slotted = np.zeros(2 * SENSOR_ROWS * SENSOR_COLS + 1)  # u in slots 0..15, then the pad's 0
+    slotted_u = slotted[:-1].reshape(2, SENSOR_ROWS, SENSOR_COLS)
     # each item's target in the flattened probabilities of its batch
     row_offsets = np.arange(n_items) % batch_size * n_out
     x_buf = np.empty((batch_size, N_FEATURES))  # analog: the batch's network input, built in place
@@ -532,7 +557,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
         # the same numbers in the same order as one draw per batch
         noise = sigma * rng.standard_normal((n_items, N_FEATURES)) if sigma != 0.0 else None
         if analog:
-            pressed_e, masks_e = pressed[order], masks[order]
+            line_slots_e, cell_slots_e = line_slots[:, order], cell_slots[order]
         else:
             feats = noiseless[order]
             inputs_e = _network_input(feats if noise is None else feats + noise, hyper.mode, threshold, dot_gain)
@@ -544,10 +569,15 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
                 g_m = memristor_conductance(memristor, states)
                 # series_conductance's formula, (2, 4, 2): pressed, unpressed
                 u = _reciprocal_sum((g_sensor, g_m, g_on))
-                cells = np.where(pressed_e[rows], u[0], u[1])
+                slotted_u[...] = u
+                # one gather (4, B, 6) and one sum down each line.  The sum
+                # adds a line's cells first to last, as _line_sums' reduce
+                # over a column does, and a row's a + b then adds the pad's
+                # two exact zeros, so every feature is _line_sums' value
+                lines = slotted.take(line_slots_e[:, rows])
+                x = np.add.reduce(lines, axis=0, out=x_buf[:lines.shape[1]])
                 # in place, in the order of _line_currents, the normalization,
                 # the noise and _network_input's analog branch
-                x = _line_sums(cells, cells, x_buf[:len(cells)])
                 x *= v_supply
                 x /= norm
                 if noise is not None:
@@ -587,7 +617,10 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
                 dx = dpre1 @ w1.T  # (B, 6)
                 dcell = dx[:, None, :SENSOR_COLS] + dx[:, SENSOR_COLS:, None]
                 dcell *= feat_scale
-                du = np.add.reduce(dcell[:, None] * masks_e[rows], axis=0)  # (2, 4, 2): pressed, unpressed
+                # (2, 4, 2): pressed, unpressed.  Each slot adds its items'
+                # dcell in batch order from 0, which is the 0/1-masked sum
+                # over the batch: the masked-out zeros change no value
+                du = np.bincount(cell_slots_e[rows].ravel(), weights=dcell.ravel(), minlength=u.size).reshape(u.shape)
                 sens = _state_sensitivity(u, g_m, cfg)
                 dstates = np.add.reduce(du * sens, axis=0)
                 # descend in increment space: the state-to-increment map is
@@ -813,9 +846,9 @@ def sweep_point(
     copies: int = 5,
 ) -> SweepRow:
     """Train at one (group set, noise, mode) grid point and score the held-out copy."""
-    from .braille import build_dataset  # local import keeps module load light
-
-    dataset = build_dataset(group_names, copies=copies, seed=seed, f_press=cfg.f_press)
+    # looked up in braille at each call, not bound here, so that a wrapper
+    # put on braille.build_dataset (perfbench's trace) also sees sweep points
+    dataset = braille.build_dataset(group_names, copies=copies, seed=seed, f_press=cfg.f_press)
     train_items, test_items = split_holdout(dataset, copies=copies)
     arch = arch_for(group_names)
     hyper = TrainHyper.from_config(cfg, seed=seed, sigma2=sigma2, mode=mode)

@@ -14,11 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tmsim import braille
 from tmsim.analog_blocks import softmax_circuit
 from tmsim.braille import BrailleGroup, _encode, build_dataset, label_to_group, symbol_to_forces, symbols
 from tmsim.config import load_config
-from tmsim.crossbar import ideal_dual_readout
-from tmsim.devices import fsr_conductance, memristor_conductance, series_conductance
+from tmsim.crossbar import _line_sums, ideal_dual_readout
+from tmsim.devices import _reciprocal_sum, fsr_conductance, memristor_conductance, series_conductance
 from tmsim.pipeline import (
     N_FEATURES,
     N_HIDDEN,
@@ -33,10 +34,12 @@ from tmsim.pipeline import (
     _LOGIT_TIE_MARGIN,
     _STATE_LR_FACTOR,
     _add_noise,
+    _cell_slots,
     _check_sigma2,
     _dataset_arrays,
     _feature_norm_current,
     _hardware_logits,
+    _line_currents,
     _network_input,
     _predicted_outputs,
     _state_increment_ladder,
@@ -454,6 +457,8 @@ class TestTraining:
         ("binary", 0.05, 32),
         ("analog", 0.05, 10),  # 104 items: ten batches of 10, then a batch of 4
         ("binary", 0.0, 10),
+        ("analog", 0.1, 1),  # batches of one item
+        ("analog", 0.02, 200),  # one batch holding all 104 items
     ])
     def test_bit_identical_to_the_reference_loop(self, cfg, g2_split, mode, sigma2, batch_size):
         _assert_trains_like_the_reference(g2_split[0], cfg, mode, sigma2, batch_size)
@@ -465,6 +470,28 @@ class TestTraining:
         # would still match.  With a 7 mS switch about a quarter of the
         # states round differently.
         _assert_trains_like_the_reference(g2_split[0], replace(cfg, switch_g_on=7e-3), "analog", 0.1, 32)
+
+    def test_cell_slots_read_the_line_sums_and_scatter_the_state_gradient(self):
+        # every 4x2 dot pattern, at a supply that is not a power of two
+        cfg = load_config(environ={"TMSIM_SENSOR__V_SUPPLY": "0.3"})
+        dots = (np.arange(256)[:, None] >> np.arange(8) & 1).reshape(256, 4, 2).astype(float)
+        lines, cells = _cell_slots(dots)
+        assert lines.shape == (4, 256, N_FEATURES) and cells.shape == (256, 8)
+        g_sensor = fsr_conductance(cfg.sensor, np.array([cfg.f_press, 0.0]).reshape(2, 1, 1))
+        masks = np.stack([dots, 1.0 - dots], axis=1)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            g_m = memristor_conductance(cfg.memristor, rng.random((4, 2)))
+            u = _reciprocal_sum((g_sensor, g_m, cfg.switch_g_on))  # (2, 4, 2): pressed, unpressed
+            grids = u.take(cells).reshape(dots.shape)
+            x = np.add.reduce(np.append(u, 0.0).take(lines), axis=0)
+            assert np.array_equal(x, _line_sums(grids, grids, np.empty((256, N_FEATURES))))
+            x *= cfg.sensor.v_supply
+            assert np.array_equal(x, _line_currents(dots * cfg.f_press, g_m, cfg))
+
+            dcell = rng.standard_normal(dots.shape)
+            du = np.bincount(cells.ravel(), weights=dcell.ravel(), minlength=16).reshape(u.shape)
+            assert np.array_equal(du, np.add.reduce(dcell[:, None] * masks, axis=0))
 
     def test_analog_states_stay_in_range_and_spread(self, g2_net):
         states = g2_net.sensor_states
@@ -934,6 +961,19 @@ class TestSweepProtocol:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(TrainingError, match="diverged"):
                 run_sweep([["group1"]], [0.02, 0.5], ["analog"], [0], diverging)
+
+    def test_sweep_point_looks_its_dataset_up_in_braille(self, monkeypatch):
+        # so a wrapper on braille.build_dataset, such as perfbench's trace, sees every point
+        calls = []
+        build = braille.build_dataset
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(braille, "build_dataset", counted)
+        sweep_point(["group1"], 0.02, "analog", 0, load_config(environ={"TMSIM_TRAIN__EPOCHS": "1"}))
+        assert calls == [(["group1"],)]
 
     @pytest.mark.parametrize("cores, sigma2_grid", [({0}, [0.02, 0.5]), ({0, 1}, [0.02])])
     def test_one_worker_runs_in_process(self, monkeypatch, cores, sigma2_grid):
