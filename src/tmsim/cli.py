@@ -31,6 +31,7 @@ from .config import ConfigError, SimConfig, config_hash, load_config, read_assig
 from .cost_model import CostTable, compare, default_table, estimate, reports_to_csv
 from .crossbar import (
     Readout,
+    SingularNetworkError,
     ideal_dual_readout,
     leakage_fraction,
     solve_nodal,
@@ -298,6 +299,23 @@ def _equal_currents_flag(cfg: SimConfig) -> bool:
     return bool(np.all(np.abs(currents - currents[0]) <= 1e-12))
 
 
+def _solved(network: str, solve):
+    """``solve()``, where a nodal solve that fails its residual check is the config's fault (exit 2).
+
+    The residual tolerance stays as it is: conductances that span too wide
+    a ratio come from the keys that set them, so the message names those.
+    """
+    try:
+        return solve()
+    except SingularNetworkError as exc:
+        if exc.conductance_ratio is None:
+            raise
+        raise ConfigError(
+            f"{network} fails its nodal solve ({exc}): its stamped conductances span a ratio of "
+            f"{exc.conductance_ratio:.3e} from largest to smallest, too wide to solve; check switch.g_on, "
+            "parasitics.switch_g_off, parasitics.wire_resistance and parasitics.termination_conductance") from exc
+
+
 def _cmd_leakage(args, cfg: SimConfig) -> int:
     base_g = cfg.parasitics.switch_g_off
     base_rw = cfg.parasitics.wire_resistance
@@ -308,7 +326,7 @@ def _cmd_leakage(args, cfg: SimConfig) -> int:
     for scale in scales:
         g_off = base_g * scale
         rw = base_rw * scale
-        value = _leakage_at(cfg, g_off, rw)
+        value = _solved(f"the reference pattern at {scale:g} x the parasitics", lambda: _leakage_at(cfg, g_off, rw))
         if scale == 1.0:
             default_leakage = value
         lines.append(f"{g_off:.9g},{rw:.9g},{value:.9g}")
@@ -317,7 +335,7 @@ def _cmd_leakage(args, cfg: SimConfig) -> int:
     writer.manifest("leakage", cfg, None, {
         "scales": scales,
         "default_leakage": default_leakage,
-        "equal_currents_2x2": _equal_currents_flag(cfg),
+        "equal_currents_2x2": _solved("the 2x2 equal-currents array", lambda: _equal_currents_flag(cfg)),
     })
     print(f"default parasitics leak {default_leakage:.4f} of the ideal current")
     return EXIT_OK

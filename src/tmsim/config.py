@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection
 
+import numpy as np
+
 from .analog_blocks import SoftmaxParams
 from .devices import MemristorModel, SensorModel
 
@@ -60,6 +62,8 @@ _DEFAULTS: dict[str, float | int] = {
 }
 
 _INT_KEYS = {"train.epochs", "train.batch_size"}
+# the integer keys count and index arrays, so they must stay below numpy's index limit
+_INDEX_LIMIT = int(np.iinfo(np.intp).max) + 1
 
 
 class ConfigError(ValueError):
@@ -162,6 +166,8 @@ def _parse_value(key: str, text: str, source: str) -> float | int:
     if key in _INT_KEYS:
         if number != int(number):
             raise ConfigError(f"{source}: {key} must be an integer, got {text!r}")
+        if not number < _INDEX_LIMIT:
+            raise ConfigError(f"{source}: {key} must be below {_INDEX_LIMIT:.4g} to index an array, got {text!r}")
         return int(number)
     return number
 

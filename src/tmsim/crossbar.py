@@ -17,7 +17,10 @@ the loss-free algebra the network should approach as parasitics vanish.
 A spec's cells are read once, on first use, into a cached read-only table
 of arrays (sensor, memristor and switch conductances, and the set of cell
 wirings) that ``conductance_matrix``, the ideal readout and the nodal
-stamps all read.
+stamps all read.  ``pipeline.build_sensor_crossbar`` computes that table
+from its force and state arrays with the same formulas and hands it to
+``CrossbarSpec._from_table``; such a spec builds its ``CellState`` grid
+only when its ``cells`` is read.
 
 The network's shape depends only on its topology: the readout, the cell
 wiring, m, n and whether the wires have resistance.  Each topology is
@@ -83,7 +86,16 @@ class Readout(str, Enum):
 
 
 class SingularNetworkError(RuntimeError):
-    """The nodal system has no unique solution (isolated or floating nodes)."""
+    """The nodal system has no unique solution (isolated or floating nodes), or its solve fails the KCL check.
+
+    ``conductance_ratio`` is set when the residual check fails: the ratio
+    of the largest to the smallest nonzero stamped conductance, which
+    measures how far apart the network's values are.
+    """
+
+    def __init__(self, message: str, conductance_ratio: float | None = None):
+        super().__init__(message)
+        self.conductance_ratio = conductance_ratio
 
 
 class WeightRangeError(ValueError):
@@ -130,16 +142,40 @@ class CrossbarSpec:
     termination_conductance: float = 1.0e6
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"crossbar needs m, n >= 1, got {self.m} x {self.n}")
+        self._check()
         # tuples, so that the grid ``_table`` caches cannot change under it
         object.__setattr__(self, "cells", tuple(map(tuple, self.cells)))
         if len(self.cells) != self.m or any(len(row) != self.n for row in self.cells):
             raise ValueError(f"cell grid must be {self.m} x {self.n}")
+
+    def _check(self) -> None:
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"crossbar needs m, n >= 1, got {self.m} x {self.n}")
         if self.wire_resistance_per_segment < 0.0:
             raise ValueError("wire resistance must be non-negative")
         if self.termination_conductance <= 0.0:
             raise ValueError("termination conductance must be positive")
+
+    @classmethod
+    def _from_table(cls, table: _CellTable, cells, **fields) -> CrossbarSpec:
+        """A spec whose cell table the caller has computed with ``_cells``' formulas.
+
+        ``fields`` are every field but ``cells``; ``cells()`` returns the
+        matching ``CellState`` grid, which the spec builds only when its
+        ``cells`` is first read.
+        """
+        spec = object.__new__(cls)
+        spec.__dict__.update(fields, _table=table, _grid=cells)
+        spec._check()
+        _freeze(table._asdict())
+        return spec
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: the cells of a spec from ``_from_table``, on first read
+        if name != "cells" or "_grid" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "cells", self._grid())
+        return self.cells
 
     @functools.cached_property
     def _table(self) -> _CellTable:
@@ -185,7 +221,8 @@ def _cells(spec: CrossbarSpec) -> _CellTable:
     ``CellState`` has rejected negative and non-finite forces, so the
     sensor runs ``fsr_conductance``'s formula without its check.  Every
     reader of a spec shares its one table (``CrossbarSpec._table``), so the
-    arrays are read-only.
+    arrays are read-only.  ``pipeline.build_sensor_crossbar`` fills the
+    same rows from arrays with these formulas, so the two stay in step.
     """
     table, configs = [], set()
     for row in spec.cells:
@@ -375,9 +412,9 @@ class _Plan:
             residual = np.abs(inflow[unknowns]).max()  # KCL: no net current into an unknown node
             bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
             if not residual <= bound:
-                raise SingularNetworkError(
-                    f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A"
-                )
+                live = g[g > 0.0]
+                raise SingularNetworkError(f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A",
+                                           conductance_ratio=float(live.max()) / float(live.min()))
         return volts, inflow, size
 
 

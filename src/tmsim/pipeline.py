@@ -43,7 +43,7 @@ from . import braille
 from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import SimConfig
-from .crossbar import CrossbarSpec, Readout, _line_sums, solve_nodal, weights_to_differential
+from .crossbar import CrossbarSpec, Readout, _CellTable, _line_sums, solve_nodal, weights_to_differential
 from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _fsr_affine, _reciprocal_sum,
                       fsr_conductance, memristor_conductance, series_conductance)
 
@@ -294,13 +294,35 @@ def build_sensor_crossbar(
     ``parasitic`` swaps in the calibrated wire resistance and switch
     off-conductance so ``solve_nodal`` exposes the sneak-path droop;
     without it the array is ideal: ideal wires and switches that do not leak.
+
+    The spec's cell table comes straight from the arrays, through the
+    formulas ``crossbar._cells`` applies cell by cell, so every readout is
+    bit-identical to that of the same grid of ``CellState``s.  That grid
+    is built only if the spec's ``cells`` is read.
     """
     forces, states = _check_sensor_arrays(forces, states)
     g_off = cfg.parasitics.switch_g_off if parasitic else 0.0
     wire = cfg.parasitics.wire_resistance if parasitic else 0.0
     switch = SwitchModel(g_on=cfg.switch_g_on, g_off=g_off, selected=True)
+    table = np.empty((6, SENSOR_ROWS * SENSOR_COLS))  # sensor, memristor, on (vl, hl), off (vl, hl)
+    table[0] = _fsr_affine(cfg.sensor, forces).ravel()
+    table[1] = memristor_conductance(cfg.memristor, states).ravel()
+    table[2:4], table[4:] = switch.g_on, g_off
+    return CrossbarSpec._from_table(
+        _CellTable(table[0], table[1], table[2:4], table[4:], frozenset({CellConfig.TWO_T1M1S})),
+        functools.partial(_sensor_cells, forces.tolist(), states.tolist(), cfg, switch),
+        m=SENSOR_ROWS,
+        n=SENSOR_COLS,
+        wire_resistance_per_segment=wire,
+        readout=Readout.VL_AND_HL,
+        termination_conductance=cfg.parasitics.termination_conductance,
+    )
+
+
+def _sensor_cells(forces: list, states: list, cfg: SimConfig, switch: SwitchModel) -> tuple:
+    """``build_sensor_crossbar``'s grid of ``CellState``s, from checked forces and states (nested lists)."""
     r_on, r_off = cfg.memristor.r_on, cfg.memristor.r_off
-    cells = tuple(
+    return tuple(
         tuple(
             CellState(
                 config=CellConfig.TWO_T1M1S,
@@ -312,15 +334,7 @@ def build_sensor_crossbar(
             )
             for force, state in zip(force_row, state_row)
         )
-        for force_row, state_row in zip(forces.tolist(), states.tolist())
-    )
-    return CrossbarSpec(
-        m=SENSOR_ROWS,
-        n=SENSOR_COLS,
-        cells=cells,
-        wire_resistance_per_segment=wire,
-        readout=Readout.VL_AND_HL,
-        termination_conductance=cfg.parasitics.termination_conductance,
+        for force_row, state_row in zip(forces, states)
     )
 
 
@@ -540,7 +554,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     slotted_u = slotted[:-1].reshape(2, SENSOR_ROWS, SENSOR_COLS)
     # each item's target in the flattened probabilities of its batch
     row_offsets = np.arange(n_items) % batch_size * n_out
-    x_buf = np.empty((batch_size, N_FEATURES))  # analog: the batch's network input, built in place
+    x_buf = np.empty((min(batch_size, n_items), N_FEATURES))  # analog: the batch's network input, built in place
     sigma = np.sqrt(hyper.sigma2)
     lr = hyper.lr
     state_lr = lr * _STATE_LR_FACTOR

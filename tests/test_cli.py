@@ -322,6 +322,27 @@ class TestBadFlags:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["train.batch_size", "train.epochs"])
+    @pytest.mark.parametrize("value", ["1e30", "1e308", "9.3e18"])
+    def test_integer_key_beyond_an_array_index_exits_before_output(self, tmp_path, monkeypatch, capsys,
+                                                                   key, value):
+        monkeypatch.setenv("TMSIM_" + key.upper().replace(".", "__"), value)
+        out = tmp_path / "t"
+        assert main(["train", "--seed", "0", "--groups", "group1", "--out", str(out)]) == EXIT_CONFIG
+        assert f"{key} must be below 9.223e+18 to index an array, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_size_above_the_dataset_trains_on_whole_batches(self, tmp_path, monkeypatch):
+        # a batch never holds more than the dataset, whatever batch_size allows
+        monkeypatch.setenv("TMSIM_TRAIN__EPOCHS", "2")
+        networks = []
+        for batch_size in ("1e18", "1000"):
+            monkeypatch.setenv("TMSIM_TRAIN__BATCH_SIZE", batch_size)
+            out = tmp_path / batch_size
+            assert main(["train", "--seed", "0", "--groups", "group1", "--out", str(out)]) == EXIT_OK
+            networks.append(json.loads((out / "network.json").read_text()))
+        assert networks[0] == networks[1]
+
     @pytest.mark.parametrize("key, value", [("sensor.r_divider", "1e4"), ("softmax.i_s", "1e-9"),
                                             ("switch.g_off", "1e-3")])
     @pytest.mark.parametrize("source", ["file", "env"])
@@ -472,6 +493,27 @@ class TestLeakage:
                 if not l.startswith(("#", "switch_g_off"))]
         fractions = [float(r.split(",")[2]) for r in rows]
         assert fractions == sorted(fractions)
+
+
+    @pytest.mark.parametrize("name, value, network, ratio", [
+        # 1e-30 ohm at 0.25 x gives wire segments of 4e30 S; a pressed cell's sensor and memristor give 3.008e-5 S
+        ("TMSIM_PARASITICS__WIRE_RESISTANCE", "1e-30", "the reference pattern at 0.25 x the parasitics", "1.330e+35"),
+        ("TMSIM_SWITCH__G_ON", "1e30", "the reference pattern at 0 x the parasitics", "3.326e+34"),
+        ("TMSIM_PARASITICS__TERMINATION_CONDUCTANCE", "1e308", "the 2x2 equal-currents array", "inf"),
+    ])
+    def test_unsolvable_conductances_exit_2_naming_the_keys(self, tmp_path, monkeypatch, capsys, name, value,
+                                                            network, ratio):
+        # the residual check holds; a failed one is blamed on the keys that set the conductances
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "l"
+        assert main(["leakage", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{network} fails its nodal solve (nodal solve residual " in err and "exceeds tolerance" in err
+        assert f"span a ratio of {ratio} from largest to smallest" in err
+        keys = ("switch.g_on", "parasitics.switch_g_off", "parasitics.wire_resistance",
+                "parasitics.termination_conductance")
+        assert all(key in err for key in keys)
+        assert not out.exists()
 
 
 class TestCost:

@@ -181,35 +181,41 @@ def _sensor_grid(rng=None, forces=None, states=None, g_off=0.0, wire_resistance=
                         wire_resistance_per_segment=wire_resistance)
 
 
-def _dual_array(rng, side, cfg, parasitic):
-    """side x side 2T1M1S dual-readout array with random forces and states.
+def _cellwise_array(forces, states, cfg, parasitic):
+    """2T1M1S dual-readout array of ``CellState``s, one per force and memristor state.
 
     ``parasitic`` uses the calibrated wire resistance and switch
     off-conductance; otherwise wires are ideal and switches do not leak.
     """
+    m, n = np.shape(forces)
     g_off = cfg.parasitics.switch_g_off if parasitic else 0.0
     switch = SwitchModel(g_on=cfg.switch_g_on, g_off=g_off, selected=True)
-    states = rng.uniform(0.0, 1.0, (side, side))
-    forces = rng.uniform(0.0, cfg.f_press, (side, side))
     cells = tuple(
         tuple(
             CellState(
                 config=CellConfig.TWO_T1M1S,
-                memristor=MemristorModel(state_w=float(states[k, l])),
+                memristor=replace(cfg.memristor, state_w=float(states[k, l])),
                 vl_switch=switch,
                 hl_switch=switch,
                 sensor=cfg.sensor,
                 force_f=float(forces[k, l]),
             )
-            for l in range(side)
+            for l in range(n)
         )
-        for k in range(side)
+        for k in range(m)
     )
     return CrossbarSpec(
-        m=side, n=side, cells=cells, readout=Readout.VL_AND_HL,
+        m=m, n=n, cells=cells, readout=Readout.VL_AND_HL,
         wire_resistance_per_segment=cfg.parasitics.wire_resistance if parasitic else 0.0,
         termination_conductance=cfg.parasitics.termination_conductance,
     )
+
+
+def _dual_array(rng, side, cfg, parasitic):
+    """side x side ``_cellwise_array`` with random forces and states."""
+    states = rng.uniform(0.0, 1.0, (side, side))
+    forces = rng.uniform(0.0, cfg.f_press, (side, side))
+    return _cellwise_array(forces, states, cfg, parasitic)
 
 
 class TestIdealMac:
@@ -658,14 +664,58 @@ class TestCellTable:
 
         monkeypatch.setattr("tmsim.crossbar._cells", counted)
         rng = np.random.default_rng(38)
-        spec = build_sensor_crossbar(rng.uniform(0.0, 40.0, (4, 2)), rng.uniform(0.0, 1.0, (4, 2)), cfg,
-                                     parasitic=True)
+        spec = _cellwise_array(rng.uniform(0.0, 40.0, (4, 2)), rng.uniform(0.0, 1.0, (4, 2)), cfg,
+                               parasitic=True)
         solve_nodal(spec, V_SUPPLY)
         ideal_dual_readout(V_SUPPLY, spec)
         conductance_matrix(spec)
         assert len(builds) == 1 and builds[0] is spec
         solve_nodal(replace(spec), V_SUPPLY)  # an equal spec is another object with a table of its own
         assert len(builds) == 2
+
+    def test_sensor_array_from_arrays_equals_the_cellwise_one(self, cfg):
+        # build_sensor_crossbar fills the table from its arrays; the same grid of CellStates is read by _cells
+        masks = [forces for forces, _ in build_dataset("fusion", copies=1, seed=0, f_press=cfg.f_press)]
+        rng = np.random.default_rng(41)
+        for forces in masks:
+            states = rng.uniform(0.0, 1.0, (4, 2))
+            for scale in LEAKAGE_SCALES:
+                cfg_at_scale = _scaled(cfg, scale)
+                spec = build_sensor_crossbar(forces, states, cfg_at_scale, parasitic=True)
+                reference = _cellwise_array(forces, states, cfg_at_scale, parasitic=True)
+                table, want = spec._table, reference._table
+                assert all(np.array_equal(got, expected) for got, expected in zip(table[:4], want[:4]))
+                assert table.configs == want.configs
+                assert not any(array.flags.writeable for array in table[:4])
+                for v_supply in (V_SUPPLY, 0.3):
+                    (got, detail), (expected, expected_detail) = (solve_nodal_detail(s, v_supply)
+                                                                  for s in (spec, reference))
+                    assert np.array_equal(got.concatenated(), expected.concatenated())
+                    assert detail == expected_detail
+                    assert np.array_equal(ideal_dual_readout(v_supply, spec).concatenated(),
+                                          ideal_dual_readout(v_supply, reference).concatenated())
+                assert spec.cells == reference.cells and spec == reference and spec == replace(spec)
+
+    def test_sensor_array_builds_its_cell_states_only_when_read(self, cfg, monkeypatch):
+        built, tables = [], []
+        check = CellState.__post_init__
+
+        def counted(cell):
+            built.append(cell)
+            check(cell)
+
+        monkeypatch.setattr(CellState, "__post_init__", counted)
+        monkeypatch.setattr("tmsim.crossbar._cells", lambda spec: tables.append(spec) or _cells(spec))
+        rng = np.random.default_rng(42)
+        spec = build_sensor_crossbar(rng.uniform(0.0, 40.0, (4, 2)), rng.uniform(0.0, 1.0, (4, 2)), cfg,
+                                     parasitic=True)
+        solve_nodal(spec, V_SUPPLY)
+        ideal_dual_readout(V_SUPPLY, spec)
+        assert built == [] and tables == []
+        cells = spec.cells
+        assert len(built) == 8 and all(cell is made for cell, made in zip((c for row in cells for c in row), built))
+        assert spec.cells is cells and len(built) == 8 and tables == []
+        assert "CellState(" in repr(spec) and len(built) == 8
 
     def test_cached_arrays_are_read_only(self):
         spec = _sensor_grid(np.random.default_rng(39), g_off=1.9e-3, wire_resistance=2.0)

@@ -18,8 +18,9 @@ from tmsim import braille
 from tmsim.analog_blocks import softmax_circuit
 from tmsim.braille import BrailleGroup, _encode, build_dataset, label_to_group, symbol_to_forces, symbols
 from tmsim.config import load_config
-from tmsim.crossbar import _line_sums, ideal_dual_readout
-from tmsim.devices import _reciprocal_sum, fsr_conductance, memristor_conductance, series_conductance
+from tmsim.crossbar import CrossbarSpec, Readout, _line_sums, ideal_dual_readout
+from tmsim.devices import (CellConfig, CellState, SwitchModel, _reciprocal_sum, fsr_conductance,
+                           memristor_conductance, series_conductance)
 from tmsim.pipeline import (
     N_FEATURES,
     N_HIDDEN,
@@ -45,7 +46,6 @@ from tmsim.pipeline import (
     _state_increment_ladder,
     _state_sensitivity,
     arch_for,
-    build_sensor_crossbar,
     evaluate,
     eval_report_to_csv,
     forward,
@@ -342,16 +342,20 @@ class TestSensorLayer:
 
     @pytest.mark.parametrize("v_supply", [0.5, 0.3])
     def test_ideal_matches_the_cellwise_crossbar_readout(self, cfg, v_supply):
-        # the CellState readout is the reference for the array path, bit
+        # the readout of a grid of CellStates is the reference for the array path, bit
         # for bit also at a supply that is not a power of two
         cfg = replace(cfg, sensor=replace(cfg.sensor, v_supply=v_supply))
         rng = np.random.default_rng(11)
+        switch = SwitchModel(g_on=cfg.switch_g_on)
         for _ in range(100):
             forces = rng.uniform(0.0, 2.0 * cfg.f_press, (4, 2))
             states = rng.uniform(0.0, 1.0, (4, 2))
-            reference = ideal_dual_readout(
-                cfg.sensor.v_supply, build_sensor_crossbar(forces, states, cfg)
-            ).concatenated()
+            cells = [[CellState(config=CellConfig.TWO_T1M1S, memristor=replace(cfg.memristor, state_w=state),
+                                vl_switch=switch, hl_switch=switch, sensor=cfg.sensor, force_f=force)
+                      for force, state in zip(force_row, state_row)]
+                     for force_row, state_row in zip(forces.tolist(), states.tolist())]
+            spec = CrossbarSpec(m=4, n=2, cells=cells, readout=Readout.VL_AND_HL)
+            reference = ideal_dual_readout(cfg.sensor.v_supply, spec).concatenated()
             assert np.array_equal(sensor_layer_forward(forces, states, cfg), reference)
 
     def test_input_validation(self, cfg):
