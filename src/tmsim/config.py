@@ -18,7 +18,7 @@ from typing import Collection
 import numpy as np
 
 from .analog_blocks import SoftmaxParams
-from .devices import MemristorModel, SensorModel
+from .devices import MemristorModel, SensorModel, fsr_conductance, memristor_conductance, series_conductance
 
 __all__ = [
     "SimConfig",
@@ -60,6 +60,13 @@ _DEFAULTS: dict[str, float | int] = {
     "train.epochs": 500,
     "train.batch_size": 32,
 }
+
+# the keys that the derived quantities of ``SimConfig`` are computed from
+_INCREMENT_KEYS = ("sensor.sensitivity_k", "sensor.bias_c", "braille.f_press", "memristor.r_on", "memristor.r_off",
+                   "switch.g_on")
+_NORM_KEYS = ("sensor.v_supply",) + _INCREMENT_KEYS + ("pipeline.dot_gain",)
+# the smallest positive float whose reciprocal is finite: features and ladders divide by the derived quantities
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 _INT_KEYS = {"train.epochs", "train.batch_size"}
 # the integer keys count and index arrays, so they must stay below numpy's index limit
@@ -123,6 +130,12 @@ class SimConfig:
         if self.parasitics.termination_conductance <= 0.0:
             raise ConfigError("parasitics.termination_conductance must be positive, "
                               f"got {self.parasitics.termination_conductance}")
+        increment = _dot_increment(memristor_conductance(self.memristor, 1.0), self)
+        for name, keys, value in (("pressed-dot increment", _INCREMENT_KEYS, increment),
+                                  ("feature normalization current", _NORM_KEYS, _feature_norm_current(self))):
+            if not _SMALLEST_NORMAL <= value < math.inf:
+                raise ConfigError(f"the {name} (from {', '.join(keys)}) must be finite and at least "
+                                  f"{_SMALLEST_NORMAL:.4g}, got {float(value)!r}")
 
     @classmethod
     def from_values(cls, values: dict[str, float | int]) -> "SimConfig":
@@ -154,6 +167,21 @@ class SimConfig:
             ),
             raw=tuple(sorted(v.items())),
         )
+
+
+def _dot_increment(g_m, cfg: SimConfig):
+    """Rise of the cell conductance when its dot is pressed, at memristor conductance ``g_m``."""
+    u_on = series_conductance(fsr_conductance(cfg.sensor, cfg.f_press), g_m, cfg.switch_g_on)
+    return u_on - series_conductance(fsr_conductance(cfg.sensor, 0.0), g_m, cfg.switch_g_on)
+
+
+def _feature_norm_current(cfg: SimConfig) -> float:
+    """Current of one normalized feature unit.
+
+    One pressed dot at full memristor conductance raises its column and row
+    readout by ``dot_gain`` feature units above the unpressed floor.
+    """
+    return cfg.sensor.v_supply * _dot_increment(memristor_conductance(cfg.memristor, 1.0), cfg) / cfg.dot_gain
 
 
 def _parse_value(key: str, text: str, source: str) -> float | int:

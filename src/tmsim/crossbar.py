@@ -25,11 +25,16 @@ only when its ``cells`` is read.
 The network's shape depends only on its topology: the readout, the cell
 wiring, m, n and whether the wires have resistance.  Each topology is
 laid out and compiled once into a cached plan that holds the node
-numbering, the branch ends and every index array of the banded
-elimination; a solve stamps the branch conductances and the drive into
-the plan, scatters them into the matrix blocks in one ``np.bincount`` and
-eliminates, carrying from block to block only the columns that couple
-to the next block.
+numbering, the branch ends, every index array of the banded elimination
+and, per phase, the slot of every branch in the readout's conductance
+vector.  A solve builds that vector once from the spec (the line
+conductances, then the cells' parts) and fixes the drive, and each phase
+then gathers its conductances from it.  One gather, one multiply and one
+``np.bincount`` scatter them into the matrix blocks and the right-hand
+side together; the elimination carries from block to block only the
+columns that couple to the next block; and the inflows of every node are
+a signed gather (each branch end's conductance times the potential of
+its other end less its own) and one more bincount.
 
 Every readout is a layout plus its phases, each phase the line sets it
 senses and its stamps: ``VL_ONLY`` is one phase that senses the vertical
@@ -42,6 +47,7 @@ current is the current flowing into that ground.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -69,6 +75,7 @@ __all__ = [
 
 # KCL residual bound for the nodal solve, in amperes.
 RESIDUAL_TOLERANCE = 1.0e-12
+_HALF_TOLERANCE_SQUARED = (RESIDUAL_TOLERANCE / 2.0) ** 2
 # Narrowest block of the banded nodal solve, in unknowns.  Wider blocks
 # mean fewer numpy calls, narrower ones fewer flops.  Timed on a 2-core
 # x86-64 host (numpy 2.4.6) over wired dual arrays of 4x4 to 16x16 cells,
@@ -114,9 +121,11 @@ class ReadoutVector:
     hl_currents: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vl_currents", np.asarray(self.vl_currents, dtype=float))
-        object.__setattr__(self, "hl_currents", np.asarray(self.hl_currents, dtype=float))
-        if not (np.isfinite(self.vl_currents).all() and np.isfinite(self.hl_currents).all()):
+        vl, hl = np.asarray(self.vl_currents, dtype=float), np.asarray(self.hl_currents, dtype=float)
+        object.__setattr__(self, "vl_currents", vl)
+        object.__setattr__(self, "hl_currents", hl)
+        # one current per line: few enough that a pass in Python costs less than numpy's reductions
+        if not all(map(math.isfinite, vl.ravel().tolist() + hl.ravel().tolist())):
             raise ValueError("readout currents must be finite")
 
     def concatenated(self) -> np.ndarray:
@@ -158,7 +167,7 @@ class CrossbarSpec:
 
     @classmethod
     def _from_table(cls, table: _CellTable, cells, **fields) -> CrossbarSpec:
-        """A spec whose cell table the caller has computed with ``_cells``' formulas.
+        """A spec whose cell table the caller has computed with ``_cells``' formulas, as read-only arrays.
 
         ``fields`` are every field but ``cells``; ``cells()`` returns the
         matching ``CellState`` grid, which the spec builds only when its
@@ -167,7 +176,6 @@ class CrossbarSpec:
         spec = object.__new__(cls)
         spec.__dict__.update(fields, _table=table, _grid=cells)
         spec._check()
-        _freeze(table._asdict())
         return spec
 
     def __getattr__(self, name: str):
@@ -234,9 +242,8 @@ def _cells(spec: CrossbarSpec) -> _CellTable:
                       memristor_conductance(cell.memristor),
                       vl.g_on if vl.selected else 0.0, hl.g_on if hl.selected else 0.0, vl.g_off, hl.g_off)
     table = np.array(table).reshape(-1, 6).T
-    cells = _CellTable(table[0], table[1], table[2:4], table[4:], frozenset(configs))
-    _freeze(cells._asdict())
-    return cells
+    table.flags.writeable = False  # and so every row view of it
+    return _CellTable(table[0], table[1], table[2:4], table[4:], frozenset(configs))
 
 
 def _driven(on: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -304,8 +311,7 @@ def _interleave(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _freeze(*namespaces: dict) -> None:
-    """Make the arrays among the values read-only: one cached plan serves every solve of its
-    topology, and one cell table every reader of its spec."""
+    """Make the arrays among the values read-only: one cached plan serves every solve of its topology."""
     for namespace in namespaces:
         for value in namespace.values():
             if isinstance(value, np.ndarray):
@@ -317,8 +323,9 @@ class _Layout:
 
     ``nodes`` hands out the consecutive integers 0, 1, 2, ..., each fixed
     (a source or a ground, whose potential a solve stamps) or unknown.
-    ``branch`` appends the branches ``a[i]--b[i]`` to a named group; a
-    solve stamps one conductance, scalar or per branch, on each group.
+    ``branch`` appends the branches ``a[i]--b[i]`` to a named group; each
+    phase of a solve stamps one conductance, scalar or per branch, on each
+    group (see ``compile``).
     """
 
     def __init__(self) -> None:
@@ -338,24 +345,48 @@ class _Layout:
         self._groups.append((group, slice(self._count, self._count + a.size)))
         self._count += a.size
 
-    def compile(self, **sites) -> "_Plan":
-        """The plan of this layout; ``sites`` names the nodes a solver drives ("sources") or reads."""
+    def compile(self, phases: Sequence[tuple[tuple[str, ...], dict]], **sites) -> "_Plan":
+        """The plan of this layout.
+
+        ``phases`` lists, for each phase of a solve, the line sets it senses
+        and its stamps: each group's slot in the readout's conductance
+        vector, an int for one conductance on every branch of the group or
+        a range for one per branch.  ``sites`` names the nodes a solver
+        drives ("sources") or reads.
+        """
         a, b = (np.concatenate(ends) for ends in zip(*self._ends))
-        return _Plan(np.array(self._fixed), a, b, self._groups, sites)
+        return _Plan(np.array(self._fixed), a, b, self._groups, phases, sites)
+
+
+class _Phase(NamedTuple):
+    """One phase of a compiled plan: the slot of every branch and entry in the conductance vector."""
+
+    senses: tuple[str, ...]  # the line sets read in this phase
+    index: np.ndarray  # the slot of each branch's conductance
+    scatter: np.ndarray  # the slot of each entry of the plan's one scatter
+    flow: np.ndarray  # the slot of each branch end's conductance, both ends of each branch in turn
 
 
 class _Plan:
     """A compiled topology: every index array of the nodal solve, derived once.
 
-    A solve stamps only the branch conductances and the drive, then
-    eliminates.  Zero-conductance branches stay in the plan as stamped
-    zeros, so nothing here depends on values: +0.0 changes no sum, and a
-    node whose every branch is stamped zero still shows a zero diagonal.
+    A solve stamps a readout's conductance vector and its drive, then runs
+    each phase.  A phase's conductances are gathers from that vector,
+    through slot indexes compiled here per phase.  G's blocks (``_Band``)
+    and the right-hand side are one scatter: one gather of the vector, one
+    multiply (by -1 for the couplings between unknowns, by the fixed end's
+    potential for the rhs entries) and one ``np.bincount``, whose bins past
+    the blocks' hold the rhs.  Each branch end's inflow is its conductance
+    times the potential of its other end less its own, so a phase's inflows
+    are gathers of the potentials and the vector and one more bincount.
+    Zero-conductance branches stay in the plan as stamped zeros, so nothing
+    here depends on values: +0.0 changes no sum, and a node whose every
+    branch is stamped zero still shows a zero diagonal.
     """
 
     def __init__(self, fixed: np.ndarray, a: np.ndarray, b: np.ndarray, groups: list[tuple[str, slice]],
-                 sites: dict) -> None:
-        self.a, self.b, self.groups, self.sites = a, b, groups, sites
+                 phases: Sequence[tuple[tuple[str, ...], dict]], sites: dict) -> None:
+        self.a, self.b, self.sites = a, b, sites
         self.volts = np.where(fixed, 0.0, np.nan)
         self.unknowns = np.flatnonzero(~fixed)
         size = self.unknowns.size
@@ -363,58 +394,88 @@ class _Plan:
         index[self.unknowns] = np.arange(size)
         ia, ib = index[a], index[b]
         one = (ia >= 0) != (ib >= 0)  # the fixed end drives the unknown one
-        # rhs[at[i]] += g[of[i]] * volts[from[i]]: a bincount's bins and weights
-        self.rhs_at, self.rhs_of = np.where(ia >= 0, ia, ib)[one], np.flatnonzero(one)
+        self.band = band = _Band(size, ia, ib)
+        # stacked[at[i]] += g[of[i]] * factor[i]: G's blocks, then rhs[j] += g * volts[rhs_from[j]]
         self.rhs_from = np.where(ia >= 0, b, a)[one]
-        self.band = _Band(size, ia, ib)
-        self.flow_at = _interleave(a, b)
-        _freeze(vars(self), sites)
+        self.at = np.concatenate((band.at, band.bins + np.where(ia >= 0, ia, ib)[one]))
+        of = np.concatenate((band.of, np.flatnonzero(one)))
+        self.first_rhs = band.at.size
+        self.factor = np.ones(of.size)
+        self.factor[band.first_coupling:self.first_rhs] = -1.0
+        self.bins = band.bins + size
+        # inflow[flow_at[i]] += g[i // 2] * (volts[flow_from[i]] - volts[flow_at[i]])
+        self.flow_at, self.flow_from = _interleave(a, b), _interleave(b, a)
+        self.phases = tuple(self._phase(senses, stamps, groups, of) for senses, stamps in phases)
+        _freeze(vars(self), sites, *(phase._asdict() for phase in self.phases))
 
-    def stamp(self, conductance: dict, drive) -> tuple[np.ndarray, np.ndarray]:
-        """Branch conductances from each group's stamp, and node potentials with the sources at ``drive``."""
-        g = np.empty(self.a.size)
-        for group, where in self.groups:
-            g[where] = conductance[group]
-        volts = self.volts.copy()
-        volts[self.sites["sources"]] = drive
-        return g, volts
+    @staticmethod
+    def _phase(senses: tuple[str, ...], stamps: dict, groups: list[tuple[str, slice]], of: np.ndarray) -> _Phase:
+        """A phase's slot indexes, from each group's stamp; ``of`` holds the branch of each scatter entry."""
+        index = np.concatenate([np.broadcast_to(stamps[group], where.stop - where.start) for group, where in groups])
+        return _Phase(senses, index, index[of], np.repeat(index, 2))
 
-    def solve(self, g: np.ndarray, volts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Nodal analysis of the unknown nodes by banded block elimination.
-
-        ``volts`` holds the fixed potentials and receives the solved ones.
-        Returns the potential and the net branch current flowing into
-        (positive = absorbed by) every node, and the number of unknowns.
-        Sums run in branch order, so a restamped plan reproduces its
-        results bit for bit.
-        """
-        low = g.min()
+    def stamp(self, values: np.ndarray, drive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A solve's conductance vector, checked, the node potentials with the sources at ``drive``,
+        and the factors of the scatter's entries."""
+        low = np.minimum.reduce(values)
         if low < 0.0:
             raise ValueError(f"branch conductance must be non-negative, got {low}")
-        unknowns = self.unknowns
-        size = unknowns.size
-        rhs = np.bincount(self.rhs_at, g[self.rhs_of] * volts[self.rhs_from], size)
+        volts = self.volts.copy()
+        volts[self.sites["sources"]] = drive
+        factor = self.factor.copy()
+        factor[self.first_rhs:] = volts[self.rhs_from]
+        return values, volts, factor
+
+    def _scatter(self, phase: _Phase, values: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """G's blocks, stacked flat, then the right-hand side: one gather, one multiply, one bincount."""
+        weights = values[phase.scatter]
+        weights *= factor
+        return np.bincount(self.at, weights, self.bins)
+
+    def solve(self, phase: _Phase, values: np.ndarray, volts: np.ndarray,
+              factor: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Nodal analysis of the unknown nodes by banded block elimination, for ``stamp``'s values.
+
+        ``volts`` holds the fixed potentials and receives the solved ones;
+        every phase overwrites them all.  Returns the potential and the net
+        branch current flowing into (positive = absorbed by) every node, and
+        the number of unknowns.  Sums run in branch order, so a restamped
+        plan reproduces its results bit for bit.
+        """
+        band = self.band
+        size = band.size
+        stacked = self._scatter(phase, values, factor)
+        rhs = stacked[band.bins:]
 
         if size:
-            stacked = self.band.assemble(g)
-            diagonal = stacked[self.band.diagonal]
-            if not diagonal.all():
-                isolated = unknowns[diagonal == 0.0]
-                raise SingularNetworkError(f"isolated nodes with no conductive path: {isolated.tolist()!r}")
             try:
-                volts[unknowns] = self.band.solve(stacked, rhs)
+                volts[self.unknowns] = band.solve(stacked, rhs)
             except np.linalg.LinAlgError as exc:
+                # a node whose every branch is stamped zero has a zero row, which no elimination passes;
+                # the elimination has updated the blocks in place, so the diagonal is read from a new scatter
+                diagonal = self._scatter(phase, values, factor)[band.diagonal]
+                if not diagonal.all():
+                    isolated = self.unknowns[diagonal == 0.0]
+                    raise SingularNetworkError(
+                        f"isolated nodes with no conductive path: {isolated.tolist()!r}") from exc
                 raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
 
-        current = g * (volts[self.b] - volts[self.a])  # flowing from b into a
-        inflow = np.bincount(self.flow_at, _interleave(current, -current), volts.size)
+        flow = volts[self.flow_from] - volts[self.flow_at]
+        flow *= values[phase.flow]
+        inflow = np.bincount(self.flow_at, flow, volts.size)
         if size:
-            residual = np.abs(inflow[unknowns]).max()  # KCL: no net current into an unknown node
-            bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
-            if not residual <= bound:
-                live = g[g > 0.0]
-                raise SingularNetworkError(f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A",
-                                           conductance_ratio=float(live.max()) / float(live.min()))
+            residual = inflow[self.unknowns]  # KCL: no net current into an unknown node
+            # a sum of squares within (tolerance / 2)^2 puts every residual below the tolerance, which the
+            # bound never undercuts, so only a larger sum needs the largest residual and the bound
+            if not residual @ residual <= _HALF_TOLERANCE_SQUARED:
+                residual = np.abs(residual).max()
+                bound = RESIDUAL_TOLERANCE * max(1.0, np.abs(rhs).max())
+                if not residual <= bound:
+                    g = values[phase.index]
+                    live = g[g > 0.0]
+                    raise SingularNetworkError(
+                        f"nodal solve residual {residual:.3e} A exceeds tolerance {bound:.3e} A",
+                        conductance_ratio=float(live.max()) / float(live.min()))
         return volts, inflow, size
 
 
@@ -426,8 +487,11 @@ class _Band:
     unknown, and -g at (ia, ib) and (ib, ia) of every branch between two
     unknowns.  The unknowns are cut into equal blocks, as many as fit at
     least as wide as the half-bandwidth of the couplings and ``MIN_BLOCK``,
-    so G is block tridiagonal with diagonal blocks D_k and upper blocks U_k;
-    ``assemble`` scatters a solve's conductances into all of them in one
+    so G is block tridiagonal with diagonal blocks D_k and upper blocks U_k,
+    stacked flat in ``bins`` entries.  ``at`` and ``of`` place every
+    branch's conductance in them, the diagonal entries first, then from
+    ``first_coupling`` on the couplings, which enter G as -g: ``_Plan``
+    scatters them, with the right-hand side after them, in one
     ``np.bincount``.  Forward elimination forms the Schur complements
     S_k = D_k - U_{k-1}^T S_{k-1}^-1 U_{k-1}; G is symmetric positive
     definite, so no pivoting across blocks is needed.  The couplings
@@ -471,23 +535,16 @@ class _Band:
         self.first_coupling = diagonal_at.size
         _freeze(vars(self))
 
-    def assemble(self, g: np.ndarray) -> np.ndarray:
-        """Every block of G for the branch conductances ``g``, stacked flat in one scatter."""
-        weights = g[self.of]
-        weights[self.first_coupling:] *= -1.0
-        stacked = np.bincount(self.at, weights, self.bins)
+    def solve(self, stacked: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The unknowns of G u = rhs, G's blocks stacked as ``at`` places them; pads them in place."""
+        blocks, width, cols = self.blocks, self.width, self.columns
         if self.spare:
             stacked[self.padding] = 1.0
-        return stacked
-
-    def solve(self, stacked: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """The unknowns of G u = rhs, G from ``assemble``."""
-        blocks, width, cols = self.blocks, self.width, self.columns
         d = stacked[: blocks * width * width].reshape(blocks, width, width)
         if blocks == 1:
             return np.linalg.solve(d[0], rhs)
 
-        u = stacked[blocks * width * width:].reshape(blocks - 1, width, cols.size)
+        u = stacked[blocks * width * width: self.bins].reshape(blocks - 1, width, cols.size)
         y = np.concatenate((rhs, np.zeros(self.spare))).reshape(blocks, width)  # a copy: r is updated in place
         across = np.ix_(cols, cols)
         carried = []  # S_k^-1 [U_k | y'_k]
@@ -551,13 +608,26 @@ def _line_sets(layout: _Layout, m: int, n: int, wired: bool, ends: dict[str, np.
     return nodes
 
 
+# The first slots of every readout's conductance vector (``_conductances``): an exact 0 for a group a
+# phase leaves idle, the sense termination and the wire segment's conductance (0 with ideal wires, whose
+# plans have no wire branches).  The readout's per-cell parts follow, m * n slots each.
+_ZERO, _TERM, _WIRE = 0, 1, 2
+_LINES = {"term": _TERM, "wire": _WIRE}
+
+
+def _cell_parts(m: int, n: int, count: int) -> list[range]:
+    """The slots of the first ``count`` per-cell parts of a conductance vector."""
+    return [range(_WIRE + 1 + k * m * n, _WIRE + 1 + (k + 1) * m * n) for k in range(count)]
+
+
 def _vl_only_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     """Horizontal lines driven at their first crossing, vertical lines grounded after their last."""
     sources = layout.nodes(m, fixed=True)
     grounds = layout.nodes(n, fixed=True)
     lines = _line_sets(layout, m, n, wired, {"vl": grounds, "hl": sources}, dual=False)
     layout.branch("cell", lines["hl"], lines["vl"])
-    return layout.compile(sources=sources, grounds=grounds, vl=grounds)
+    (cell,) = _cell_parts(m, n, 1)
+    return layout.compile([(("vl",), {**_LINES, "cell": cell})], sources=sources, grounds=grounds, vl=grounds)
 
 
 def _dual_grounds(layout: _Layout, m: int, n: int) -> dict[str, np.ndarray]:
@@ -583,7 +653,9 @@ def _switched_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     Both phases stamp this one plan and add an output's conductances in
     the same order, body, active switch, idle switch: the column phase
     stamps "vl_col" and "hl", the row phase "hl" and "vl_row", and the
-    group a phase does not use carries zeros.
+    group a phase does not use carries zeros.  The per-cell parts of the
+    conductance vector are the body, the driven vl and hl switches and
+    the off vl and hl switches.
     """
     grounds, at = _dual_lines(layout, m, n, wired)
     sources = layout.nodes(m * n, fixed=True)
@@ -591,7 +663,10 @@ def _switched_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     layout.branch("vl_col", at["out"], at["vl"])
     layout.branch("hl", at["out"], at["hl"])
     layout.branch("vl_row", at["out"], at["vl"])
-    return layout.compile(sources=sources, **grounds)
+    body, vl_active, hl_active, vl_idle, hl_idle = _cell_parts(m, n, 5)
+    phases = [(("vl",), {**_LINES, "body": body, "vl_col": vl_active, "hl": hl_idle, "vl_row": _ZERO}),
+              (("hl",), {**_LINES, "body": body, "vl_col": _ZERO, "hl": hl_active, "vl_row": vl_idle})]
+    return layout.compile(phases, sources=sources, **grounds)
 
 
 def _shorted_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
@@ -608,7 +683,8 @@ def _shorted_layout(layout: _Layout, m: int, n: int, wired: bool) -> _Plan:
     if wired:
         layout.branch("wire", outs, at["vl"])
         layout.branch("wire", outs, at["hl"])
-    return layout.compile(sources=sources, **grounds)
+    (cell,) = _cell_parts(m, n, 1)
+    return layout.compile([(("vl", "hl"), {**_LINES, "cell": cell})], sources=sources, **grounds)
 
 
 @functools.lru_cache
@@ -617,8 +693,8 @@ def _topology(lay, m: int, n: int, wired: bool) -> _Plan:
     return lay(_Layout(), m, n, wired)
 
 
-def _phases(spec: CrossbarSpec) -> tuple[object, list[tuple[tuple[str, ...], dict]]]:
-    """The readout's layout function and its phases: the line sets each phase senses, and its stamps.
+def _conductances(spec: CrossbarSpec) -> tuple[object, np.ndarray]:
+    """The readout's layout function and its conductance vector, whose slots its phases stamp.
 
     A 2T1M1S array is read in a column phase, then a row phase.  During a
     phase the other line set's switches are driven off, so they contribute
@@ -631,64 +707,69 @@ def _phases(spec: CrossbarSpec) -> tuple[object, list[tuple[tuple[str, ...], dic
     Raises:
         ValueError: if a dual readout's cells are not all 1T1M1S or all 2T1M1S.
     """
+    rw = spec.wire_resistance_per_segment
+    lines = (0.0, spec.termination_conductance, 1.0 / rw if rw > 0.0 else 0.0)  # _ZERO, _TERM, _WIRE
     if spec.readout is Readout.VL_ONLY:
-        return _vl_only_layout, [(("vl",), {"cell": conductance_matrix(spec).ravel()})]
+        return _vl_only_layout, np.concatenate((lines, conductance_matrix(spec).ravel()))
     sensor, memristor, switch_on, switch_off, configs = spec._table
     if configs == {CellConfig.ONE_T1M1S}:
-        return _shorted_layout, [(("vl", "hl"), {"cell": conductance_matrix(spec).ravel()})]
+        return _shorted_layout, np.concatenate((lines, conductance_matrix(spec).ravel()))
     if configs != {CellConfig.TWO_T1M1S}:
         raise ValueError("dual readout supports uniform 1T1M1S or 2T1M1S grids only")
-    vl_active, hl_active = _driven(switch_on, switch_off)
-    vl_idle, hl_idle = switch_off
     body = _reciprocal_sum((sensor, memristor))  # checked parts, both positive
-    return _switched_layout, [(("vl",), {"body": body, "vl_col": vl_active, "hl": hl_idle, "vl_row": 0.0}),
-                              (("hl",), {"body": body, "vl_col": 0.0, "hl": hl_active, "vl_row": vl_idle})]
+    return _switched_layout, np.concatenate((lines, body, _driven(switch_on, switch_off).ravel(), switch_off.ravel()))
 
 
 def _drive(spec: CrossbarSpec, drive) -> np.ndarray:
-    """The source potentials: one per horizontal line (VL_ONLY) or one per cell, row-major.
+    """The source potentials: a scalar, or one per horizontal line (VL_ONLY) or per cell, row-major.
 
     Raises:
         ValueError: naming the first potential that is not finite, or the
             shape of a drive that fits neither a scalar nor the sources.
     """
     arr = np.asarray(drive, dtype=float)
+    if arr.ndim == 0:
+        if not math.isfinite(arr):
+            raise ValueError(f"drive must be finite, got {arr}")
+        return arr
     if not np.isfinite(arr).all():
         raise ValueError(f"drive must be finite, got {arr[~np.isfinite(arr)][0]}")
     if spec.readout is Readout.VL_ONLY:
-        if arr.shape not in ((), (spec.m,)):
+        if arr.shape != (spec.m,):
             raise ValueError(f"VL_ONLY drive must be scalar or length {spec.m}, got {arr.shape}")
-        return np.broadcast_to(arr, (spec.m,))
-    if arr.ndim == 0:
-        return np.full(spec.m * spec.n, float(arr))
+        return arr
     if arr.shape != (spec.m, spec.n):
         raise ValueError(f"dual-readout drive must be scalar or {spec.m} x {spec.n}, got {arr.shape}")
     return arr.ravel()
 
 
-def solve_nodal_detail(spec: CrossbarSpec, drive) -> tuple[ReadoutVector, NodalDetail]:
-    """Full nodal solve returning readouts plus conservation bookkeeping.
-
-    Every phase stamps the readout's one plan and solves it; a line is
-    sensed as the current flowing into its ground.
-    """
+def _solve(spec: CrossbarSpec, drive, detail: bool) -> tuple[ReadoutVector, NodalDetail | None]:
+    """The phase loop of every nodal readout: each phase solves the readout's one plan, stamped once,
+    and senses a line as the current flowing into its ground.  The ``detail`` sums only when asked."""
     drive = _drive(spec, drive)
-    lay, phases = _phases(spec)
-    rw = spec.wire_resistance_per_segment
-    plan = _topology(lay, spec.m, spec.n, rw > 0.0)
-    lines = {"term": spec.termination_conductance} | ({"wire": 1.0 / rw} if rw > 0.0 else {})
+    lay, values = _conductances(spec)
+    plan = _topology(lay, spec.m, spec.n, spec.wire_resistance_per_segment > 0.0)
+    stamped = plan.stamp(values, drive)
     sensed = {"hl": np.zeros(0)}
     injected = absorbed = 0.0
     unknowns = 0
-    for senses, stamps in phases:
-        _, inflow, size = plan.solve(*plan.stamp(lines | stamps, drive))
-        for line in senses:
+    for phase in plan.phases:
+        _, inflow, size = plan.solve(phase, *stamped)
+        for line in phase.senses:
             sensed[line] = inflow[plan.sites[line]]
-        injected -= inflow[plan.sites["sources"]].sum()
-        absorbed += np.add.accumulate(inflow[plan.sites["grounds"]])[-1]  # one after another, in ground order
-        unknowns += size
-    detail = NodalDetail(injected=float(injected), absorbed=float(absorbed), unknown_nodes=unknowns)
-    return ReadoutVector(vl_currents=sensed["vl"], hl_currents=sensed["hl"]), detail
+        if detail:
+            injected -= inflow[plan.sites["sources"]].sum()
+            absorbed += np.add.accumulate(inflow[plan.sites["grounds"]])[-1]  # one after another, in ground order
+            unknowns += size
+    readout = ReadoutVector(vl_currents=sensed["vl"], hl_currents=sensed["hl"])
+    if not detail:
+        return readout, None
+    return readout, NodalDetail(injected=float(injected), absorbed=float(absorbed), unknown_nodes=unknowns)
+
+
+def solve_nodal_detail(spec: CrossbarSpec, drive) -> tuple[ReadoutVector, NodalDetail]:
+    """Full nodal solve returning readouts plus conservation bookkeeping."""
+    return _solve(spec, drive, detail=True)
 
 
 def solve_nodal(spec: CrossbarSpec, drive) -> ReadoutVector:
@@ -704,20 +785,21 @@ def solve_nodal(spec: CrossbarSpec, drive) -> ReadoutVector:
         per-line selection it matches the ideal readouts within solver
         tolerance.
     """
-    readouts, _ = solve_nodal_detail(spec, drive)
+    readouts, _ = _solve(spec, drive, detail=False)
     return readouts
 
 
 def leakage_fraction(ideal: ReadoutVector, actual: ReadoutVector) -> float:
     """Relative L1 readout error: sum |i_actual - i_ideal| / sum |i_ideal|."""
     ideal_flat = ideal.concatenated()
-    actual_flat = actual.concatenated()
-    if ideal_flat.shape != actual_flat.shape:
-        raise ValueError(f"shape mismatch: {ideal_flat.shape} vs {actual_flat.shape}")
-    denom = np.abs(ideal_flat).sum()
+    error = actual.concatenated()
+    if ideal_flat.shape != error.shape:
+        raise ValueError(f"shape mismatch: {ideal_flat.shape} vs {error.shape}")
+    denom = np.add.reduce(np.abs(ideal_flat))
     if denom == 0.0:
         raise ValueError("ideal readout is identically zero; leakage fraction undefined")
-    return float(np.abs(actual_flat - ideal_flat).sum() / denom)
+    error -= ideal_flat
+    return float(np.add.reduce(np.abs(error, out=error)) / denom)
 
 
 def weights_to_differential(

@@ -42,10 +42,10 @@ import numpy as np
 from . import braille
 from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
-from .config import SimConfig
+from .config import _INDEX_LIMIT, SimConfig, _dot_increment, _feature_norm_current
 from .crossbar import CrossbarSpec, Readout, _CellTable, _line_sums, solve_nodal, weights_to_differential
 from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _fsr_affine, _reciprocal_sum,
-                      fsr_conductance, memristor_conductance, series_conductance)
+                      fsr_conductance, memristor_conductance)
 
 __all__ = [
     "NetworkArch",
@@ -148,6 +148,8 @@ class TrainHyper:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not value < _INDEX_LIMIT:
+                raise ValueError(f"{name} must be below {_INDEX_LIMIT:.4g} to index an array, got {value!r}")
 
     @classmethod
     def from_config(cls, cfg: SimConfig, seed: int = 0, sigma2: float = 0.0, mode: str = "analog") -> "TrainHyper":
@@ -308,6 +310,7 @@ def build_sensor_crossbar(
     table[0] = _fsr_affine(cfg.sensor, forces).ravel()
     table[1] = memristor_conductance(cfg.memristor, states).ravel()
     table[2:4], table[4:] = switch.g_on, g_off
+    table.flags.writeable = False  # and so every row view of it, which the spec shares with its readers
     return CrossbarSpec._from_table(
         _CellTable(table[0], table[1], table[2:4], table[4:], frozenset({CellConfig.TWO_T1M1S})),
         functools.partial(_sensor_cells, forces.tolist(), states.tolist(), cfg, switch),
@@ -367,21 +370,6 @@ def _line_currents(forces: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.nd
     out = _line_sums(cells, cells, np.empty(cells.shape[:-2] + (N_FEATURES,)))
     out *= cfg.sensor.v_supply
     return out
-
-
-def _dot_increment(g_m, cfg: SimConfig):
-    """Rise of the cell conductance when its dot is pressed, at memristor conductance ``g_m``."""
-    u_on = series_conductance(fsr_conductance(cfg.sensor, cfg.f_press), g_m, cfg.switch_g_on)
-    return u_on - series_conductance(fsr_conductance(cfg.sensor, 0.0), g_m, cfg.switch_g_on)
-
-
-def _feature_norm_current(cfg: SimConfig) -> float:
-    """Current of one normalized feature unit.
-
-    One pressed dot at full memristor conductance raises its column and row
-    readout by ``dot_gain`` feature units above the unpressed floor.
-    """
-    return cfg.sensor.v_supply * _dot_increment(memristor_conductance(cfg.memristor, 1.0), cfg) / cfg.dot_gain
 
 
 def _add_noise(x: np.ndarray, noise: NoiseSpec) -> np.ndarray:

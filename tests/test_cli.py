@@ -332,6 +332,24 @@ class TestBadFlags:
         assert f"{key} must be below 9.223e+18 to index an array, got '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, quantity, got", [
+        ("braille.f_press", "1e-30", "pressed-dot increment", "0.0"),
+        ("sensor.sensitivity_k", "1e-30", "pressed-dot increment", "0.0"),
+        ("sensor.bias_c", "1e30", "pressed-dot increment", "0.0"),
+        ("pipeline.dot_gain", "1e308", "feature normalization current", "1.44894286144e-313"),
+    ])
+    def test_derived_quantity_out_of_range_exits_before_output(self, tmp_path, monkeypatch, capsys,
+                                                               key, value, quantity, got):
+        # each passes its own range check, but leaves a derived quantity that train divides by at 0 or
+        # below the smallest normal float, and train would exit 3 on a diverged loss
+        monkeypatch.setenv("TMSIM_" + key.upper().replace(".", "__"), value)
+        out = tmp_path / "t"
+        assert main(["train", "--seed", "0", "--groups", "group1", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"the {quantity} (from " in err and key in err
+        assert f"must be finite and at least 2.225e-308, got {got}" in err
+        assert not out.exists()
+
     def test_batch_size_above_the_dataset_trains_on_whole_batches(self, tmp_path, monkeypatch):
         # a batch never holds more than the dataset, whatever batch_size allows
         monkeypatch.setenv("TMSIM_TRAIN__EPOCHS", "2")

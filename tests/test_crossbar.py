@@ -46,6 +46,7 @@ from tmsim.devices import (
     SensorModel,
     SwitchModel,
     cell_conductance,
+    series_conductance,
 )
 from tmsim.pipeline import build_sensor_crossbar
 
@@ -109,9 +110,11 @@ def against_dense(monkeypatch):
     banded = _Plan.solve
     solves = []
 
-    def checked(plan, g, volts):
-        want_potential, want_inflow, want_size = _reference_solve(plan.a, plan.b, g, volts)
-        potential, inflow, size = banded(plan, g, volts)  # writes the solved potentials into volts
+    def checked(plan, phase, values, volts, factor):
+        # an earlier phase has written its potentials into the unknowns (NaN in the plan's own volts)
+        fixed = np.where(np.isnan(plan.volts), np.nan, volts)
+        want_potential, want_inflow, want_size = _reference_solve(plan.a, plan.b, values[phase.index], fixed)
+        potential, inflow, size = banded(plan, phase, values, volts, factor)  # writes the solved potentials
         assert size == want_size
         for got, want in ((potential, want_potential), (inflow, want_inflow)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -122,13 +125,24 @@ def against_dense(monkeypatch):
     return solves
 
 
+def _stamped(layout, conductance, drive, **sites):
+    """Compiles ``layout`` with one phase that stamps ``conductance`` (per group, one value or a list of
+    one per branch) from a conductance vector, and stamps it; returns the plan and its ``solve`` arguments."""
+    values, stamps = [], {}
+    for group, g in conductance.items():
+        stamps[group] = range(len(values), len(values) + len(g)) if np.ndim(g) else len(values)
+        values.extend(np.ravel(g))
+    plan = layout.compile([((), stamps)], **sites)
+    return plan, (plan.phases[0], *plan.stamp(np.array(values, dtype=float), drive))
+
+
 def _divider():
     """0.5 V -- 1 mS -- mid -- 1 mS and 2 mS in parallel, as a shorted pair of nodes -- ground."""
     layout = _Layout()
     source, ground, mid = layout.nodes(1, fixed=True), layout.nodes(1, fixed=True), layout.nodes(1)
     layout.branch("r", [source, mid, mid], [mid, ground, ground])
-    plan = layout.compile(sources=source)
-    return plan.solve(*plan.stamp({"r": [1e-3, 1e-3, 2e-3]}, 0.5))
+    plan, stamped = _stamped(layout, {"r": [1e-3, 1e-3, 2e-3]}, 0.5, sources=source)
+    return plan.solve(*stamped)
 
 
 def _scaled(cfg, scale):
@@ -365,17 +379,17 @@ class TestNodalContract:
         source, mid, far = layout.nodes(1, fixed=True), layout.nodes(1), layout.nodes(1)
         layout.branch("r", source, mid)
         layout.branch("open", mid, far)  # a zero-conductance branch leaves the far node isolated
-        plan = layout.compile(sources=source)
+        plan, stamped = _stamped(layout, {"r": 1e-3, "open": 0.0}, 0.5, sources=source)
         with pytest.raises(SingularNetworkError, match="isolated"):
-            plan.solve(*plan.stamp({"r": 1e-3, "open": 0.0}, 0.5))
+            plan.solve(*stamped)
 
     def test_negative_conductance_is_rejected(self):
         layout = _Layout()
         source, mid = layout.nodes(1, fixed=True), layout.nodes(1)
         layout.branch("r", [source, mid], [mid, source])
-        plan = layout.compile(sources=source)
         with pytest.raises(ValueError, match="non-negative"):
-            plan.solve(*plan.stamp({"r": [1e-3, -1e-4]}, 0.5))
+            plan, stamped = _stamped(layout, {"r": [1e-3, -1e-4]}, 0.5, sources=source)
+            plan.solve(*stamped)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("dual", [False, True])
@@ -431,6 +445,52 @@ class TestNodalContract:
         assert detail.injected == pytest.approx(detail.absorbed, rel=1e-9)
 
 
+class TestPhaseLoop:
+    """The one phase loop behind every nodal readout."""
+
+    @pytest.mark.parametrize("wire_resistance", [0.0, 2.0])
+    @pytest.mark.parametrize("config", [CellConfig.ONE_T1M, CellConfig.ONE_T1M1S, CellConfig.TWO_T1M1S])
+    def test_readout_equals_the_detailed_one(self, config, wire_resistance):
+        rng = np.random.default_rng(41)
+        if config is CellConfig.ONE_T1M:  # VL_ONLY
+            spec, drives = _weight_grid(rng, 5, 4, wire_resistance), (0.4, rng.uniform(0.1, 0.5, 5))
+        else:
+            spec = _sensor_grid(rng, g_off=1.9e-3, wire_resistance=wire_resistance, config=config)
+            drives = (V_SUPPLY, rng.uniform(0.1, 0.5, (4, 2)))
+        for drive in drives:
+            readout, (detailed, _) = solve_nodal(spec, drive), solve_nodal_detail(spec, drive)
+            assert np.array_equal(readout.vl_currents, detailed.vl_currents)
+            assert np.array_equal(readout.hl_currents, detailed.hl_currents)
+
+    def test_failed_residual_reports_the_failing_phase_conductance_ratio(self):
+        # a driven chain of six unknowns: the first phase joins them by 1 S, the second by 1e12 S between
+        # 1 mS ends, which fails the residual check; the vector's 1e-6 S is stamped in the first phase only
+        layout = _Layout()
+        source, ground, chain = layout.nodes(1, fixed=True), layout.nodes(1, fixed=True), layout.nodes(6)
+        layout.branch("in", source, chain[0])
+        layout.branch("wire", chain[:-1], chain[1:])
+        layout.branch("out", chain[-1], ground)
+        plan = layout.compile([((), {"in": 0, "wire": 2, "out": 1}), ((), {"in": 1, "wire": 3, "out": 1})],
+                              sources=source)
+        stamped = plan.stamp(np.array([1e-6, 1e-3, 1.0, 1e12]), 0.5)
+        plan.solve(plan.phases[0], *stamped)
+        with pytest.raises(SingularNetworkError, match="residual .* exceeds tolerance") as excinfo:
+            plan.solve(plan.phases[1], *stamped)
+        assert excinfo.value.conductance_ratio == 1e12 / 1e-3
+
+    def test_failed_residual_of_a_sensor_array_reports_its_conductance_ratio(self, cfg):
+        # 1e-30 ohm wire segments, as `tmsim leakage` meets them from parasitics.wire_resistance; both phases
+        # stamp the same values (bodies, g_on, g_off, terminations and wires), so either may fail
+        wired = replace(cfg, parasitics=replace(cfg.parasitics, wire_resistance=1e-30))
+        spec = build_sensor_crossbar(np.full((4, 2), cfg.f_press), np.ones((4, 2)), wired, parasitic=True)
+        with pytest.raises(SingularNetworkError, match="residual .* exceeds tolerance") as excinfo:
+            solve_nodal(spec, V_SUPPLY)
+        sensor, memristor, on, off, _ = spec._table
+        stamped = np.concatenate((series_conductance(sensor, memristor), on.ravel(), off.ravel(),
+                                  [spec.termination_conductance, 1.0 / 1e-30]))
+        assert excinfo.value.conductance_ratio == stamped.max() / stamped[stamped > 0.0].min()
+
+
 def _band_system(rng, size, half):
     """Random system of ``_branch_system`` with couplings within ``half`` of the diagonal."""
     i = np.concatenate([np.arange(size - k) for k in range(1, min(half, size - 1) + 1)])
@@ -479,7 +539,9 @@ class TestBandedSolve:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         band = _Band(size, ia, ib)
-        got = band.solve(band.assemble(g), rhs)
+        weights = g[band.of]
+        weights[band.first_coupling:] *= -1.0
+        got = band.solve(np.bincount(band.at, weights, band.bins), rhs)
         assert len(calls) == blocks
         np.testing.assert_allclose(got, want, rtol=1e-12)
         return band
@@ -529,9 +591,9 @@ class TestBandedSolve:
         chain = np.concatenate([source, head, tail])
         layout.branch("chain", chain[:-1], chain[1:])
         layout.branch("component", component[a], component[b])
-        plan = layout.compile(sources=source)
+        plan, stamped = _stamped(layout, {"chain": 1e-3, "component": g}, 0.5, sources=source)
         with pytest.raises(SingularNetworkError, match="singular"):
-            plan.solve(*plan.stamp({"chain": 1e-3, "component": g}, 0.5))
+            plan.solve(*stamped)
 
 
 class TestAgainstDenseSolve:
@@ -819,6 +881,22 @@ class TestEqualCurrentDegeneracy:
         )
         value = leakage_fraction(ideal, actual)
         assert 0.0 < value <= 1.0
+
+
+class TestReadoutVector:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["vl_currents", "hl_currents"])
+    def test_non_finite_current_is_rejected(self, field, bad):
+        currents = {"vl_currents": [1e-4, 2e-4], "hl_currents": [[3e-4], [4e-4]]}
+        currents[field] = np.insert(np.ravel(currents[field]), 1, bad)
+        with pytest.raises(ValueError, match="^readout currents must be finite$"):
+            ReadoutVector(**currents)
+
+    def test_currents_are_stored_as_float_arrays(self):
+        # the largest finite currents pass: the check does not sum them
+        rv = ReadoutVector(vl_currents=[1.7e308, 1.7e308], hl_currents=[[1, 2]])
+        assert rv.vl_currents.dtype == rv.hl_currents.dtype == np.float64
+        assert rv.vl_currents.tolist() == [1.7e308, 1.7e308] and rv.hl_currents.tolist() == [[1.0, 2.0]]
 
 
 class TestLeakageFraction:

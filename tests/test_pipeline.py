@@ -17,7 +17,7 @@ import pytest
 from tmsim import braille
 from tmsim.analog_blocks import softmax_circuit
 from tmsim.braille import BrailleGroup, _encode, build_dataset, label_to_group, symbol_to_forces, symbols
-from tmsim.config import load_config
+from tmsim.config import _feature_norm_current, load_config
 from tmsim.crossbar import CrossbarSpec, Readout, _line_sums, ideal_dual_readout
 from tmsim.devices import (CellConfig, CellState, SwitchModel, _reciprocal_sum, fsr_conductance,
                            memristor_conductance, series_conductance)
@@ -38,7 +38,6 @@ from tmsim.pipeline import (
     _cell_slots,
     _check_sigma2,
     _dataset_arrays,
-    _feature_norm_current,
     _hardware_logits,
     _line_currents,
     _network_input,
@@ -413,6 +412,14 @@ class TestAddNoise:
             NoiseSpec(sigma2=sigma2)
         with pytest.raises(ValueError, match="sigma2"):
             TrainHyper(sigma2=sigma2)
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [10**30, 2**63, np.uint64(2**63)])
+    def test_count_beyond_an_array_index_rejected(self, name, value):
+        # train would index arrays by it and fail with an OverflowError
+        with pytest.raises(ValueError, match=f"^{name} must be below 9.223e\\+18 to index an array, got "):
+            TrainHyper(**{name: value})
+        TrainHyper(**{name: 2**63 - 1})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_bad_seed_rejected(self, seed):
