@@ -18,7 +18,7 @@ from typing import Collection
 import numpy as np
 
 from .analog_blocks import SoftmaxParams
-from .devices import MemristorModel, SensorModel, fsr_conductance, memristor_conductance, series_conductance
+from .devices import MemristorModel, SensorModel, _fsr_affine, _reciprocal_sum, memristor_conductance
 
 __all__ = [
     "SimConfig",
@@ -170,9 +170,15 @@ class SimConfig:
 
 
 def _dot_increment(g_m, cfg: SimConfig):
-    """Rise of the cell conductance when its dot is pressed, at memristor conductance ``g_m``."""
-    u_on = series_conductance(fsr_conductance(cfg.sensor, cfg.f_press), g_m, cfg.switch_g_on)
-    return u_on - series_conductance(fsr_conductance(cfg.sensor, 0.0), g_m, cfg.switch_g_on)
+    """Rise of the cell conductance when its dot is pressed, at memristor conductance ``g_m``.
+
+    The config has checked every part positive (the sensor's slope and bias,
+    the press force, the memristor range and the switch), so the device
+    formulas run without ``fsr_conductance``'s and ``series_conductance``'s
+    checks; ``g_m`` comes from ``memristor_conductance`` at states in [0, 1].
+    """
+    u_on = _reciprocal_sum((_fsr_affine(cfg.sensor, cfg.f_press), g_m, cfg.switch_g_on))
+    return u_on - _reciprocal_sum((_fsr_affine(cfg.sensor, 0.0), g_m, cfg.switch_g_on))
 
 
 def _feature_norm_current(cfg: SimConfig) -> float:

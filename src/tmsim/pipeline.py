@@ -82,7 +82,13 @@ N_HIDDEN = 14  # columns of the 6x14 hidden-layer weight crossbar
 
 
 class TrainingError(RuntimeError):
-    """Training diverged or was fed an inconsistent dataset."""
+    """Training diverged or was fed an inconsistent dataset.
+
+    ``level`` is the index in ``train``'s ``sigma2_grid`` of the noise level
+    that failed: 0 without a grid, and for a dataset no level can train on.
+    """
+
+    level: int = 0
 
 
 class InvalidNetworkError(ValueError):
@@ -412,10 +418,10 @@ def _dataset_arrays(dataset, arch: NetworkArch) -> tuple[np.ndarray, np.ndarray]
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax of each row of ``z`` (B, n), written over ``z`` and returned."""
-    np.subtract(z, np.maximum.reduce(z, axis=1, keepdims=True), out=z)
+    """Softmax along the last axis of ``z`` (..., n), written over ``z`` and returned."""
+    np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=z)
     np.exp(z, out=z)
-    return np.divide(z, np.add.reduce(z, axis=1, keepdims=True), out=z)
+    return np.divide(z, np.add.reduce(z, axis=-1, keepdims=True), out=z)
 
 
 def _network_input(x: np.ndarray, mode: str, threshold: np.ndarray | None, dot_gain: float) -> np.ndarray:
@@ -487,12 +493,15 @@ def _cell_slots(dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layer_views(flat: np.ndarray, n_out: int) -> tuple[np.ndarray, ...]:
-    """w1 (6, 14), b1 (14,), w2 (14, n_out) and b2 (n_out,) as views of one flat vector."""
-    w1, b1, w2, b2 = np.split(flat, np.cumsum([N_FEATURES * N_HIDDEN, N_HIDDEN, N_HIDDEN * n_out]))
-    return w1.reshape(N_FEATURES, N_HIDDEN), b1, w2.reshape(N_HIDDEN, n_out), b2
+    """w1 (K, 6, 14), b1 (K, 1, 14), w2 (K, 14, n_out) and b2 (K, 1, n_out) as views of flat vectors (K, P)."""
+    k = len(flat)
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([N_FEATURES * N_HIDDEN, N_HIDDEN, N_HIDDEN * n_out]), axis=1)
+    return (w1.reshape(k, N_FEATURES, N_HIDDEN), b1.reshape(k, 1, N_HIDDEN), w2.reshape(k, N_HIDDEN, n_out),
+            b2.reshape(k, 1, n_out))
 
 
-def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> TrainedNetwork:
+def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig,
+          sigma2_grid: Sequence[float] | None = None) -> TrainedNetwork | list[TrainedNetwork]:
     """Mini-batch gradient descent on the software twin of the hardware stack.
 
     Analog mode trains the dense layers and the eight sensor memristor
@@ -500,50 +509,122 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
     fixes the states at full conductance -- the hard threshold passes no
     gradient -- and trains the dense layers on thresholded features.
 
+    With ``sigma2_grid``, ``train`` returns one network per noise level, in
+    grid order, each equal to ``train(dataset, arch, replace(hyper,
+    sigma2=s), cfg)``; ``hyper.sigma2`` is then unused.  Every level seeds
+    its generator from ``hyper.seed``, so the levels draw the same initial
+    weights, ladder, permutations and standard normals, and sigma only
+    scales the noise: one run whose arrays carry a leading axis over the
+    levels trains them all.  A level of 0 draws no noise, so its stream
+    differs, and the zero levels train as a stack of their own.
+
     Raises:
         TrainingError: on divergence (non-finite loss) or dataset/arch
-            mismatch.
+            mismatch.  With a grid, the error of the first level in grid
+            order that fails, as training the levels one by one in grid
+            order would raise; its ``level`` is that level's grid index.
     """
+    if sigma2_grid is None:
+        return _train_stack(*_dataset_arrays(dataset, arch), arch, hyper, cfg, [hyper.sigma2])[0]
+    levels = list(sigma2_grid)
+    for sigma2 in levels:
+        _check_sigma2(sigma2)
     dots, targets = _dataset_arrays(dataset, arch)
-    n_items = len(dataset)
+    networks: list = [None] * len(levels)
+    failure = None
+    for stack in ([i for i, s in enumerate(levels) if s == 0.0], [i for i, s in enumerate(levels) if s != 0.0]):
+        while True:
+            # when a level diverges, the levels before it train again without
+            # it: one of them may still fail later in training, and so first
+            stack = [i for i in stack if failure is None or i < failure.level]
+            if not stack:
+                break
+            try:
+                trained = _train_stack(dots, targets, arch, hyper, cfg, [levels[i] for i in stack])
+            except TrainingError as exc:
+                exc.level = stack[exc.level]
+                failure = exc
+            else:
+                for i, tn in zip(stack, trained):
+                    networks[i] = tn
+                break
+    if failure is not None:
+        raise failure
+    return networks
+
+
+def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig,
+                 sigma2s: Sequence[float]) -> list[TrainedNetwork]:
+    """``train`` over K noise levels that all draw noise, or all draw none, in one SGD loop.
+
+    Every array of the step carries a leading axis over the levels: the
+    parameters, their gradients, the states and the batch's features and
+    probabilities.  Each level's arithmetic is the one-level run's,
+    elementwise, per row or per matrix (a stacked ``matmul`` calls the same
+    gemm per matrix), so each network is bit-identical to its own run.
+
+    Raises:
+        TrainingError: when a loss diverges; its ``level`` is the index in
+            ``sigma2s`` of the first level that diverged at that step.
+    """
+    n_items, k = len(dots), len(sigma2s)
     n_out, batch_size = arch.n_out, hyper.batch_size
     rng = np.random.default_rng(hyper.seed)
 
-    # the layers are views of one flat vector and their gradients views of
-    # another, so that one SGD update is two ufunc calls
-    params, grads = np.zeros((2, (N_FEATURES + 1 + n_out) * N_HIDDEN + n_out))
+    # the layers are views of one flat vector per level and their gradients
+    # views of another, so that one SGD update is two ufunc calls
+    params, grads = np.zeros((2, k, (N_FEATURES + 1 + n_out) * N_HIDDEN + n_out))
     w1, b1, w2, b2 = _layer_views(params, n_out)
     dw1, db1, dw2, db2 = _layer_views(grads, n_out)
     w1[...] = rng.normal(0.0, np.sqrt(2.0 / N_FEATURES), (N_FEATURES, N_HIDDEN))
     w2[...] = rng.normal(0.0, np.sqrt(2.0 / N_HIDDEN), (N_HIDDEN, n_out))
+    # views, so they follow the in-place updates; the bias gradients without the broadcast axis
+    w1_t, w2_t = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
+    db1, db2 = db1[:, 0], db2[:, 0]
 
     norm = _feature_norm_current(cfg)
     analog = hyper.mode == "analog"
     if analog:
-        states = _state_increment_ladder(cfg, rng)
+        # (K, 1, 4, 2): the 1 broadcasts a level's states over its pressed and unpressed cells
+        states = np.repeat(_state_increment_ladder(cfg, rng)[None, None], k, axis=0)
         threshold = None
     else:
         # the states never move, so neither do the noiseless features
-        states = np.ones((SENSOR_ROWS, SENSOR_COLS))
-        noiseless = _line_currents(dots * cfg.f_press, memristor_conductance(cfg.memristor, states), cfg) / norm
+        states = np.ones((k, 1, SENSOR_ROWS, SENSOR_COLS))
+        noiseless = _line_currents(dots * cfg.f_press, memristor_conductance(cfg.memristor, states[0, 0]), cfg) / norm
         threshold = 0.5 * noiseless.max(axis=0)
 
     # The step runs on values checked once here: the config's devices, the
     # 0/1 dots and the states, which the clip keeps in [0, 1].  So it calls
     # the device formulas without their argument checks.
-    # Dots are 0/1, so every cell sits at one of two forces: each state
-    # update computes both cell conductances u (2, 4, 2) and each item reads
-    # one per cell, by the slots that _cell_slots gives it once here.
-    g_sensor = fsr_conductance(cfg.sensor, np.array([cfg.f_press, 0.0]).reshape(2, 1, 1))
-    g_on = cfg.switch_g_on
-    memristor = cfg.memristor
-    line_slots, cell_slots = _cell_slots(dots)
-    slotted = np.zeros(2 * SENSOR_ROWS * SENSOR_COLS + 1)  # u in slots 0..15, then the pad's 0
-    slotted_u = slotted[:-1].reshape(2, SENSOR_ROWS, SENSOR_COLS)
-    # each item's target in the flattened probabilities of its batch
-    row_offsets = np.arange(n_items) % batch_size * n_out
-    x_buf = np.empty((min(batch_size, n_items), N_FEATURES))  # analog: the batch's network input, built in place
-    sigma = np.sqrt(hyper.sigma2)
+    level = np.arange(k)
+    if analog:
+        # Dots are 0/1, so every cell sits at one of two forces: each state
+        # update computes both cell conductances u (K, 2, 4, 2) and each
+        # item reads one per cell, by the slots that _cell_slots gives it
+        # once here, from its level's row of the slotted conductances
+        # (K, 17).  The state gradient's bincount flattens the levels, so
+        # its bins move by 16 per level.
+        line_slots, cell_slots = _cell_slots(dots)
+        level_bins = (level * 2 * SENSOR_ROWS * SENSOR_COLS)[:, None, None]
+        # each epoch's order, and the cells' slots per level (K, N, 8)
+        line_slots_e, cell_slots_e = np.empty_like(line_slots), np.empty((k,) + cell_slots.shape, dtype=np.intp)
+        slotted = np.zeros((k, 2 * SENSOR_ROWS * SENSOR_COLS + 1))  # u in slots 0..15, then the pad's 0
+        slotted_u = slotted[:, :-1].reshape(k, 2, SENSOR_ROWS, SENSOR_COLS)
+        # _reciprocal_sum's terms that do not move: the resistance of a
+        # pressed and an unpressed sensor (2, 1, 1) and the switch's
+        r_sensor = 1.0 / fsr_conductance(cfg.sensor, np.array([cfg.f_press, 0.0]).reshape(2, 1, 1))
+        r_on = 1.0 / cfg.switch_g_on
+        memristor = cfg.memristor
+    # each item's target in the flattened probabilities (K, B, n_out) of its
+    # batch, where B is the size of the item's batch; (N, K), so that a batch
+    # slices its rows
+    position = np.arange(n_items)[:, None]
+    batch_len = np.minimum(batch_size, n_items - position // batch_size * batch_size)
+    pick_offsets = position % batch_size * n_out + level * batch_len * n_out
+    x_buf = np.empty((k, min(batch_size, n_items), N_FEATURES))  # analog: the batch's network input, built in place
+    sigmas = np.sqrt(np.array(sigma2s, dtype=float)).reshape(k, 1, 1)
+    noise = np.empty((k, n_items, N_FEATURES)) if sigmas[0, 0, 0] != 0.0 else None
     lr = hyper.lr
     state_lr = lr * _STATE_LR_FACTOR
     v_supply = cfg.sensor.v_supply
@@ -555,40 +636,42 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n_items)
-        # nothing else draws from rng within an epoch, so one draw yields
-        # the same numbers in the same order as one draw per batch
-        noise = sigma * rng.standard_normal((n_items, N_FEATURES)) if sigma != 0.0 else None
+        if noise is not None:
+            # nothing else draws from rng within an epoch, so one draw yields
+            # the same numbers in the same order as one draw per batch, and
+            # each level scales the same draw
+            np.multiply(sigmas, rng.standard_normal((n_items, N_FEATURES)), out=noise)
         if analog:
-            line_slots_e, cell_slots_e = line_slots[:, order], cell_slots[order]
+            np.take(line_slots, order, axis=1, out=line_slots_e)
+            np.add(cell_slots[order], level_bins, out=cell_slots_e)
         else:
             feats = noiseless[order]
-            inputs_e = _network_input(feats if noise is None else feats + noise, hyper.mode, threshold, dot_gain)
-        picks_e = row_offsets + targets[order]
+            inputs_e = _network_input(feats[None] if noise is None else np.add(feats, noise, out=noise),
+                                      hyper.mode, threshold, dot_gain)
+        picks_e = pick_offsets + targets[order, None]
 
         for start in range(0, n_items, batch_size):
             rows = slice(start, start + batch_size)
             if analog:
                 g_m = memristor_conductance(memristor, states)
-                # series_conductance's formula, (2, 4, 2): pressed, unpressed
-                u = _reciprocal_sum((g_sensor, g_m, g_on))
-                slotted_u[...] = u
-                # one gather (4, B, 6) and one sum down each line.  The sum
+                # _reciprocal_sum((sensor, g_m, switch)), the formula behind
+                # series_conductance, into the slots: (K, 2, 4, 2), pressed, unpressed
+                u = np.divide(1.0, r_sensor + 1.0 / g_m + r_on, out=slotted_u)
+                # one gather (K, 4, B, 6) and one sum down each line.  The sum
                 # adds a line's cells first to last, as _line_sums' reduce
                 # over a column does, and a row's a + b then adds the pad's
                 # two exact zeros, so every feature is _line_sums' value
-                lines = slotted.take(line_slots_e[:, rows])
-                x = np.add.reduce(lines, axis=0, out=x_buf[:lines.shape[1]])
+                lines = slotted.take(line_slots_e[:, rows], axis=1)
+                x = np.add.reduce(lines, axis=1, out=x_buf[:, :lines.shape[2]])
                 # in place, in the order of _line_currents, the normalization,
                 # the noise and _network_input's analog branch
                 x *= v_supply
                 x /= norm
                 if noise is not None:
-                    x += noise[rows]
+                    x += noise[:, rows]
                 x /= dot_gain
             else:
-                x = inputs_e[rows]
-            n_batch = len(x)
-
+                x = inputs_e[:, rows]  # (1, B, 6) without noise: it broadcasts over the levels
             pre1 = x @ w1
             pre1 += b1
             hidden = np.maximum(pre1, 0.0)
@@ -596,57 +679,64 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig) -> Trai
             logits += b2
             probs = _softmax_rows(logits)
             picks = picks_e[rows]
-            picked = probs.take(picks)
+            picked = probs.take(picks)  # (B, K)
             # a softmax row is finite throughout or NaN throughout, so the
             # mean cross-entropy is non-finite exactly when a pick is NaN,
             # which the minimum propagates
-            if not np.minimum.reduce(picked) >= 0.0:
-                loss = -np.log(np.maximum(picked, 1e-300)).mean()
-                raise TrainingError(f"loss diverged at epoch {epoch}: {loss}")
+            if not np.minimum.reduce(picked, axis=None) >= 0.0:
+                first = int((~(np.minimum.reduce(picked, axis=0) >= 0.0)).argmax())
+                loss = -np.log(np.maximum(picked[:, first].copy(), 1e-300)).mean()
+                error = TrainingError(f"loss diverged at epoch {epoch}: {loss}")
+                error.level = first
+                raise error
 
             dz = probs  # (probs - onehot) / B, in place
             picked -= 1.0
             dz.put(picks, picked)
-            dz /= n_batch
-            np.matmul(hidden.T, dz, out=dw2)
-            np.add.reduce(dz, axis=0, out=db2)
-            dpre1 = dz @ w2.T  # d(loss)/d(hidden), masked into d(loss)/d(pre1) in place
+            dz /= len(picks)
+            np.matmul(hidden.transpose(0, 2, 1), dz, out=dw2)
+            np.add.reduce(dz, axis=1, out=db2)
+            dpre1 = dz @ w2_t  # d(loss)/d(hidden), masked into d(loss)/d(pre1) in place
             dpre1 *= pre1 > 0.0
-            np.matmul(x.T, dpre1, out=dw1)
-            np.add.reduce(dpre1, axis=0, out=db1)
+            np.matmul(x.transpose(0, 2, 1), dpre1, out=dw1)
+            np.add.reduce(dpre1, axis=1, out=db1)
 
             if analog:
-                dx = dpre1 @ w1.T  # (B, 6)
-                dcell = dx[:, None, :SENSOR_COLS] + dx[:, SENSOR_COLS:, None]
+                dx = dpre1 @ w1_t  # (K, B, 6)
+                dcell = dx[:, :, None, :SENSOR_COLS] + dx[:, :, SENSOR_COLS:, None]
                 dcell *= feat_scale
-                # (2, 4, 2): pressed, unpressed.  Each slot adds its items'
+                # (K, 2, 4, 2): pressed, unpressed.  Each slot adds its items'
                 # dcell in batch order from 0, which is the 0/1-masked sum
                 # over the batch: the masked-out zeros change no value
-                du = np.bincount(cell_slots_e[rows].ravel(), weights=dcell.ravel(), minlength=u.size).reshape(u.shape)
+                du = np.bincount(cell_slots_e[:, rows].ravel(), weights=dcell.ravel(),
+                                 minlength=u.size).reshape(u.shape)
                 sens = _state_sensitivity(u, g_m, cfg)
-                dstates = np.add.reduce(du * sens, axis=0)
+                dstates = np.add.reduce(du * sens, axis=1, keepdims=True)
                 # descend in increment space: the state-to-increment map is
                 # steep near 0 and nearly flat near 1, so raw state steps
                 # either overshoot the sensitive region or stall; dividing by
                 # the squared sensitivity equals gradient descent on the
                 # increment itself
-                cond = np.maximum((sens[0] - sens[1]) * feat_scale, 1e-2)
+                cond = np.maximum(np.subtract.reduce(sens, axis=1, keepdims=True) * feat_scale, 1e-2)
                 # the clip to [0, 1] as two ufuncs: np.clip's wrapper costs more
                 states = np.minimum(np.maximum(states - state_lr * dstates / cond**2, 0.0), 1.0)
 
             grads *= lr
             params -= grads
 
-    return TrainedNetwork(
-        arch=arch,
-        mode=hyper.mode,
-        w_hidden=w1.copy(),
-        b_hidden=b1.copy(),
-        w_out=w2.copy(),
-        b_out=b2.copy(),
-        sensor_states=states,
-        binary_threshold=threshold,
-    )
+    return [
+        TrainedNetwork(
+            arch=arch,
+            mode=hyper.mode,
+            w_hidden=w1[i].copy(),
+            b_hidden=b1[i, 0].copy(),
+            w_out=w2[i].copy(),
+            b_out=b2[i, 0].copy(),
+            sensor_states=states[i, 0].copy(),
+            binary_threshold=None if threshold is None else threshold.copy(),
+        )
+        for i in range(k)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -841,30 +931,53 @@ def arch_for(group_names: Sequence[str]) -> NetworkArch:
 
 def sweep_point(
     group_names: Sequence[str],
-    sigma2: float,
+    sigma2_grid: Sequence[float],
     mode: str,
     seed: int,
     cfg: SimConfig,
     copies: int = 5,
-) -> SweepRow:
-    """Train at one (group set, noise, mode) grid point and score the held-out copy."""
+) -> list[SweepRow]:
+    """Train one (group set, mode, seed) stack over the noise grid and score each level's held-out copy.
+
+    One dataset and one stacked ``train`` serve every level, and each level
+    is scored on its own, so the rows, one per level in grid order, equal
+    those of training and scoring each level alone.  A failing stack raises
+    what its first failing level raises.
+    """
+    rows, failure = _stack_rows(group_names, mode, seed, list(sigma2_grid), cfg, copies)
+    if failure is not None:
+        raise failure
+    return rows
+
+
+def _stack_rows(group_names: Sequence[str], mode: str, seed: int, sigma2_grid: list[float], cfg: SimConfig,
+                copies: int) -> tuple[list[SweepRow], Exception | None]:
+    """``sweep_point``'s rows up to the first level that fails, and what that level raised (None if none fails).
+
+    The failed level is the one after the rows.  A level fails when its
+    training diverges or its scoring raises, and the levels before a
+    diverged one are scored first, as the per-point sweep scores them.
+    """
     # looked up in braille at each call, not bound here, so that a wrapper
     # put on braille.build_dataset (perfbench's trace) also sees sweep points
     dataset = braille.build_dataset(group_names, copies=copies, seed=seed, f_press=cfg.f_press)
     train_items, test_items = split_holdout(dataset, copies=copies)
     arch = arch_for(group_names)
-    hyper = TrainHyper.from_config(cfg, seed=seed, sigma2=sigma2, mode=mode)
-    tn = train(train_items, arch, hyper, cfg)
-    report = evaluate(map_network(tn, cfg), test_items, [sigma2], seed=seed)
-    accuracy = report.accuracy("overall", sigma2)
-    return SweepRow(
-        group_set="+".join(group_names),
-        sigma2=sigma2,
-        mode=mode,
-        seed=seed,
-        accuracy=accuracy,
-        n_test=len(test_items),
-    )
+    hyper = TrainHyper.from_config(cfg, seed=seed, mode=mode)
+    try:
+        networks, failure = train(train_items, arch, hyper, cfg, sigma2_grid), None
+    except TrainingError as exc:
+        # the levels before it did not fail: they train again on their own
+        networks, failure = train(train_items, arch, hyper, cfg, sigma2_grid[:exc.level]), exc
+    rows = []
+    for sigma2, tn in zip(sigma2_grid, networks):
+        try:
+            report = evaluate(map_network(tn, cfg), test_items, [sigma2], seed=seed)
+        except Exception as exc:  # whatever scoring raises fails this point, as in the per-point sweep
+            return rows, exc
+        rows.append(SweepRow(group_set="+".join(group_names), sigma2=sigma2, mode=mode, seed=seed,
+                             accuracy=report.accuracy("overall", sigma2), n_test=len(test_items)))
+    return rows, failure
 
 
 def run_sweep(
@@ -877,18 +990,22 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Cartesian sweep over group sets, noise grid, modes and seeds.
 
-    Every grid point is an independent training, so the points run in a pool
-    of one process per available core, at most one per point; on one core
-    they run in this process.  The rows come back in grid order either way,
-    and equal to the serial ones.  The first failing point's exception
-    reaches the caller, and points not yet started are cancelled.
+    The rows come in grid order: group set, mode, noise level, seed.  The
+    unit of work is one (group set, mode, seed) stack, whose noise levels
+    one stacked ``train`` trains (``sweep_point``).  The stacks run in a
+    pool of one process per available core, at most one per stack; on one
+    core they run in this process.  Either way the rows equal the
+    per-point ones, and a failing sweep raises what the first failing point
+    in grid order raises, as the per-point sweep would.  Stacks not yet
+    started are cancelled once no later stack can fail earlier in grid
+    order.
     """
-    points = [(group_names, sigma2, mode, seed) for group_names in group_sets for mode in modes
-              for sigma2 in sigma2_grid for seed in seeds]
-    point = functools.partial(sweep_point, cfg=cfg, copies=copies)
-    workers = min(len(os.sched_getaffinity(0)), len(points))
+    grid = list(sigma2_grid)
+    stacks = [(group_names, mode, seed) for group_names in group_sets for mode in modes for seed in seeds]
+    stack = functools.partial(_stack_rows, sigma2_grid=grid, cfg=cfg, copies=copies)
+    workers = min(len(os.sched_getaffinity(0)), len(stacks))
     if workers <= 1:
-        return [point(*args) for args in points]
+        return _grid_rows((stack(*args) for args in stacks), len(grid), len(seeds))
     # imported here: processes that never start a pool do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -898,9 +1015,35 @@ def run_sweep(
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                                initializer=_use_warning_filters, initargs=(list(warnings.filters),))
     try:
-        return list(pool.map(point, *zip(*points)))
+        return _grid_rows(pool.map(stack, *zip(*stacks)), len(grid), len(seeds))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _grid_rows(outcomes, n_levels: int, n_seeds: int) -> list[SweepRow]:
+    """Rows in grid order from ``_stack_rows`` outcomes in stack order (group set, mode, seed).
+
+    Stack t holds the points (block t // n_seeds, level, seed t % n_seeds)
+    at grid positions (block * n_levels + level) * n_seeds + seed.  Raises
+    what the point at the lowest failed position raised.  Once a failure is
+    known, the first stack whose level 0 lies after it ends the search:
+    every later stack lies after it too.
+    """
+    stacks, failure, failed_at = [], None, None
+    for t, (rows, error) in enumerate(outcomes):
+        block, seed = divmod(t, n_seeds)
+        first = block * n_levels * n_seeds + seed  # the grid position of the stack's level 0
+        if failure is not None and first > failed_at:
+            break
+        if error is not None and (failure is None or first + len(rows) * n_seeds < failed_at):
+            failure, failed_at = error, first + len(rows) * n_seeds
+        stacks.append((first, rows))
+    if failure is not None:
+        raise failure
+    grid_rows: list = [None] * (len(stacks) * n_levels)
+    for first, rows in stacks:
+        grid_rows[first:first + n_levels * n_seeds:n_seeds] = rows
+    return grid_rows
 
 
 def _use_warning_filters(filters: list) -> None:

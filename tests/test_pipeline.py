@@ -442,7 +442,7 @@ class TestTraining:
         assert report.accuracy("overall", 0.0) == 100.0
 
     def test_two_seeds_close_in_accuracy_but_not_in_weights(self, cfg):
-        rows = [sweep_point(["group2"], 0.02, "analog", seed, cfg) for seed in (0, 1)]
+        rows = [sweep_point(["group2"], [0.02], "analog", seed, cfg)[0] for seed in (0, 1)]
         assert abs(rows[0].accuracy - rows[1].accuracy) <= 2.0
         assert rows[0].n_test == rows[1].n_test == 26
         # independent runs from different seeds land on different weights
@@ -481,6 +481,53 @@ class TestTraining:
         # would still match.  With a 7 mS switch about a quarter of the
         # states round differently.
         _assert_trains_like_the_reference(g2_split[0], replace(cfg, switch_g_on=7e-3), "analog", 0.1, 32)
+
+    @pytest.mark.parametrize("mode", ["analog", "binary"])
+    @pytest.mark.parametrize("group", [BrailleGroup.GROUP1, "fusion"])
+    def test_stacked_levels_equal_their_own_runs(self, cfg, mode, group):
+        # group1 trains on 108 items (a last batch of 12), fusion on 500 items
+        # with 125 outputs; the grid holds a 0, which trains as its own stack
+        train_items, _ = split_holdout(build_dataset(group, copies=5, seed=2, f_press=cfg.f_press), copies=5)
+        arch = arch_for([group.value if isinstance(group, BrailleGroup) else group])
+        hyper = TrainHyper(epochs=3, seed=2, sigma2=0.3, mode=mode)
+        grid = [0.05, 0.0, 0.5, 0.02]
+        stacked = train(train_items, arch, hyper, cfg, sigma2_grid=grid)
+        assert len(stacked) == len(grid)
+        for sigma2, tn in zip(grid, stacked):
+            for own in (train(train_items, arch, replace(hyper, sigma2=sigma2), cfg),
+                        _reference_train(train_items, arch, replace(hyper, sigma2=sigma2), cfg)):
+                assert own.arch == tn.arch and own.mode == tn.mode
+                for field in ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states", "binary_threshold"):
+                    assert np.array_equal(getattr(tn, field), getattr(own, field)), (sigma2, field)
+
+    def test_one_level_grid_equals_the_call_without_a_grid(self, cfg, g2_split):
+        arch = arch_for(["group2"])
+        hyper = TrainHyper(epochs=3, seed=5, sigma2=0.1)
+        [stacked] = train(g2_split[0], arch, hyper, cfg, sigma2_grid=[0.1])
+        alone = train(g2_split[0], arch, hyper, cfg)
+        for field in ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states"):
+            assert np.array_equal(getattr(stacked, field), getattr(alone, field)), field
+        assert train(g2_split[0], arch, hyper, cfg, sigma2_grid=[]) == []
+
+    def test_stacked_divergence_raises_the_first_failing_level(self):
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        train_items, _ = split_holdout(build_dataset(["group1"], copies=5, seed=0, f_press=quick.f_press), copies=5)
+        arch = arch_for(["group1"])
+        hyper = TrainHyper.from_config(quick, seed=0)
+        # at seed 0, 2e46 diverges at epoch 1 and 1e300 at epoch 0: the stack
+        # meets 1e300 first, but the levels before it train on and fail later
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingError) as alone:
+                train(train_items, arch, replace(hyper, sigma2=2e46), quick)
+            with pytest.raises(TrainingError) as stacked:
+                train(train_items, arch, hyper, quick, sigma2_grid=[0.02, 2e46, 1e300, 0.5])
+        assert str(stacked.value) == str(alone.value) == "loss diverged at epoch 1: nan"
+        assert stacked.value.level == 1 and alone.value.level == 0
+
+    def test_bad_level_rejected_before_training(self, cfg, g2_split):
+        with pytest.raises(ValueError, match="sigma2 must be finite and non-negative, got -0.1"):
+            train(g2_split[0], arch_for(["group2"]), TrainHyper(epochs=1), cfg, sigma2_grid=[0.02, -0.1])
 
     def test_cell_slots_read_the_line_sums_and_scatter_the_state_gradient(self):
         # every 4x2 dot pattern, at a supply that is not a power of two
@@ -942,7 +989,8 @@ class TestSweepProtocol:
 
     @staticmethod
     def _serial_rows(group_sets, sigma2_grid, modes, seeds, cfg):
-        return [sweep_point(g, s, m, seed, cfg) for g in group_sets for m in modes
+        """The per-point sweep: one training and one score per grid point, in grid order."""
+        return [sweep_point(g, [s], m, seed, cfg)[0] for g in group_sets for m in modes
                 for s in sigma2_grid for seed in seeds]
 
     def test_pooled_rows_equal_serial_points_in_grid_order(self, monkeypatch):
@@ -962,6 +1010,39 @@ class TestSweepProtocol:
         assert pools == [2]
         assert rows == self._serial_rows(*grid)
 
+    def _assert_raises_as_the_serial_sweep(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(Exception) as serial:
+                self._serial_rows(*grid)
+            with pytest.raises(Exception) as swept:
+                run_sweep(*grid)
+        assert type(swept.value) is type(serial.value)
+        assert str(swept.value) == str(serial.value)
+        return swept.value
+
+    @pytest.mark.parametrize("sigma2_grid", [[0.02, 0.5, 1e300], [1e300, 0.02, 0.5]])
+    def test_diverging_level_raises_as_the_serial_sweep(self, monkeypatch, sigma2_grid):
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        error = self._assert_raises_as_the_serial_sweep(([["group1"]], sigma2_grid, ["analog"], [0], quick))
+        assert isinstance(error, TrainingError) and str(error) == "loss diverged at epoch 0: nan"
+
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}])
+    def test_first_failing_point_in_grid_order_wins_across_stacks(self, monkeypatch, cores):
+        # Seed 3's stack fails at its second level: 1e300 diverges.  Seed 4's
+        # fails at its first: 2.6e41 trains to logits that overflow, which
+        # scoring rejects.  Grid order puts (2.6e41, seed 4) before (1e300,
+        # seed 3), though seed 3's stack comes first.
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        error = self._assert_raises_as_the_serial_sweep(([["group1"]], [2.6e41, 1e300], ["analog"], [3, 4], quick))
+        assert isinstance(error, ValueError) and "softmax_circuit needs a finite maximum" in str(error)
+        # and the levels before a diverged one are scored first: seed 4's
+        # 2.6e41 level is rejected before its 1e300 level diverges
+        error = self._assert_raises_as_the_serial_sweep(([["group1"]], [2.6e41, 1e300], ["analog"], [4], quick))
+        assert isinstance(error, ValueError)
+
     def test_workers_apply_the_callers_warning_filters(self, monkeypatch):
         diverging = load_config(environ={"TMSIM_TRAIN__LR": "1e300", "TMSIM_TRAIN__EPOCHS": "2"})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -973,6 +1054,15 @@ class TestSweepProtocol:
             with pytest.raises(TrainingError, match="diverged"):
                 run_sweep([["group1"]], [0.02, 0.5], ["analog"], [0], diverging)
 
+    def test_pooled_stacks_apply_the_callers_warning_filters(self, monkeypatch):
+        # two stacks, so that the pool starts
+        diverging = load_config(environ={"TMSIM_TRAIN__LR": "1e300", "TMSIM_TRAIN__EPOCHS": "2"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                run_sweep([["group1"]], [0.02, 0.5], ["analog"], [0, 1], diverging)
+
     def test_sweep_point_looks_its_dataset_up_in_braille(self, monkeypatch):
         # so a wrapper on braille.build_dataset, such as perfbench's trace, sees every point
         calls = []
@@ -983,8 +1073,9 @@ class TestSweepProtocol:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(braille, "build_dataset", counted)
-        sweep_point(["group1"], 0.02, "analog", 0, load_config(environ={"TMSIM_TRAIN__EPOCHS": "1"}))
-        assert calls == [(["group1"],)]
+        rows = sweep_point(["group1"], [0.02, 0.5], "analog", 0, load_config(environ={"TMSIM_TRAIN__EPOCHS": "1"}))
+        assert [row.sigma2 for row in rows] == [0.02, 0.5]
+        assert calls == [(["group1"],)]  # one dataset for the whole stack
 
     @pytest.mark.parametrize("cores, sigma2_grid", [({0}, [0.02, 0.5]), ({0, 1}, [0.02])])
     def test_one_worker_runs_in_process(self, monkeypatch, cores, sigma2_grid):
