@@ -86,9 +86,11 @@ class TrainingError(RuntimeError):
 
     ``level`` is the index in ``train``'s ``sigma2_grid`` of the noise level
     that failed: 0 without a grid, and for a dataset no level can train on.
+    ``trained`` holds the networks of the levels before it, which did not fail.
     """
 
     level: int = 0
+    trained: Sequence[TrainedNetwork] = ()
 
 
 class InvalidNetworkError(ValueError):
@@ -522,39 +524,27 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig,
         TrainingError: on divergence (non-finite loss) or dataset/arch
             mismatch.  With a grid, the error of the first level in grid
             order that fails, as training the levels one by one in grid
-            order would raise; its ``level`` is that level's grid index.
+            order would raise; its ``level`` is that level's grid index and
+            its ``trained`` the networks of the levels before it.
     """
-    if sigma2_grid is None:
-        return _train_stack(*_dataset_arrays(dataset, arch), arch, hyper, cfg, [hyper.sigma2])[0]
-    levels = list(sigma2_grid)
+    levels = [hyper.sigma2] if sigma2_grid is None else list(sigma2_grid)
     for sigma2 in levels:
         _check_sigma2(sigma2)
     dots, targets = _dataset_arrays(dataset, arch)
-    networks: list = [None] * len(levels)
-    failure = None
+    outcomes: list = [None] * len(levels)
     for stack in ([i for i, s in enumerate(levels) if s == 0.0], [i for i, s in enumerate(levels) if s != 0.0]):
-        while True:
-            # when a level diverges, the levels before it train again without
-            # it: one of them may still fail later in training, and so first
-            stack = [i for i in stack if failure is None or i < failure.level]
-            if not stack:
-                break
-            try:
-                trained = _train_stack(dots, targets, arch, hyper, cfg, [levels[i] for i in stack])
-            except TrainingError as exc:
-                exc.level = stack[exc.level]
-                failure = exc
-            else:
-                for i, tn in zip(stack, trained):
-                    networks[i] = tn
-                break
-    if failure is not None:
-        raise failure
-    return networks
+        if stack:
+            for i, outcome in zip(stack, _train_stack(dots, targets, arch, hyper, cfg, [levels[i] for i in stack])):
+                outcomes[i] = outcome
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, TrainingError):
+            outcome.level, outcome.trained = i, outcomes[:i]
+            raise outcome
+    return outcomes[0] if sigma2_grid is None else outcomes
 
 
 def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig,
-                 sigma2s: Sequence[float]) -> list[TrainedNetwork]:
+                 sigma2s: Sequence[float]) -> list[TrainedNetwork | TrainingError]:
     """``train`` over K noise levels that all draw noise, or all draw none, in one SGD loop.
 
     Every array of the step carries a leading axis over the levels: the
@@ -563,9 +553,9 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
     elementwise, per row or per matrix (a stacked ``matmul`` calls the same
     gemm per matrix), so each network is bit-identical to its own run.
 
-    Raises:
-        TrainingError: when a loss diverges; its ``level`` is the index in
-            ``sigma2s`` of the first level that diverged at that step.
+    Returns one outcome per level: its network, or the ``TrainingError`` of
+    its loss's first divergence.  A diverged level trains on in NaNs, which
+    reach no other level, and the run ends once every level has diverged.
     """
     n_items, k = len(dots), len(sigma2s)
     n_out, batch_size = arch.n_out, hyper.batch_size
@@ -633,6 +623,7 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
     # cell conductances (its column for features 0..1, its row for 2..5)
     # scaled by v_supply, the normalization and the O(1) input division
     feat_scale = v_supply / (norm * dot_gain)
+    errors: dict[int, TrainingError] = {}  # each diverged level's first divergence
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n_items)
@@ -684,11 +675,12 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
             # mean cross-entropy is non-finite exactly when a pick is NaN,
             # which the minimum propagates
             if not np.minimum.reduce(picked, axis=None) >= 0.0:
-                first = int((~(np.minimum.reduce(picked, axis=0) >= 0.0)).argmax())
-                loss = -np.log(np.maximum(picked[:, first].copy(), 1e-300)).mean()
-                error = TrainingError(f"loss diverged at epoch {epoch}: {loss}")
-                error.level = first
-                raise error
+                for i in np.flatnonzero(~(np.minimum.reduce(picked, axis=0) >= 0.0)).tolist():
+                    if i not in errors:
+                        loss = -np.log(np.maximum(picked[:, i], 1e-300)).mean()
+                        errors[i] = TrainingError(f"loss diverged at epoch {epoch}: {loss}")
+                if len(errors) == k:
+                    return [errors[i] for i in range(k)]
 
             dz = probs  # (probs - onehot) / B, in place
             picked -= 1.0
@@ -725,7 +717,7 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
             params -= grads
 
     return [
-        TrainedNetwork(
+        errors.get(i) or TrainedNetwork(
             arch=arch,
             mode=hyper.mode,
             w_hidden=w1[i].copy(),
@@ -942,7 +934,8 @@ def sweep_point(
     One dataset and one stacked ``train`` serve every level, and each level
     is scored on its own, so the rows, one per level in grid order, equal
     those of training and scoring each level alone.  A failing stack raises
-    what its first failing level raises.
+    a ``TrainingError`` that names its first failing level, chained from
+    what that level raised.
     """
     rows, failure = _stack_rows(group_names, mode, seed, list(sigma2_grid), cfg, copies)
     if failure is not None:
@@ -951,12 +944,14 @@ def sweep_point(
 
 
 def _stack_rows(group_names: Sequence[str], mode: str, seed: int, sigma2_grid: list[float], cfg: SimConfig,
-                copies: int) -> tuple[list[SweepRow], Exception | None]:
-    """``sweep_point``'s rows up to the first level that fails, and what that level raised (None if none fails).
+                copies: int) -> tuple[list[SweepRow], TrainingError | None]:
+    """``sweep_point``'s rows up to the first level that fails, and that level's error (None if none fails).
 
     The failed level is the one after the rows.  A level fails when its
-    training diverges or its scoring raises, and the levels before a
-    diverged one are scored first, as the per-point sweep scores them.
+    training diverges or its scoring raises; the levels before a diverged
+    one, which its error carries, are scored first, as the per-point sweep
+    scores them.  What fails a level is chained to a ``TrainingError`` that
+    names the point.
     """
     # looked up in braille at each call, not bound here, so that a wrapper
     # put on braille.build_dataset (perfbench's trace) also sees sweep points
@@ -964,20 +959,24 @@ def _stack_rows(group_names: Sequence[str], mode: str, seed: int, sigma2_grid: l
     train_items, test_items = split_holdout(dataset, copies=copies)
     arch = arch_for(group_names)
     hyper = TrainHyper.from_config(cfg, seed=seed, mode=mode)
+    group_set = "+".join(group_names)
     try:
-        networks, failure = train(train_items, arch, hyper, cfg, sigma2_grid), None
+        outcomes = train(train_items, arch, hyper, cfg, sigma2_grid)
     except TrainingError as exc:
-        # the levels before it did not fail: they train again on their own
-        networks, failure = train(train_items, arch, hyper, cfg, sigma2_grid[:exc.level]), exc
+        outcomes = [*exc.trained, exc]
     rows = []
-    for sigma2, tn in zip(sigma2_grid, networks):
+    for sigma2, outcome in zip(sigma2_grid, outcomes):
         try:
-            report = evaluate(map_network(tn, cfg), test_items, [sigma2], seed=seed)
-        except Exception as exc:  # whatever scoring raises fails this point, as in the per-point sweep
-            return rows, exc
-        rows.append(SweepRow(group_set="+".join(group_names), sigma2=sigma2, mode=mode, seed=seed,
+            if isinstance(outcome, TrainingError):
+                raise outcome
+            report = evaluate(map_network(outcome, cfg), test_items, [sigma2], seed=seed)
+        except Exception as exc:  # a divergence, or whatever scoring raises, fails this point
+            point = TrainingError(f"{group_set} {mode} sigma2={sigma2:g} seed {seed}: {exc}")
+            point.__cause__ = exc
+            return rows, point
+        rows.append(SweepRow(group_set=group_set, sigma2=sigma2, mode=mode, seed=seed,
                              accuracy=report.accuracy("overall", sigma2), n_test=len(test_items)))
-    return rows, failure
+    return rows, None
 
 
 def run_sweep(

@@ -409,7 +409,7 @@ class TestSweep:
             rc = main(["sweep", "--seed", "0", "--groups", "group1", "--mode", "analog",
                        "--sigma2", "0.02,0.5", "--out", str(out)])
         assert rc == EXIT_RUNTIME
-        assert "loss diverged" in capsys.readouterr().err
+        assert "error: group1 analog sigma2=0.02 seed 0: loss diverged at epoch 0: nan" in capsys.readouterr().err
         assert not out.exists()
 
 

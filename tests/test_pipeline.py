@@ -8,13 +8,14 @@ everything else trains tiny throwaway networks or none at all.
 import concurrent.futures
 import json
 import os
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tmsim import braille
+from tmsim import braille, pipeline
 from tmsim.analog_blocks import softmax_circuit
 from tmsim.braille import BrailleGroup, _encode, build_dataset, label_to_group, symbol_to_forces, symbols
 from tmsim.config import _feature_norm_current, load_config
@@ -525,6 +526,24 @@ class TestTraining:
         assert str(stacked.value) == str(alone.value) == "loss diverged at epoch 1: nan"
         assert stacked.value.level == 1 and alone.value.level == 0
 
+    def test_a_stack_ends_once_every_level_has_diverged(self, monkeypatch):
+        diverging = load_config(environ={"TMSIM_TRAIN__LR": "1e300", "TMSIM_TRAIN__EPOCHS": "50"})
+        train_items, _ = split_holdout(build_dataset(["group1"], copies=5, seed=0, f_press=diverging.f_press),
+                                       copies=5)
+        arch = arch_for(["group1"])
+        hyper = TrainHyper.from_config(diverging, seed=0)
+        steps = []
+        softmax_rows = pipeline._softmax_rows
+        monkeypatch.setattr(pipeline, "_softmax_rows", lambda z: steps.append(z.shape) or softmax_rows(z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            outcomes = pipeline._train_stack(*_dataset_arrays(train_items, arch), arch, hyper, diverging,
+                                             [0.02, 0.5, 1e300])
+        assert all(isinstance(outcome, TrainingError) for outcome in outcomes)
+        last = max(int(re.fullmatch(r"loss diverged at epoch (\d+): nan", str(outcome))[1]) for outcome in outcomes)
+        batches = -(-len(train_items) // hyper.batch_size)
+        assert last * batches < len(steps) <= (last + 1) * batches < hyper.epochs * batches
+
     def test_bad_level_rejected_before_training(self, cfg, g2_split):
         with pytest.raises(ValueError, match="sigma2 must be finite and non-negative, got -0.1"):
             train(g2_split[0], arch_for(["group2"]), TrainHyper(epochs=1), cfg, sigma2_grid=[0.02, -0.1])
@@ -1026,7 +1045,34 @@ class TestSweepProtocol:
         quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         error = self._assert_raises_as_the_serial_sweep(([["group1"]], sigma2_grid, ["analog"], [0], quick))
-        assert isinstance(error, TrainingError) and str(error) == "loss diverged at epoch 0: nan"
+        assert isinstance(error, TrainingError)
+        assert str(error) == "group1 analog sigma2=1e+300 seed 0: loss diverged at epoch 0: nan"
+
+    def test_a_diverging_stack_trains_once(self, monkeypatch):
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        stacks = []
+        train_stack = pipeline._train_stack
+
+        def counted(*args):
+            stacks.append(list(args[-1]))
+            return train_stack(*args)
+
+        monkeypatch.setattr(pipeline, "_train_stack", counted)
+        # at seed 0, 2e46 diverges at epoch 1 and 1e300 at epoch 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingError) as failed:
+                sweep_point(["group1"], [0.02, 2e46, 1e300, 0.5], "analog", 0, quick)
+        assert stacks == [[0.02, 2e46, 1e300, 0.5]]
+        assert str(failed.value) == "group1 analog sigma2=2e+46 seed 0: loss diverged at epoch 1: nan"
+        divergence = failed.value.__cause__
+        assert isinstance(divergence, TrainingError) and divergence.level == 1
+        # the network of the level before it is the one that level trains alone
+        [carried] = divergence.trained
+        train_items, _ = split_holdout(build_dataset(["group1"], copies=5, seed=0, f_press=quick.f_press), copies=5)
+        alone = train(train_items, arch_for(["group1"]), TrainHyper.from_config(quick, seed=0, sigma2=0.02), quick)
+        for field in ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states"):
+            assert np.array_equal(getattr(carried, field), getattr(alone, field)), field
 
     @pytest.mark.parametrize("cores", [{0}, {0, 1}])
     def test_first_failing_point_in_grid_order_wins_across_stacks(self, monkeypatch, cores):
@@ -1037,11 +1083,12 @@ class TestSweepProtocol:
         quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
         error = self._assert_raises_as_the_serial_sweep(([["group1"]], [2.6e41, 1e300], ["analog"], [3, 4], quick))
-        assert isinstance(error, ValueError) and "softmax_circuit needs a finite maximum" in str(error)
+        assert isinstance(error, TrainingError)
+        assert str(error).startswith("group1 analog sigma2=2.6e+41 seed 4: softmax_circuit needs a finite maximum")
         # and the levels before a diverged one are scored first: seed 4's
         # 2.6e41 level is rejected before its 1e300 level diverges
         error = self._assert_raises_as_the_serial_sweep(([["group1"]], [2.6e41, 1e300], ["analog"], [4], quick))
-        assert isinstance(error, ValueError)
+        assert isinstance(error, TrainingError) and "sigma2=2.6e+41 seed 4: softmax_circuit" in str(error)
 
     def test_workers_apply_the_callers_warning_filters(self, monkeypatch):
         diverging = load_config(environ={"TMSIM_TRAIN__LR": "1e300", "TMSIM_TRAIN__EPOCHS": "2"})
