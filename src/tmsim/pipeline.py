@@ -84,12 +84,12 @@ N_HIDDEN = 14  # columns of the 6x14 hidden-layer weight crossbar
 class TrainingError(RuntimeError):
     """Training diverged or was fed an inconsistent dataset.
 
-    ``level`` is the index in ``train``'s ``sigma2_grid`` of the noise level
-    that failed: 0 without a grid, and for a dataset no level can train on.
-    ``trained`` holds the networks of the levels before it, which did not fail.
+    ``trained`` holds the networks of the grid levels before the one that
+    failed, so the failed level's index in ``train``'s ``sigma2_grid`` is
+    ``len(trained)``: empty without a grid, and for a dataset no level can
+    train on.
     """
 
-    level: int = 0
     trained: Sequence[TrainedNetwork] = ()
 
 
@@ -524,13 +524,14 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig,
         TrainingError: on divergence (non-finite loss) or dataset/arch
             mismatch.  With a grid, the error of the first level in grid
             order that fails, as training the levels one by one in grid
-            order would raise; its ``level`` is that level's grid index and
-            its ``trained`` the networks of the levels before it.
+            order would raise, with ``trained`` set to the networks of the
+            levels before it.
     """
     levels = [hyper.sigma2] if sigma2_grid is None else list(sigma2_grid)
     for sigma2 in levels:
         _check_sigma2(sigma2)
     dots, targets = _dataset_arrays(dataset, arch)
+    # a stack's outcomes end at its first failure, so its None slots lie after that failure in grid order
     outcomes: list = [None] * len(levels)
     for stack in ([i for i, s in enumerate(levels) if s == 0.0], [i for i, s in enumerate(levels) if s != 0.0]):
         if stack:
@@ -538,7 +539,7 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig,
                 outcomes[i] = outcome
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, TrainingError):
-            outcome.level, outcome.trained = i, outcomes[:i]
+            outcome.trained = outcomes[:i]
             raise outcome
     return outcomes[0] if sigma2_grid is None else outcomes
 
@@ -553,9 +554,11 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
     elementwise, per row or per matrix (a stacked ``matmul`` calls the same
     gemm per matrix), so each network is bit-identical to its own run.
 
-    Returns one outcome per level: its network, or the ``TrainingError`` of
-    its loss's first divergence.  A diverged level trains on in NaNs, which
-    reach no other level, and the run ends once every level has diverged.
+    Returns the networks of the levels before the first level whose loss
+    diverges, then that level's ``TrainingError``, built at its loss's first
+    divergence.  A diverged level trains on in NaNs, which reach no other
+    level, so the levels before it still train to the end; the run ends as
+    soon as level 0 diverges, since then no network is returned.
     """
     n_items, k = len(dots), len(sigma2s)
     n_out, batch_size = arch.n_out, hyper.batch_size
@@ -623,7 +626,7 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
     # cell conductances (its column for features 0..1, its row for 2..5)
     # scaled by v_supply, the normalization and the O(1) input division
     feat_scale = v_supply / (norm * dot_gain)
-    errors: dict[int, TrainingError] = {}  # each diverged level's first divergence
+    failed, error = k, None  # the first level that has diverged (k while none has) and its error
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n_items)
@@ -675,12 +678,12 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
             # mean cross-entropy is non-finite exactly when a pick is NaN,
             # which the minimum propagates
             if not np.minimum.reduce(picked, axis=None) >= 0.0:
-                for i in np.flatnonzero(~(np.minimum.reduce(picked, axis=0) >= 0.0)).tolist():
-                    if i not in errors:
-                        loss = -np.log(np.maximum(picked[:, i], 1e-300)).mean()
-                        errors[i] = TrainingError(f"loss diverged at epoch {epoch}: {loss}")
-                if len(errors) == k:
-                    return [errors[i] for i in range(k)]
+                i = int(np.flatnonzero(~(np.minimum.reduce(picked, axis=0) >= 0.0))[0])
+                if i < failed:
+                    loss = -np.log(np.maximum(picked[:, i], 1e-300)).mean()
+                    failed, error = i, TrainingError(f"loss diverged at epoch {epoch}: {loss}")
+                    if failed == 0:
+                        return [error]
 
             dz = probs  # (probs - onehot) / B, in place
             picked -= 1.0
@@ -717,7 +720,7 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
             params -= grads
 
     return [
-        errors.get(i) or TrainedNetwork(
+        TrainedNetwork(
             arch=arch,
             mode=hyper.mode,
             w_hidden=w1[i].copy(),
@@ -727,8 +730,8 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
             sensor_states=states[i, 0].copy(),
             binary_threshold=None if threshold is None else threshold.copy(),
         )
-        for i in range(k)
-    ]
+        for i in range(failed)
+    ] + ([] if error is None else [error])
 
 
 # ---------------------------------------------------------------------------
@@ -929,29 +932,20 @@ def sweep_point(
     cfg: SimConfig,
     copies: int = 5,
 ) -> list[SweepRow]:
-    """Train one (group set, mode, seed) stack over the noise grid and score each level's held-out copy.
-
-    One dataset and one stacked ``train`` serve every level, and each level
-    is scored on its own, so the rows, one per level in grid order, equal
-    those of training and scoring each level alone.  A failing stack raises
-    a ``TrainingError`` that names its first failing level, chained from
-    what that level raised.
-    """
-    rows, failure = _stack_rows(group_names, mode, seed, list(sigma2_grid), cfg, copies)
-    if failure is not None:
-        raise failure
-    return rows
+    """``run_sweep`` of one (group set, mode, seed) stack, which runs in this process: one row per level."""
+    return run_sweep([group_names], sigma2_grid, [mode], [seed], cfg, copies)
 
 
 def _stack_rows(group_names: Sequence[str], mode: str, seed: int, sigma2_grid: list[float], cfg: SimConfig,
-                copies: int) -> tuple[list[SweepRow], TrainingError | None]:
-    """``sweep_point``'s rows up to the first level that fails, and that level's error (None if none fails).
+                copies: int) -> list:
+    """One stack's rows in grid order up to its first failing level, then what failed that level.
 
-    The failed level is the one after the rows.  A level fails when its
-    training diverges or its scoring raises; the levels before a diverged
-    one, which its error carries, are scored first, as the per-point sweep
-    scores them.  What fails a level is chained to a ``TrainingError`` that
-    names the point.
+    One dataset and one stacked ``train`` serve every level, and each level
+    is scored on its own, so each row equals that of training and scoring
+    its level alone.  A level fails when its training diverges or its
+    scoring raises, and its exception, as raised, ends the list.  The
+    levels before a diverged one, whose networks its error carries, are
+    scored first, as training and scoring the levels one by one would.
     """
     # looked up in braille at each call, not bound here, so that a wrapper
     # put on braille.build_dataset (perfbench's trace) also sees sweep points
@@ -966,17 +960,15 @@ def _stack_rows(group_names: Sequence[str], mode: str, seed: int, sigma2_grid: l
         outcomes = [*exc.trained, exc]
     rows = []
     for sigma2, outcome in zip(sigma2_grid, outcomes):
+        if isinstance(outcome, TrainingError):
+            return rows + [outcome]
         try:
-            if isinstance(outcome, TrainingError):
-                raise outcome
             report = evaluate(map_network(outcome, cfg), test_items, [sigma2], seed=seed)
-        except Exception as exc:  # a divergence, or whatever scoring raises, fails this point
-            point = TrainingError(f"{group_set} {mode} sigma2={sigma2:g} seed {seed}: {exc}")
-            point.__cause__ = exc
-            return rows, point
+        except Exception as exc:  # whatever scoring raises fails this level
+            return rows + [exc]
         rows.append(SweepRow(group_set=group_set, sigma2=sigma2, mode=mode, seed=seed,
                              accuracy=report.accuracy("overall", sigma2), n_test=len(test_items)))
-    return rows, None
+    return rows
 
 
 def run_sweep(
@@ -991,20 +983,20 @@ def run_sweep(
 
     The rows come in grid order: group set, mode, noise level, seed.  The
     unit of work is one (group set, mode, seed) stack, whose noise levels
-    one stacked ``train`` trains (``sweep_point``).  The stacks run in a
-    pool of one process per available core, at most one per stack; on one
-    core they run in this process.  Either way the rows equal the
-    per-point ones, and a failing sweep raises what the first failing point
-    in grid order raises, as the per-point sweep would.  Stacks not yet
-    started are cancelled once no later stack can fail earlier in grid
-    order.
+    one stacked ``train`` trains.  The stacks run in a pool of one process
+    per available core, at most one per stack; on one core they run in this
+    process.  Either way the rows equal the per-point ones, and a failing
+    sweep raises a ``TrainingError`` that names its first failing point in
+    grid order, chained from what that point raised, as the per-point sweep
+    would.  Stacks not yet started are cancelled once no later stack can
+    fail earlier in grid order.
     """
     grid = list(sigma2_grid)
     stacks = [(group_names, mode, seed) for group_names in group_sets for mode in modes for seed in seeds]
     stack = functools.partial(_stack_rows, sigma2_grid=grid, cfg=cfg, copies=copies)
     workers = min(len(os.sched_getaffinity(0)), len(stacks))
     if workers <= 1:
-        return _grid_rows((stack(*args) for args in stacks), len(grid), len(seeds))
+        return _grid_rows(stacks, (stack(*args) for args in stacks), grid, len(seeds))
     # imported here: processes that never start a pool do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -1014,35 +1006,38 @@ def run_sweep(
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                                initializer=_use_warning_filters, initargs=(list(warnings.filters),))
     try:
-        return _grid_rows(pool.map(stack, *zip(*stacks)), len(grid), len(seeds))
+        return _grid_rows(stacks, pool.map(stack, *zip(*stacks)), grid, len(seeds))
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _grid_rows(outcomes, n_levels: int, n_seeds: int) -> list[SweepRow]:
-    """Rows in grid order from ``_stack_rows`` outcomes in stack order (group set, mode, seed).
+def _grid_rows(stacks: list[tuple], outcomes, grid: list[float], n_seeds: int) -> list[SweepRow]:
+    """Rows in grid order from the ``_stack_rows`` lists that ``outcomes`` yields for ``stacks`` in turn.
 
     Stack t holds the points (block t // n_seeds, level, seed t % n_seeds)
-    at grid positions (block * n_levels + level) * n_seeds + seed.  Raises
-    what the point at the lowest failed position raised.  Once a failure is
-    known, the first stack whose level 0 lies after it ends the search:
-    every later stack lies after it too.
+    at grid positions (block * len(grid) + level) * n_seeds + seed.  Raises
+    a ``TrainingError`` naming the point at the lowest failed position,
+    chained from what that point raised.  Once a failure is known, the
+    first stack whose level 0 lies after it ends the search before its list
+    is taken, so in this process it never runs: every later stack lies
+    after the failure too.
     """
-    stacks, failure, failed_at = [], None, None
-    for t, (rows, error) in enumerate(outcomes):
-        block, seed = divmod(t, n_seeds)
-        first = block * n_levels * n_seeds + seed  # the grid position of the stack's level 0
-        if failure is not None and first > failed_at:
+    rows: list = [None] * (len(stacks) * len(grid))
+    failed_at, failure = len(rows), None  # the lowest failed position, and its (stack, level, exception)
+    for t in range(len(stacks)):
+        first = t // n_seeds * len(grid) * n_seeds + t % n_seeds  # the grid position of the stack's level 0
+        if first > failed_at:
             break
-        if error is not None and (failure is None or first + len(rows) * n_seeds < failed_at):
-            failure, failed_at = error, first + len(rows) * n_seeds
-        stacks.append((first, rows))
+        outcome = next(outcomes)
+        rows[first:first + len(outcome) * n_seeds:n_seeds] = outcome
+        last = first + (len(outcome) - 1) * n_seeds
+        if outcome and isinstance(outcome[-1], Exception) and last < failed_at:
+            failed_at, failure = last, (t, len(outcome) - 1, outcome[-1])
     if failure is not None:
-        raise failure
-    grid_rows: list = [None] * (len(stacks) * n_levels)
-    for first, rows in stacks:
-        grid_rows[first:first + n_levels * n_seeds:n_seeds] = rows
-    return grid_rows
+        t, level, exc = failure
+        group_names, mode, seed = stacks[t]
+        raise TrainingError(f"{'+'.join(group_names)} {mode} sigma2={grid[level]:g} seed {seed}: {exc}") from exc
+    return rows
 
 
 def _use_warning_filters(filters: list) -> None:

@@ -524,10 +524,17 @@ class TestTraining:
             with pytest.raises(TrainingError) as stacked:
                 train(train_items, arch, hyper, quick, sigma2_grid=[0.02, 2e46, 1e300, 0.5])
         assert str(stacked.value) == str(alone.value) == "loss diverged at epoch 1: nan"
-        assert stacked.value.level == 1 and alone.value.level == 0
+        assert len(stacked.value.trained) == 1 and len(alone.value.trained) == 0
 
-    def test_a_stack_ends_once_every_level_has_diverged(self, monkeypatch):
-        diverging = load_config(environ={"TMSIM_TRAIN__LR": "1e300", "TMSIM_TRAIN__EPOCHS": "50"})
+    @pytest.mark.parametrize("environ, sigma2s", [
+        # every level diverges in epoch 0
+        ({"TMSIM_TRAIN__LR": "1e300"}, [0.02, 0.5, 1e300]),
+        # only level 0 diverges, in epoch 0: the levels after it, which would
+        # train on, are never read
+        ({}, [1e300, 0.02, 0.5]),
+    ], ids=["every-level", "level-0-only"])
+    def test_a_stack_ends_once_its_first_level_has_diverged(self, monkeypatch, environ, sigma2s):
+        diverging = load_config(environ={**environ, "TMSIM_TRAIN__EPOCHS": "50"})
         train_items, _ = split_holdout(build_dataset(["group1"], copies=5, seed=0, f_press=diverging.f_press),
                                        copies=5)
         arch = arch_for(["group1"])
@@ -537,12 +544,11 @@ class TestTraining:
         monkeypatch.setattr(pipeline, "_softmax_rows", lambda z: steps.append(z.shape) or softmax_rows(z))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            outcomes = pipeline._train_stack(*_dataset_arrays(train_items, arch), arch, hyper, diverging,
-                                             [0.02, 0.5, 1e300])
-        assert all(isinstance(outcome, TrainingError) for outcome in outcomes)
-        last = max(int(re.fullmatch(r"loss diverged at epoch (\d+): nan", str(outcome))[1]) for outcome in outcomes)
+            [error] = pipeline._train_stack(*_dataset_arrays(train_items, arch), arch, hyper, diverging, sigma2s)
+        assert isinstance(error, TrainingError)
+        epoch = int(re.fullmatch(r"loss diverged at epoch (\d+): nan", str(error))[1])
         batches = -(-len(train_items) // hyper.batch_size)
-        assert last * batches < len(steps) <= (last + 1) * batches < hyper.epochs * batches
+        assert epoch * batches < len(steps) <= (epoch + 1) * batches < hyper.epochs * batches
 
     def test_bad_level_rejected_before_training(self, cfg, g2_split):
         with pytest.raises(ValueError, match="sigma2 must be finite and non-negative, got -0.1"):
@@ -1066,13 +1072,44 @@ class TestSweepProtocol:
         assert stacks == [[0.02, 2e46, 1e300, 0.5]]
         assert str(failed.value) == "group1 analog sigma2=2e+46 seed 0: loss diverged at epoch 1: nan"
         divergence = failed.value.__cause__
-        assert isinstance(divergence, TrainingError) and divergence.level == 1
+        assert isinstance(divergence, TrainingError) and len(divergence.trained) == 1
         # the network of the level before it is the one that level trains alone
         [carried] = divergence.trained
         train_items, _ = split_holdout(build_dataset(["group1"], copies=5, seed=0, f_press=quick.f_press), copies=5)
         alone = train(train_items, arch_for(["group1"]), TrainHyper.from_config(quick, seed=0, sigma2=0.02), quick)
         for field in ("w_hidden", "b_hidden", "w_out", "b_out", "sensor_states"):
             assert np.array_equal(getattr(carried, field), getattr(alone, field)), field
+
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}])
+    def test_a_pooled_failure_keeps_its_cause(self, monkeypatch, cores):
+        # two stacks, so that two cores start the pool; 1e300 diverges in both
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingError) as failed:
+                run_sweep([["group1"], ["group2"]], [0.02, 1e300], ["analog"], [0], quick)
+        assert str(failed.value) == "group1 analog sigma2=1e+300 seed 0: loss diverged at epoch 0: nan"
+        cause = failed.value.__cause__
+        assert type(cause) is TrainingError and str(cause) == "loss diverged at epoch 0: nan"
+
+    def test_a_failing_sweep_starts_no_stack_after_its_failure(self, monkeypatch):
+        # group1's only point fails, and group2's stack lies wholly after it in grid order
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        started = []
+        stack_rows = pipeline._stack_rows
+
+        def counted(*args, **kwargs):
+            started.append(args[0])
+            return stack_rows(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "_stack_rows", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingError, match=r"^group1 analog sigma2=1e\+300 seed 0: loss diverged"):
+                run_sweep([["group1"], ["group2"]], [1e300], ["analog"], [0], quick)
+        assert started == [["group1"]]
 
     @pytest.mark.parametrize("cores", [{0}, {0, 1}])
     def test_first_failing_point_in_grid_order_wins_across_stacks(self, monkeypatch, cores):
