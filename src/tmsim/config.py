@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
 
@@ -110,6 +110,9 @@ class SimConfig:
     dot_gain: float
     train: TrainParams
     raw: tuple[tuple[str, float | int], ...]  # resolved key/value view, for hashing
+    # current of one normalized feature unit: one pressed dot at full memristor
+    # conductance raises its column and row readout by dot_gain feature units
+    feature_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.f_press <= 0.0:
@@ -131,8 +134,9 @@ class SimConfig:
             raise ConfigError("parasitics.termination_conductance must be positive, "
                               f"got {self.parasitics.termination_conductance}")
         increment = _dot_increment(memristor_conductance(self.memristor, 1.0), self)
+        object.__setattr__(self, "feature_norm", self.sensor.v_supply * increment / self.dot_gain)
         for name, keys, value in (("pressed-dot increment", _INCREMENT_KEYS, increment),
-                                  ("feature normalization current", _NORM_KEYS, _feature_norm_current(self))):
+                                  ("feature normalization current", _NORM_KEYS, self.feature_norm)):
             if not _SMALLEST_NORMAL <= value < math.inf:
                 raise ConfigError(f"the {name} (from {', '.join(keys)}) must be finite and at least "
                                   f"{_SMALLEST_NORMAL:.4g}, got {float(value)!r}")
@@ -179,15 +183,6 @@ def _dot_increment(g_m, cfg: SimConfig):
     """
     u_on = _reciprocal_sum((_fsr_affine(cfg.sensor, cfg.f_press), g_m, cfg.switch_g_on))
     return u_on - _reciprocal_sum((_fsr_affine(cfg.sensor, 0.0), g_m, cfg.switch_g_on))
-
-
-def _feature_norm_current(cfg: SimConfig) -> float:
-    """Current of one normalized feature unit.
-
-    One pressed dot at full memristor conductance raises its column and row
-    readout by ``dot_gain`` feature units above the unpressed floor.
-    """
-    return cfg.sensor.v_supply * _dot_increment(memristor_conductance(cfg.memristor, 1.0), cfg) / cfg.dot_gain
 
 
 def _parse_value(key: str, text: str, source: str) -> float | int:

@@ -106,9 +106,13 @@ class SingularNetworkError(RuntimeError):
 
 
 class WeightRangeError(ValueError):
-    """A weight cannot be programmed inside the memristor conductance span."""
+    """A weight cannot be programmed inside the memristor conductance span.
 
-    def __init__(self, message: str, index: tuple[int, ...]):
+    ``index`` names the weight.  It has a default because unpickling calls
+    the class with the message alone and then restores ``index``.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
         super().__init__(message)
         self.index = index
 

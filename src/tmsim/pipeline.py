@@ -42,7 +42,7 @@ import numpy as np
 from . import braille
 from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
-from .config import _INDEX_LIMIT, SimConfig, _dot_increment, _feature_norm_current
+from .config import _INDEX_LIMIT, SimConfig, _dot_increment
 from .crossbar import CrossbarSpec, Readout, _CellTable, _line_sums, solve_nodal, weights_to_differential
 from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _fsr_affine, _reciprocal_sum,
                       fsr_conductance, memristor_conductance)
@@ -225,11 +225,6 @@ class HardwareNetwork:
     @property
     def amp_out(self) -> float:
         return 1.0 / self.scale_out
-
-    @functools.cached_property
-    def feature_norm(self) -> float:
-        """``_feature_norm_current`` of ``cfg``, computed once per network."""
-        return _feature_norm_current(self.cfg)
 
     @functools.cached_property
     def g_memristor(self) -> np.ndarray:
@@ -575,7 +570,7 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
     w1_t, w2_t = w1.transpose(0, 2, 1), w2.transpose(0, 2, 1)
     db1, db2 = db1[:, 0], db2[:, 0]
 
-    norm = _feature_norm_current(cfg)
+    norm = cfg.feature_norm
     analog = hyper.mode == "analog"
     if analog:
         # (K, 1, 4, 2): the 1 broadcasts a level's states over its pressed and unpressed cells
@@ -821,7 +816,7 @@ def forward(
     """
     tn = hw.network
     feats = _line_currents(_check_forces(forces)[None], hw.g_memristor, hw.cfg)
-    feats /= hw.feature_norm
+    feats /= hw.cfg.feature_norm
     if noise is not None:
         feats = _add_noise(feats, noise)
     x = _network_input(feats, tn.mode, tn.binary_threshold, hw.cfg.dot_gain)
@@ -858,7 +853,7 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
     _check_seed(seed)
     tn = hw.network
     dots, targets = _dataset_arrays(dataset, tn.arch)
-    feats = _line_currents(dots * hw.cfg.f_press, hw.g_memristor, hw.cfg) / hw.feature_norm
+    feats = _line_currents(dots * hw.cfg.f_press, hw.g_memristor, hw.cfg) / hw.cfg.feature_norm
     # outputs renumbered in label order, which orders the confusions
     sorted_labels = sorted(tn.arch.labels)
     position = {label: r for r, label in enumerate(sorted_labels)}
@@ -981,22 +976,24 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Cartesian sweep over group sets, noise grid, modes and seeds.
 
-    The rows come in grid order: group set, mode, noise level, seed.  The
-    unit of work is one (group set, mode, seed) stack, whose noise levels
-    one stacked ``train`` trains.  The stacks run in a pool of one process
-    per available core, at most one per stack; on one core they run in this
-    process.  Either way the rows equal the per-point ones, and a failing
-    sweep raises a ``TrainingError`` that names its first failing point in
-    grid order, chained from what that point raised, as the per-point sweep
-    would.  Stacks not yet started are cancelled once no later stack can
-    fail earlier in grid order.
+    The unit of work is one (group set, mode, seed) stack, whose noise
+    levels one stacked ``train`` trains.  The rows come in stack order --
+    group set, mode, seed -- and each stack's rows in grid order; with one
+    seed that is the grid order (group set, mode, noise level).  The stacks
+    run in a pool of one process per available core, at most one per stack;
+    on one core they run in this process.  Either way each row equals its
+    point's own run, and a failing sweep raises a ``TrainingError`` that
+    names its first failing point in row order, chained from what that
+    point raised.  No stack after the first failing one is used: in this
+    process it never runs, and in a pool the stacks not yet started are
+    cancelled.
     """
     grid = list(sigma2_grid)
     stacks = [(group_names, mode, seed) for group_names in group_sets for mode in modes for seed in seeds]
     stack = functools.partial(_stack_rows, sigma2_grid=grid, cfg=cfg, copies=copies)
     workers = min(len(os.sched_getaffinity(0)), len(stacks))
     if workers <= 1:
-        return _grid_rows(stacks, (stack(*args) for args in stacks), grid, len(seeds))
+        return _joined_rows(stacks, (stack(*args) for args in stacks), grid)
     # imported here: processes that never start a pool do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -1006,37 +1003,24 @@ def run_sweep(
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
                                initializer=_use_warning_filters, initargs=(list(warnings.filters),))
     try:
-        return _grid_rows(stacks, pool.map(stack, *zip(*stacks)), grid, len(seeds))
+        return _joined_rows(stacks, pool.map(stack, *zip(*stacks)), grid)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _grid_rows(stacks: list[tuple], outcomes, grid: list[float], n_seeds: int) -> list[SweepRow]:
-    """Rows in grid order from the ``_stack_rows`` lists that ``outcomes`` yields for ``stacks`` in turn.
+def _joined_rows(stacks: list[tuple], outcomes, grid: list[float]) -> list[SweepRow]:
+    """The ``_stack_rows`` lists that ``outcomes`` yields for ``stacks``, joined in order.
 
-    Stack t holds the points (block t // n_seeds, level, seed t % n_seeds)
-    at grid positions (block * len(grid) + level) * n_seeds + seed.  Raises
-    a ``TrainingError`` naming the point at the lowest failed position,
-    chained from what that point raised.  Once a failure is known, the
-    first stack whose level 0 lies after it ends the search before its list
-    is taken, so in this process it never runs: every later stack lies
-    after the failure too.
+    Raises a ``TrainingError`` naming the point of the first list that ends
+    in an exception, chained from it, before the next list is taken.
     """
-    rows: list = [None] * (len(stacks) * len(grid))
-    failed_at, failure = len(rows), None  # the lowest failed position, and its (stack, level, exception)
-    for t in range(len(stacks)):
-        first = t // n_seeds * len(grid) * n_seeds + t % n_seeds  # the grid position of the stack's level 0
-        if first > failed_at:
-            break
-        outcome = next(outcomes)
-        rows[first:first + len(outcome) * n_seeds:n_seeds] = outcome
-        last = first + (len(outcome) - 1) * n_seeds
-        if outcome and isinstance(outcome[-1], Exception) and last < failed_at:
-            failed_at, failure = last, (t, len(outcome) - 1, outcome[-1])
-    if failure is not None:
-        t, level, exc = failure
-        group_names, mode, seed = stacks[t]
-        raise TrainingError(f"{'+'.join(group_names)} {mode} sigma2={grid[level]:g} seed {seed}: {exc}") from exc
+    rows: list[SweepRow] = []
+    for (group_names, mode, seed), outcome in zip(stacks, outcomes):
+        if outcome and isinstance(outcome[-1], Exception):
+            exc = outcome[-1]
+            raise TrainingError(f"{'+'.join(group_names)} {mode} sigma2={grid[len(outcome) - 1]:g} "
+                                f"seed {seed}: {exc}") from exc
+        rows += outcome
     return rows
 
 

@@ -4,6 +4,7 @@ and each exported name has a user outside its own module and the unit tests."""
 import ast
 import importlib
 import importlib.util
+import pickle
 import re
 from pathlib import Path
 from types import ModuleType
@@ -90,3 +91,38 @@ def test_package_reexports_nothing():
     assert isinstance(tmsim.__version__, str)
     public = [n for n, v in vars(tmsim).items() if not n.startswith("__") and not isinstance(v, ModuleType)]
     assert public == []
+
+
+def _exception_examples() -> list[BaseException]:
+    """One instance of each exception class of tmsim, with each attribute it holds set."""
+    from tmsim.braille import UnknownSymbolError
+    from tmsim.cli import UsageError
+    from tmsim.config import ConfigError
+    from tmsim.crossbar import SingularNetworkError, WeightRangeError
+    from tmsim.pipeline import InvalidNetworkError, TrainingError
+
+    training = TrainingError("loss diverged at epoch 1: nan")
+    training.trained = ["the network of level 0"]
+    return [
+        SingularNetworkError("nodal solve fails the KCL check", conductance_ratio=1e12),
+        WeightRangeError("weight 2 at index (0, 1) needs conductance 2 S", index=(0, 1)),
+        training,
+        InvalidNetworkError("mode must be 'analog' or 'binary', got 'x'"),
+        ConfigError("train.lr must be positive, got 0.0"),
+        UnknownSymbolError("no symbol 'x' in any group"),
+        UsageError("--groups must name at least one group"),
+    ]
+
+
+def test_every_exception_survives_pickling():
+    # a pooled sweep returns a failed point's exception from its worker by pickling it
+    defined = {value for name in SUBMODULES for value in vars(importlib.import_module(f"tmsim.{name}")).values()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__ == f"tmsim.{name}"}
+    examples = _exception_examples()
+    assert {type(error) for error in examples} == defined
+    for error in examples:
+        restored = pickle.loads(pickle.dumps(error))
+        assert type(restored) is type(error)
+        assert str(restored) == str(error)
+        assert vars(restored) == vars(error)

@@ -18,7 +18,7 @@ import pytest
 from tmsim import braille, pipeline
 from tmsim.analog_blocks import softmax_circuit
 from tmsim.braille import BrailleGroup, _encode, build_dataset, label_to_group, symbol_to_forces, symbols
-from tmsim.config import _feature_norm_current, load_config
+from tmsim.config import load_config
 from tmsim.crossbar import CrossbarSpec, Readout, _line_sums, ideal_dual_readout
 from tmsim.devices import (CellConfig, CellState, SwitchModel, _reciprocal_sum, fsr_conductance,
                            memristor_conductance, series_conductance)
@@ -63,7 +63,7 @@ ONES = np.ones((4, 2))
 
 
 def _features(forces, states, cfg):
-    return sensor_layer_forward(forces, states, cfg) / _feature_norm_current(cfg)
+    return sensor_layer_forward(forces, states, cfg) / cfg.feature_norm
 
 
 def _random_network(labels, seed=0, mode="analog"):
@@ -338,7 +338,7 @@ class TestSensorLayer:
         assert delta[2 + 1] == pytest.approx(cfg.dot_gain, rel=1e-9)
 
     def test_norm_current_frozen_value(self, cfg):
-        assert _feature_norm_current(cfg) == pytest.approx(2.4149047690515002e-06, rel=1e-12)
+        assert cfg.feature_norm == pytest.approx(2.4149047690515002e-06, rel=1e-12)
 
     @pytest.mark.parametrize("v_supply", [0.5, 0.3])
     def test_ideal_matches_the_cellwise_crossbar_readout(self, cfg, v_supply):
@@ -1014,13 +1014,14 @@ class TestSweepProtocol:
 
     @staticmethod
     def _serial_rows(group_sets, sigma2_grid, modes, seeds, cfg):
-        """The per-point sweep: one training and one score per grid point, in grid order."""
+        """The per-point sweep: one training and one score per point, stack by stack, levels in grid order."""
         return [sweep_point(g, [s], m, seed, cfg)[0] for g in group_sets for m in modes
-                for s in sigma2_grid for seed in seeds]
+                for seed in seeds for s in sigma2_grid]
 
-    def test_pooled_rows_equal_serial_points_in_grid_order(self, monkeypatch):
+    @pytest.mark.parametrize("seeds", [[0], [0, 1]])
+    def test_pooled_rows_equal_serial_points_in_stack_order(self, monkeypatch, seeds):
         quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
-        grid = ([["group1"], ["group2"]], [0.02, 0.5], ["analog", "binary"], [0], quick)
+        grid = ([["group1"], ["group2"]], [0.02, 0.5], ["analog", "binary"], seeds, quick)
         pools = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -1112,16 +1113,31 @@ class TestSweepProtocol:
         assert started == [["group1"]]
 
     @pytest.mark.parametrize("cores", [{0}, {0, 1}])
-    def test_first_failing_point_in_grid_order_wins_across_stacks(self, monkeypatch, cores):
+    def test_first_failing_stack_wins_across_stacks(self, monkeypatch, cores):
         # Seed 3's stack fails at its second level: 1e300 diverges.  Seed 4's
         # fails at its first: 2.6e41 trains to logits that overflow, which
-        # scoring rejects.  Grid order puts (2.6e41, seed 4) before (1e300,
-        # seed 3), though seed 3's stack comes first.
+        # scoring rejects.  Seed 3's stack comes first, so its failure wins,
+        # and on one core seed 4's stack never starts.
         quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "2"})
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-        error = self._assert_raises_as_the_serial_sweep(([["group1"]], [2.6e41, 1e300], ["analog"], [3, 4], quick))
+        grid = ([["group1"]], [2.6e41, 1e300], ["analog"], [3, 4], quick)
+        error = self._assert_raises_as_the_serial_sweep(grid)
         assert isinstance(error, TrainingError)
-        assert str(error).startswith("group1 analog sigma2=2.6e+41 seed 4: softmax_circuit needs a finite maximum")
+        assert str(error) == "group1 analog sigma2=1e+300 seed 3: loss diverged at epoch 0: nan"
+        if cores == {0}:  # a pool could not pickle the counting wrapper
+            started = []
+            stack_rows = pipeline._stack_rows
+
+            def counted(*args, **kwargs):
+                started.append(args[2])
+                return stack_rows(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "_stack_rows", counted)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(TrainingError, match=r"^group1 analog sigma2=1e\+300 seed 3: "):
+                    run_sweep(*grid)
+            assert started == [3]
         # and the levels before a diverged one are scored first: seed 4's
         # 2.6e41 level is rejected before its 1e300 level diverges
         error = self._assert_raises_as_the_serial_sweep(([["group1"]], [2.6e41, 1e300], ["analog"], [4], quick))
