@@ -1,11 +1,13 @@
 """Command line front end: reproducible experiment runs emitting CSV/JSON reports.
 
 Subcommands: ``dataset``, ``train``, ``eval``, ``sweep``, ``leakage``,
-``cost``.  Every run writes its reports plus a ``*.manifest.json`` naming
-the tool version, the configuration hash, the seed and a sha256 per output
-file.  Nothing embeds a timestamp, so re-running a subcommand with the same
-arguments reproduces every byte.  Existing outputs are never overwritten
-unless ``--force`` is given.
+``cost``.  Each returns its report texts, manifest params and stdout
+message, and writes nothing.  ``main`` refuses a run before its work when
+``--out`` is a file or, without ``--force``, holds one of the run's files;
+then ``_write_run`` writes the reports plus a ``*.manifest.json`` naming the
+tool version, the configuration hash, the seed and a sha256 per report.
+Nothing embeds a timestamp, so re-running a subcommand with the same
+arguments reproduces every byte.
 
 Device and training parameters come from ``--config`` (flat ``key = value``
 file) and environment variables prefixed ``TMSIM_`` (section and key joined
@@ -20,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,12 +33,14 @@ from .braille import DOT_CELL_POSITIONS, BrailleGroup, build_dataset, label_to_g
 from .config import ConfigError, SimConfig, config_hash, load_config, read_assignments
 from .cost_model import CostTable, compare, default_table, estimate, reports_to_csv
 from .crossbar import (
+    CrossbarSpec,
     Readout,
     SingularNetworkError,
     ideal_dual_readout,
     leakage_fraction,
     solve_nodal,
 )
+from .devices import CellConfig, CellState, SwitchModel
 from .pipeline import (
     InvalidNetworkError,
     TrainHyper,
@@ -62,7 +67,7 @@ DEFAULT_SIGMA2_GRID = (0.02, 0.05, 0.1, 0.5)
 
 
 class UsageError(ValueError):
-    """Bad flag values or refusal to overwrite; exits with code 2."""
+    """Bad flag values or a refused ``--out``; exits with code 2."""
 
 
 def _parse_groups(text: str) -> list[str]:
@@ -115,47 +120,41 @@ def _header_lines(cfg: SimConfig, seed: int | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _OutputWriter:
-    """Collects output files under one directory; the manifest writes them all.
+def _check_out(args) -> None:
+    """Refuse a run before its work: ``--out`` is a file, or, without ``--force``, holds one of its outputs."""
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"--out {out} is not a directory")
+    if not args.force:
+        for name in (*args.reports, f"{args.command}.manifest.json"):
+            if (out / name).exists():
+                raise UsageError(f"refusing to overwrite {out / name}; pass --force to allow")
 
-    Without ``force`` a run that would overwrite any of its files, the
-    manifest included, is refused before the first file is written.
-    """
 
-    def __init__(self, out_dir: str, force: bool) -> None:
-        self.dir = Path(out_dir)
-        self.force = force
-        self.files: dict[str, bytes] = {}
-
-    def write(self, name: str, text: str) -> None:
-        self.files[name] = text.encode()
-
-    def manifest(self, command: str, cfg: SimConfig, seed: int | None, params: dict) -> None:
-        records = {name: {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-                   for name, data in self.files.items()}
-        payload = {
-            "command": command,
-            "tool_version": __version__,
-            "config_hash": config_hash(cfg),
-            "seed": seed,
-            "params": params,
-            "outputs": records,
-        }
-        self.write(f"{command}.manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if not self.force:
-            for name in self.files:
-                if (self.dir / name).exists():
-                    raise UsageError(f"refusing to overwrite {self.dir / name}; pass --force to allow")
-        self.dir.mkdir(parents=True, exist_ok=True)
-        for name, data in self.files.items():
-            (self.dir / name).write_bytes(data)
+def _write_run(args, cfg: SimConfig, files: dict[str, str], params: dict) -> None:
+    """Write the reports ``files`` and the manifest that names each one's sha256 under ``--out``."""
+    data = {name: text.encode() for name, text in files.items()}
+    payload = {
+        "command": args.command,
+        "tool_version": __version__,
+        "config_hash": config_hash(cfg),
+        "seed": getattr(args, "seed", None),
+        "params": params,
+        "outputs": {name: {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+                    for name, blob in data.items()},
+    }
+    data[f"{args.command}.manifest.json"] = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, blob in data.items():
+        (out / name).write_bytes(blob)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_dataset(args, cfg: SimConfig) -> int:
+def _cmd_dataset(args, cfg: SimConfig) -> tuple[dict[str, str], dict, str]:
     groups = _parse_groups(args.groups)
     items = build_dataset(groups, copies=args.copies, seed=args.seed, f_press=cfg.f_press)
     lines = [_header_lines(cfg, args.seed).rstrip("\n")]
@@ -166,19 +165,17 @@ def _cmd_dataset(args, cfg: SimConfig) -> int:
         counts[group] = counts.get(group, 0) + 1
         dots = [int(grid[r, c] > 0) for (r, c) in DOT_CELL_POSITIONS]
         lines.append(f"{i},{label},{group}," + ",".join(str(d) for d in dots))
-    writer = _OutputWriter(args.out, args.force)
-    writer.write("dataset.csv", "\n".join(lines) + "\n")
-    writer.manifest("dataset", cfg, args.seed, {
+    params = {
         "groups": groups,
         "copies": args.copies,
         "total": len(items),
         "per_group": dict(sorted(counts.items())),
-    })
-    print(f"wrote {len(items)} items to {writer.dir / 'dataset.csv'}")
-    return EXIT_OK
+    }
+    return ({"dataset.csv": "\n".join(lines) + "\n"}, params,
+            f"wrote {len(items)} items to {Path(args.out) / 'dataset.csv'}")
 
 
-def _cmd_train(args, cfg: SimConfig) -> int:
+def _cmd_train(args, cfg: SimConfig) -> tuple[dict[str, str], dict, str]:
     groups = _parse_groups(args.groups)
     sigma2 = _parse_sigma2(args.sigma2)
     if len(sigma2) != 1:
@@ -187,20 +184,18 @@ def _cmd_train(args, cfg: SimConfig) -> int:
     train_items, _ = split_holdout(dataset, copies=args.copies)
     hyper = TrainHyper.from_config(cfg, seed=args.seed, sigma2=sigma2[0], mode=args.mode)
     tn = train(train_items, arch_for(groups), hyper, cfg)
-    writer = _OutputWriter(args.out, args.force)
-    writer.write("network.json", network_to_json(tn) + "\n")
-    writer.manifest("train", cfg, args.seed, {
+    params = {
         "groups": groups,
         "mode": args.mode,
         "sigma2": sigma2[0],
         "copies": args.copies,
         "outputs_n": tn.arch.n_out,
-    })
-    print(f"trained {tn.mode} network with {tn.arch.n_out} outputs -> {writer.dir / 'network.json'}")
-    return EXIT_OK
+    }
+    return ({"network.json": network_to_json(tn) + "\n"}, params,
+            f"trained {tn.mode} network with {tn.arch.n_out} outputs -> {Path(args.out) / 'network.json'}")
 
 
-def _cmd_eval(args, cfg: SimConfig) -> int:
+def _cmd_eval(args, cfg: SimConfig) -> tuple[dict[str, str], dict, str]:
     groups = _parse_groups(args.groups)
     grid = _parse_sigma2(args.sigma2)
     network_path = Path(args.network)
@@ -218,21 +213,18 @@ def _cmd_eval(args, cfg: SimConfig) -> int:
         raise UsageError(f"network {network_path} has no output for {len(missing)} dataset "
                          f"label(s) of --groups {args.groups}: {', '.join(map(repr, missing))}")
     report = evaluate(map_network(tn, cfg), test_items, grid, seed=args.seed)
-    writer = _OutputWriter(args.out, args.force)
-    writer.write("eval.csv", _header_lines(cfg, args.seed) + eval_report_to_csv(report))
-    writer.manifest("eval", cfg, args.seed, {
+    params = {
         "groups": groups,
         "mode": report.mode,
         "sigma2_grid": grid,
         "n_test": len(test_items),
         "overall": {str(s): report.accuracy("overall", s) for s in grid},
-    })
-    for s in grid:
-        print(f"sigma2={s:g}: overall accuracy {report.accuracy('overall', s):.2f}%")
-    return EXIT_OK
+    }
+    return ({"eval.csv": _header_lines(cfg, args.seed) + eval_report_to_csv(report)}, params,
+            "\n".join(f"sigma2={s:g}: overall accuracy {report.accuracy('overall', s):.2f}%" for s in grid))
 
 
-def _cmd_sweep(args, cfg: SimConfig) -> int:
+def _cmd_sweep(args, cfg: SimConfig) -> tuple[dict[str, str], dict, str]:
     group_rows = _parse_groups(args.groups)
     grid = _parse_sigma2(args.sigma2)
     modes = ("analog", "binary") if args.mode == "both" else (args.mode,)
@@ -243,70 +235,26 @@ def _cmd_sweep(args, cfg: SimConfig) -> int:
     for token in group_rows:
         cells = [f"{results[(token, mode, s)]:.2f}" for mode in modes for s in grid]
         lines.append(f"{token}," + ",".join(cells))
-    writer = _OutputWriter(args.out, args.force)
-    writer.write("sweep.csv", "\n".join(lines) + "\n")
-    writer.manifest("sweep", cfg, args.seed, {
+    params = {
         "groups": group_rows,
         "modes": list(modes),
         "sigma2_grid": grid,
         "copies": args.copies,
         "accuracy": {f"{g}/{m}/{s:g}": acc for (g, m, s), acc in sorted(results.items())},
-    })
-    print(f"swept {len(results)} grid points -> {writer.dir / 'sweep.csv'}")
-    return EXIT_OK
+    }
+    return ({"sweep.csv": "\n".join(lines) + "\n"}, params,
+            f"swept {len(results)} grid points -> {Path(args.out) / 'sweep.csv'}")
 
 
-def _reference_pattern(cfg: SimConfig):
-    forces = np.full((4, 2), cfg.f_press)
-    states = np.ones((4, 2))
-    return forces, states
-
-
-def _leakage_at(cfg: SimConfig, switch_g_off: float, wire_resistance: float) -> float:
-    forces, states = _reference_pattern(cfg)
-    probe = replace(cfg, parasitics=replace(
-        cfg.parasitics, switch_g_off=switch_g_off, wire_resistance=wire_resistance))
-    spec = build_sensor_crossbar(forces, states, probe, parasitic=True)
-    ideal = ideal_dual_readout(cfg.sensor.v_supply, spec)
-    actual = solve_nodal(spec, cfg.sensor.v_supply)
-    return leakage_fraction(ideal, actual)
-
-
-def _equal_currents_flag(cfg: SimConfig) -> bool:
-    """2x2 single-transistor array read on both line sets at once: the four
-    line currents must come out identical."""
-    from .devices import CellConfig, CellState, SwitchModel
-    from .crossbar import CrossbarSpec
-
-    switch = SwitchModel(g_on=cfg.switch_g_on)
-    cells = tuple(
-        tuple(
-            CellState(
-                config=CellConfig.ONE_T1M1S,
-                memristor=cfg.memristor,
-                vl_switch=switch,
-                sensor=cfg.sensor,
-                force_f=cfg.f_press,
-            )
-            for _ in range(2)
-        )
-        for _ in range(2)
-    )
-    spec = CrossbarSpec(m=2, n=2, cells=cells, readout=Readout.VL_AND_HL,
-                        termination_conductance=cfg.parasitics.termination_conductance)
-    rv = solve_nodal(spec, cfg.sensor.v_supply)
-    currents = rv.concatenated()
-    return bool(np.all(np.abs(currents - currents[0]) <= 1e-12))
-
-
-def _solved(network: str, solve):
-    """``solve()``, where a nodal solve that fails its residual check is the config's fault (exit 2).
+@contextmanager
+def _solving(network: str):
+    """A nodal solve in the block that fails its residual check is the config's fault (exit 2).
 
     The residual tolerance stays as it is: conductances that span too wide
     a ratio come from the keys that set them, so the message names those.
     """
     try:
-        return solve()
+        yield
     except SingularNetworkError as exc:
         if exc.conductance_ratio is None:
             raise
@@ -316,32 +264,44 @@ def _solved(network: str, solve):
             "parasitics.switch_g_off, parasitics.wire_resistance and parasitics.termination_conductance") from exc
 
 
-def _cmd_leakage(args, cfg: SimConfig) -> int:
-    base_g = cfg.parasitics.switch_g_off
-    base_rw = cfg.parasitics.wire_resistance
+def _equal_currents_flag(cfg: SimConfig) -> bool:
+    """2x2 single-transistor array read on both line sets at once: the four
+    line currents must come out identical."""
+    cell = CellState(config=CellConfig.ONE_T1M1S, memristor=cfg.memristor, vl_switch=SwitchModel(g_on=cfg.switch_g_on),
+                     sensor=cfg.sensor, force_f=cfg.f_press)
+    spec = CrossbarSpec(m=2, n=2, cells=((cell, cell), (cell, cell)), readout=Readout.VL_AND_HL,
+                        termination_conductance=cfg.parasitics.termination_conductance)
+    with _solving("the 2x2 equal-currents array"):
+        currents = solve_nodal(spec, cfg.sensor.v_supply).concatenated()
+    return bool(np.all(np.abs(currents - currents[0]) <= 1e-12))
+
+
+def _cmd_leakage(args, cfg: SimConfig) -> tuple[dict[str, str], dict, str]:
+    # the reference pattern: every dot pressed, every sensor state fully on
+    forces, states = np.full((4, 2), cfg.f_press), np.ones((4, 2))
+    v_supply = cfg.sensor.v_supply
     scales = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
     lines = [_header_lines(cfg, None).rstrip("\n"),
              "switch_g_off,wire_resistance,leakage_fraction"]
-    default_leakage = None
+    leakages = {}
     for scale in scales:
-        g_off = base_g * scale
-        rw = base_rw * scale
-        value = _solved(f"the reference pattern at {scale:g} x the parasitics", lambda: _leakage_at(cfg, g_off, rw))
-        if scale == 1.0:
-            default_leakage = value
-        lines.append(f"{g_off:.9g},{rw:.9g},{value:.9g}")
-    writer = _OutputWriter(args.out, args.force)
-    writer.write("leakage.csv", "\n".join(lines) + "\n")
-    writer.manifest("leakage", cfg, None, {
+        g_off = cfg.parasitics.switch_g_off * scale
+        rw = cfg.parasitics.wire_resistance * scale
+        probe = replace(cfg, parasitics=replace(cfg.parasitics, switch_g_off=g_off, wire_resistance=rw))
+        with _solving(f"the reference pattern at {scale:g} x the parasitics"):
+            spec = build_sensor_crossbar(forces, states, probe, parasitic=True)
+            leakages[scale] = leakage_fraction(ideal_dual_readout(v_supply, spec), solve_nodal(spec, v_supply))
+        lines.append(f"{g_off:.9g},{rw:.9g},{leakages[scale]:.9g}")
+    params = {
         "scales": scales,
-        "default_leakage": default_leakage,
-        "equal_currents_2x2": _solved("the 2x2 equal-currents array", lambda: _equal_currents_flag(cfg)),
-    })
-    print(f"default parasitics leak {default_leakage:.4f} of the ideal current")
-    return EXIT_OK
+        "default_leakage": leakages[1.0],
+        "equal_currents_2x2": _equal_currents_flag(cfg),
+    }
+    return ({"leakage.csv": "\n".join(lines) + "\n"}, params,
+            f"default parasitics leak {leakages[1.0]:.4f} of the ideal current")
 
 
-def _cmd_cost(args, cfg: SimConfig) -> int:
+def _cmd_cost(args, cfg: SimConfig) -> tuple[dict[str, str], dict, str]:
     overrides = read_assignments(args.table, CostTable.__dataclass_fields__) if args.table else {}
     try:  # the range check, naming the file
         tables = {(style, processing): replace(default_table(style, processing), **overrides)
@@ -353,9 +313,7 @@ def _cmd_cost(args, cfg: SimConfig) -> int:
     by_key = {(r.style, r.processing): r for r in reports}
     serial_vs_parallel = compare(by_key[("analog", "serial")], by_key[("analog", "parallel")])
     analog_vs_binary = compare(by_key[("analog", "parallel")], by_key[("binary", "parallel")])
-    writer = _OutputWriter(args.out, args.force)
-    writer.write("cost.csv", reports_to_csv(reports))
-    writer.manifest("cost", cfg, None, {
+    params = {
         "arch": list(reports[0].arch_dims),
         "orderings": {
             desc: holds
@@ -366,9 +324,9 @@ def _cmd_cost(args, cfg: SimConfig) -> int:
             f"{r.style}_{r.processing}": {"area_m2": r.total_area, "power_w": r.total_power}
             for r in reports
         },
-    })
-    print(f"wrote cost breakdown for {len(reports)} configurations -> {writer.dir / 'cost.csv'}")
-    return EXIT_OK
+    }
+    return ({"cost.csv": reports_to_csv(reports)}, params,
+            f"wrote cost breakdown for {len(reports)} configurations -> {Path(args.out) / 'cost.csv'}")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--groups", default="fusion", help="comma list of group1..group4, or fusion")
     p.add_argument("--copies", type=_int_at_least(1, "copies"), default=5, help="copies per symbol (default: %(default)s)")
-    p.set_defaults(func=_cmd_dataset)
+    p.set_defaults(func=_cmd_dataset, reports=("dataset.csv",))
 
     p = sub.add_parser("train", help="train a network on the generated dataset")
     common(p)
@@ -403,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=_int_at_least(2, "copies"), default=5)
     p.add_argument("--sigma2", default="0.0", help="noise augmentation variance")
     p.add_argument("--mode", choices=("analog", "binary"), default="analog")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, reports=("network.json",))
 
     p = sub.add_parser("eval", help="evaluate a trained network over a noise grid")
     common(p)
@@ -411,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", default="fusion")
     p.add_argument("--copies", type=_int_at_least(2, "copies"), default=5)
     p.add_argument("--sigma2", default=",".join(str(s) for s in DEFAULT_SIGMA2_GRID))
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, reports=("eval.csv",))
 
     p = sub.add_parser("sweep", help="train and score across groups, noise and modes")
     common(p)
@@ -419,29 +377,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=_int_at_least(2, "copies"), default=5)
     p.add_argument("--sigma2", default=",".join(str(s) for s in DEFAULT_SIGMA2_GRID))
     p.add_argument("--mode", choices=("analog", "binary", "both"), default="both")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, reports=("sweep.csv",))
 
     p = sub.add_parser("leakage", help="sneak-path leakage versus parasitics")
     common(p, seed=False)
-    p.set_defaults(func=_cmd_leakage)
+    p.set_defaults(func=_cmd_leakage, reports=("leakage.csv",))
 
     p = sub.add_parser("cost", help="area/power breakdown for all style/processing combinations")
     common(p, seed=False)
     p.add_argument("--table", help="flat key = value file overriding unit costs")
-    p.set_defaults(func=_cmd_cost)
+    p.set_defaults(func=_cmd_cost, reports=("cost.csv",))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
     except (ValueError, OSError) as exc:  # ConfigError, or a device model's own range check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args, cfg)
+        _check_out(args)
+        files, params, message = args.func(args, cfg)
+        _write_run(args, cfg, files, params)
+        print(message)
+        return EXIT_OK
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -388,8 +388,11 @@ def _add_noise(x: np.ndarray, noise: NoiseSpec) -> np.ndarray:
 # training
 
 
-def _dataset_arrays(dataset, arch: NetworkArch) -> tuple[np.ndarray, np.ndarray]:
-    """Pressed-dot grids (N, 4, 2) as 0/1 floats and output indices (N,) of (force grid, label) items."""
+def _dataset_arrays(dataset, arch: NetworkArch, f_press: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pressed-dot grids (N, 4, 2) as 0/1 floats and output indices (N,) of (force grid, label) items.
+
+    Every pressed dot must carry ``f_press``: the callers rebuild each press at that force.
+    """
     if not dataset:
         raise TrainingError("dataset is empty")
     label_index = {label: i for i, label in enumerate(arch.labels)}
@@ -411,7 +414,12 @@ def _dataset_arrays(dataset, arch: NetworkArch) -> tuple[np.ndarray, np.ndarray]
     if not (np.minimum.reduce(grids, axis=None) >= 0.0 and np.maximum.reduce(grids, axis=None) < np.inf):
         i = int((~((grids >= 0.0) & (grids < np.inf)).all(axis=(1, 2))).argmax())
         raise TrainingError(f"item {i}: forces must be finite and non-negative, got {grids[i].tolist()}")
-    return (grids > 0.0).astype(float), targets
+    dots = (grids > 0.0).astype(float)
+    if not np.array_equal(grids, dots * f_press):
+        i = int((grids != dots * f_press).any(axis=(1, 2)).argmax())
+        raise TrainingError(f"item {i}: a pressed dot must carry braille.f_press = {f_press:g} lbf, "
+                            f"got {grids[i].tolist()}")
+    return dots, targets
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -516,16 +524,16 @@ def train(dataset, arch: NetworkArch, hyper: TrainHyper, cfg: SimConfig,
     differs, and the zero levels train as a stack of their own.
 
     Raises:
-        TrainingError: on divergence (non-finite loss) or dataset/arch
-            mismatch.  With a grid, the error of the first level in grid
-            order that fails, as training the levels one by one in grid
-            order would raise, with ``trained`` set to the networks of the
-            levels before it.
+        TrainingError: on divergence (non-finite loss), a dataset/arch
+            mismatch or a pressed dot not at ``cfg.f_press``.  With a grid,
+            the error of the first level in grid order that fails, as
+            training the levels one by one in grid order would raise, with
+            ``trained`` set to the networks of the levels before it.
     """
     levels = [hyper.sigma2] if sigma2_grid is None else list(sigma2_grid)
     for sigma2 in levels:
         _check_sigma2(sigma2)
-    dots, targets = _dataset_arrays(dataset, arch)
+    dots, targets = _dataset_arrays(dataset, arch, cfg.f_press)
     # a stack's outcomes end at its first failure, so its None slots lie after that failure in grid order
     outcomes: list = [None] * len(levels)
     for stack in ([i for i, s in enumerate(levels) if s == 0.0], [i for i, s in enumerate(levels) if s != 0.0]):
@@ -849,10 +857,11 @@ def evaluate(hw: HardwareNetwork, dataset, sigma2_grid: Sequence[float], seed: i
     derived from (seed, grid index); reports are bit-identical across runs
     with equal arguments.  Each item is scored by the largest output of the
     softmax circuit, which ``_predicted_outputs`` reads from the logits.
+    Every pressed dot must carry ``hw.cfg.f_press``; ``forward`` takes any force.
     """
     _check_seed(seed)
     tn = hw.network
-    dots, targets = _dataset_arrays(dataset, tn.arch)
+    dots, targets = _dataset_arrays(dataset, tn.arch, hw.cfg.f_press)
     feats = _line_currents(dots * hw.cfg.f_press, hw.g_memristor, hw.cfg) / hw.cfg.feature_norm
     # outputs renumbered in label order, which orders the confusions
     sorted_labels = sorted(tn.arch.labels)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmsim import cli
 from tmsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 GOLDEN_COST_CSV = Path(__file__).parent / "data" / "cost_golden.csv"
@@ -82,6 +83,15 @@ class TestDataset:
         assert main([command, "--out", str(out)]) == EXIT_CONFIG
         assert [path.name for path in out.iterdir()] == [stale.name]
         assert stale.read_text() == "{}\n"
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    @pytest.mark.parametrize("command", ["leakage", "cost"])
+    def test_out_naming_a_file_is_refused_before_the_work(self, tmp_path, capsys, command, force):
+        path = tmp_path / "afile"
+        path.write_text("kept\n")
+        assert main([command, "--out", str(path), *force]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out {path} is not a directory\n"
+        assert path.read_text() == "kept\n"
 
     def test_unknown_group_is_config_error(self, tmp_path):
         assert main(["dataset", "--seed", "0", "--groups", "group9",
@@ -399,6 +409,25 @@ class TestSweep:
         table = [l for l in (Path(out) / "sweep.csv").read_text().strip().split("\n")
                  if not l.startswith("#")]
         assert table[0] == "group,analog_sigma2=0.1,binary_sigma2=0.1"
+
+    def test_refused_rerun_trains_nothing(self, tmp_path, quick_config, monkeypatch, capsys):
+        argv = ["sweep", "--seed", "0", "--groups", "group1", "--mode", "analog", "--sigma2", "0.02",
+                "--config", quick_config, "--out", str(tmp_path / "s")]
+        assert main(argv) == EXIT_OK
+        first = {path.name: path.read_bytes() for path in (tmp_path / "s").iterdir()}
+        calls = []
+        run_sweep = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **kw: calls.append(a) or run_sweep(*a, **kw))
+        # the report, then the manifest alone, refuses the rerun before it trains
+        assert main(argv) == EXIT_CONFIG
+        assert f"refusing to overwrite {tmp_path / 's' / 'sweep.csv'}" in capsys.readouterr().err
+        (tmp_path / "s" / "sweep.csv").unlink()
+        assert main(argv) == EXIT_CONFIG
+        assert f"refusing to overwrite {tmp_path / 's' / 'sweep.manifest.json'}" in capsys.readouterr().err
+        assert calls == []
+        assert main([*argv, "--force"]) == EXIT_OK
+        assert len(calls) == 1
+        assert {path.name: path.read_bytes() for path in (tmp_path / "s").iterdir()} == first
 
     def test_diverging_point_exits_3_without_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TMSIM_TRAIN__LR", "1e300")

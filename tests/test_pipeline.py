@@ -442,6 +442,16 @@ class TestTraining:
         report = evaluate(map_network(tn, cfg), dataset, [0.0])
         assert report.accuracy("overall", 0.0) == 100.0
 
+    def test_a_press_off_the_configured_force_is_rejected(self, cfg):
+        # train rebuilds every press at cfg.f_press, so a softer press would train as a 20 lbf one
+        dataset = build_dataset(BrailleGroup.GROUP1, copies=1, seed=0, f_press=5.0)
+        arch = arch_for(["group1"])
+        with pytest.raises(TrainingError, match=r"^item 0: a pressed dot must carry braille\.f_press = 20 lbf, got "):
+            train(dataset, arch, TrainHyper(epochs=1), cfg)
+        good = build_dataset(BrailleGroup.GROUP1, copies=1, seed=0, f_press=cfg.f_press)
+        with pytest.raises(TrainingError, match=r"^item 2: a pressed dot must carry braille\.f_press = 20 lbf, got "):
+            train(good[:2] + [(good[2][0] / 4, good[2][1])], arch, TrainHyper(epochs=1), cfg)
+
     def test_two_seeds_close_in_accuracy_but_not_in_weights(self, cfg):
         rows = [sweep_point(["group2"], [0.02], "analog", seed, cfg)[0] for seed in (0, 1)]
         assert abs(rows[0].accuracy - rows[1].accuracy) <= 2.0
@@ -544,7 +554,8 @@ class TestTraining:
         monkeypatch.setattr(pipeline, "_softmax_rows", lambda z: steps.append(z.shape) or softmax_rows(z))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            [error] = pipeline._train_stack(*_dataset_arrays(train_items, arch), arch, hyper, diverging, sigma2s)
+            [error] = pipeline._train_stack(*_dataset_arrays(train_items, arch, diverging.f_press), arch, hyper,
+                                            diverging, sigma2s)
         assert isinstance(error, TrainingError)
         epoch = int(re.fullmatch(r"loss diverged at epoch (\d+): nan", str(error))[1])
         batches = -(-len(train_items) // hyper.batch_size)
@@ -626,17 +637,17 @@ class TestTraining:
         arch = NetworkArch(labels=("A", "B"))
         good = (np.zeros((4, 2)), "A")
         with pytest.raises(TrainingError, match=r"item 1: force grid must be 4x2, got \(2, 2\)"):
-            _dataset_arrays([good, (np.zeros((2, 2)), "B"), (np.zeros((3, 2)), "A")], arch)
+            _dataset_arrays([good, (np.zeros((2, 2)), "B"), (np.zeros((3, 2)), "A")], arch, 20.0)
         with pytest.raises(TrainingError, match=r"item 2: force grid must be 4x2, got \(4, 3\)"):
-            _dataset_arrays([good, good, (np.zeros((4, 3)), "B")], arch)
+            _dataset_arrays([good, good, (np.zeros((4, 3)), "B")], arch, 20.0)
         with pytest.raises(TrainingError, match="dataset label 'Z' is not in the architecture's outputs"):
-            _dataset_arrays([good, (np.zeros((4, 2)), "Z"), (np.zeros((2, 2)), "B")], arch)
+            _dataset_arrays([good, (np.zeros((4, 2)), "Z"), (np.zeros((2, 2)), "B")], arch, 20.0)
 
     def test_dataset_arrays_match_item_by_item(self, cfg):
         dataset = build_dataset("fusion", copies=2, seed=3, f_press=cfg.f_press)
         dataset = [(grid.tolist() if i % 2 else grid, label) for i, (grid, label) in enumerate(dataset)]
         arch = arch_for(["fusion"])
-        dots, targets = _dataset_arrays(dataset, arch)
+        dots, targets = _dataset_arrays(dataset, arch, cfg.f_press)
         want_dots, want_targets = _reference_dataset_arrays(dataset, arch)
         assert np.array_equal(dots, want_dots) and dots.dtype == want_dots.dtype
         assert np.array_equal(targets, want_targets)
@@ -947,6 +958,13 @@ class TestEvaluate:
         pairs = [pair for e in report.entries for pair, _ in e.confusions]
         assert pairs
         assert all(type(t) is str and type(p) is str for t, p in pairs)
+
+    def test_a_press_off_the_configured_force_is_rejected(self, cfg):
+        # evaluate rebuilds every press at hw.cfg.f_press: a softer press would score as a 20 lbf one
+        tn = _random_network(tuple(s.label for s in symbols(BrailleGroup.GROUP1)), seed=11)
+        dataset = build_dataset(BrailleGroup.GROUP1, copies=1, seed=0, f_press=5.0)
+        with pytest.raises(TrainingError, match=r"^item 0: a pressed dot must carry braille\.f_press = 20 lbf, got "):
+            evaluate(map_network(tn, cfg), dataset, [0.0])
 
     def test_single_group_dataset_reports_overall_only(self, cfg, g2_net, g2_split):
         _, test_items = g2_split
