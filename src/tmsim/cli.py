@@ -3,9 +3,10 @@
 Subcommands: ``dataset``, ``train``, ``eval``, ``sweep``, ``leakage``,
 ``cost``.  Each returns its report texts, manifest params and stdout
 message, and writes nothing.  ``main`` refuses a run before its work when
-``--out`` is a file or, without ``--force``, holds one of the run's files;
-then ``_write_run`` writes the reports plus a ``*.manifest.json`` naming the
-tool version, the configuration hash, the seed and a sha256 per report.
+``--out`` is a file or lies below one or, without ``--force``, holds one of
+the run's files; then ``_write_run`` writes the reports plus a
+``*.manifest.json`` naming the tool version, the configuration hash, the
+seed and a sha256 per report.
 Nothing embeds a timestamp, so re-running a subcommand with the same
 arguments reproduces every byte.
 
@@ -121,10 +122,12 @@ def _header_lines(cfg: SimConfig, seed: int | None) -> str:
 
 
 def _check_out(args) -> None:
-    """Refuse a run before its work: ``--out`` is a file, or, without ``--force``, holds one of its outputs."""
+    """Refuse a run before its work: ``--out`` is or lies below a file, or, without ``--force``, holds an output."""
     out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise UsageError(f"--out {out} is not a directory")
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"--out {out} is not a directory" if nearest == out
+                         else f"--out {out} is below {nearest}, which is not a directory")
     if not args.force:
         for name in (*args.reports, f"{args.command}.manifest.json"):
             if (out / name).exists():

@@ -8,6 +8,7 @@ prefix and ``__`` in place of dots (``TMSIM_sensor__bias_c=2e-6``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -68,7 +69,7 @@ _NORM_KEYS = ("sensor.v_supply",) + _INCREMENT_KEYS + ("pipeline.dot_gain",)
 # the smallest positive float whose reciprocal is finite: features and ladders divide by the derived quantities
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
-_INT_KEYS = {"train.epochs", "train.batch_size"}
+_INT_KEYS = {key for key, value in _DEFAULTS.items() if isinstance(value, int)}
 # the integer keys count and index arrays, so they must stay below numpy's index limit
 _INDEX_LIMIT = int(np.iinfo(np.intp).max) + 1
 
@@ -109,7 +110,6 @@ class SimConfig:
     f_press: float
     dot_gain: float
     train: TrainParams
-    raw: tuple[tuple[str, float | int], ...]  # resolved key/value view, for hashing
     # current of one normalized feature unit: one pressed dot at full memristor
     # conductance raises its column and row readout by dot_gain feature units
     feature_norm: float = field(init=False, repr=False, compare=False)
@@ -143,34 +143,26 @@ class SimConfig:
 
     @classmethod
     def from_values(cls, values: dict[str, float | int]) -> "SimConfig":
-        v = values
-        return cls(
-            sensor=SensorModel(
-                sensitivity_k=v["sensor.sensitivity_k"],
-                bias_c=v["sensor.bias_c"],
-                v_supply=v["sensor.v_supply"],
-            ),
-            memristor=MemristorModel(r_on=v["memristor.r_on"], r_off=v["memristor.r_off"]),
-            switch_g_on=v["switch.g_on"],
-            parasitics=Parasitics(
-                wire_resistance=v["parasitics.wire_resistance"],
-                switch_g_off=v["parasitics.switch_g_off"],
-                termination_conductance=v["parasitics.termination_conductance"],
-            ),
-            softmax=SoftmaxParams(
-                r_f=v["softmax.r_f"],
-                v_t=v["softmax.v_t"],
-                r_sum=v["softmax.r_sum"],
-            ),
-            f_press=v["braille.f_press"],
-            dot_gain=v["pipeline.dot_gain"],
-            train=TrainParams(
-                lr=v["train.lr"],
-                epochs=int(v["train.epochs"]),
-                batch_size=int(v["train.batch_size"]),
-            ),
-            raw=tuple(sorted(v.items())),
-        )
+        """The config whose every field holds its key's value in ``values``, which names every key."""
+        models: dict[str, dict] = {section: {} for section in _MODELS}
+        own = {}
+        for key, path in _FIELDS.items():
+            section, _, name = path.rpartition(".")
+            (models[section] if section else own)[name] = values[key]
+        return cls(**{section: _MODELS[section](**fields) for section, fields in models.items()}, **own)
+
+    @property
+    def raw(self) -> tuple[tuple[str, float | int], ...]:
+        """Every key and its field's value, in key order: the resolved view that ``config_hash`` digests."""
+        return tuple((key, functools.reduce(getattr, _FIELDS[key].split("."), self)) for key in sorted(_FIELDS))
+
+
+# Each key's field, by its path in SimConfig: each of the five sections names a model, which SimConfig keeps
+# under the section's name, and its keys are that model's fields; the other three keys set fields of their own.
+_MODELS = {"sensor": SensorModel, "memristor": MemristorModel, "parasitics": Parasitics, "softmax": SoftmaxParams,
+           "train": TrainParams}
+_OWN_FIELDS = {"switch.g_on": "switch_g_on", "braille.f_press": "f_press", "pipeline.dot_gain": "dot_gain"}
+_FIELDS = {key: _OWN_FIELDS.get(key, key) for key in _DEFAULTS}
 
 
 def _dot_increment(g_m, cfg: SimConfig):

@@ -17,10 +17,10 @@ the loss-free algebra the network should approach as parasitics vanish.
 A spec's cells are read once, on first use, into a cached read-only table
 of arrays (sensor, memristor and switch conductances, and the set of cell
 wirings) that ``conductance_matrix``, the ideal readout and the nodal
-stamps all read.  ``pipeline.build_sensor_crossbar`` computes that table
-from its force and state arrays with the same formulas and hands it to
-``CrossbarSpec._from_table``; such a spec builds its ``CellState`` grid
-only when its ``cells`` is read.
+stamps all read.  ``CrossbarSpec._sensor_array`` fills that table for a
+sensor array straight from its force and state arrays, with the same
+formulas; such a spec builds its ``CellState`` grid only when its
+``cells`` is read.
 
 The network's shape depends only on its topology: the readout, the cell
 wiring, m, n and whether the wires have resistance.  Each topology is
@@ -48,14 +48,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .devices import (CellConfig, CellState, MemristorModel, _fsr_affine, _reciprocal_sum,
-                      memristor_conductance, series_conductance)
+from .devices import (CellConfig, CellState, MemristorModel, SensorModel, SwitchModel, _fsr_affine,
+                      _reciprocal_sum, memristor_conductance, series_conductance)
 
 __all__ = [
     "Readout",
@@ -170,20 +170,30 @@ class CrossbarSpec:
             raise ValueError("termination conductance must be positive")
 
     @classmethod
-    def _from_table(cls, table: _CellTable, cells, **fields) -> CrossbarSpec:
-        """A spec whose cell table the caller has computed with ``_cells``' formulas, as read-only arrays.
+    def _sensor_array(cls, sensor: SensorModel, forces: np.ndarray, memristor: MemristorModel, states: np.ndarray,
+                      switch: SwitchModel, **fields) -> CrossbarSpec:
+        """A dual-readout 2T1M1S array of ``sensor``s at ``forces`` and ``memristor``s at ``states`` (checked
+        m x n arrays), every switch the selected ``switch``; ``fields`` are the wire and termination fields.
 
-        ``fields`` are every field but ``cells``; ``cells()`` returns the
-        matching ``CellState`` grid, which the spec builds only when its
-        ``cells`` is first read.
+        The cell table comes from the arrays through ``_cells``' formulas, so every readout is bit-identical to
+        that of the same ``CellState`` grid, which the spec builds only when its ``cells`` is first read.
         """
+        m, n = forces.shape
+        table = np.empty((6, m * n))  # sensor, memristor, on (vl, hl), off (vl, hl)
+        table[0] = _fsr_affine(sensor, forces).ravel()
+        table[1] = memristor_conductance(memristor, states).ravel()
+        table[2:4], table[4:] = switch.g_on, switch.g_off
+        table.flags.writeable = False  # and so every row view of it, which the spec shares with its readers
         spec = object.__new__(cls)
-        spec.__dict__.update(fields, _table=table, _grid=cells)
+        spec.__dict__.update(
+            fields, m=m, n=n, readout=Readout.VL_AND_HL,
+            _table=_CellTable(table[0], table[1], table[2:4], table[4:], frozenset({CellConfig.TWO_T1M1S})),
+            _grid=functools.partial(_sensor_cells, sensor, forces.tolist(), memristor, states.tolist(), switch))
         spec._check()
         return spec
 
     def __getattr__(self, name: str):
-        # reached only for a missing attribute: the cells of a spec from ``_from_table``, on first read
+        # reached only for a missing attribute: the cells of a spec from ``_sensor_array``, on first read
         if name != "cells" or "_grid" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, "cells", self._grid())
@@ -193,6 +203,19 @@ class CrossbarSpec:
     def _table(self) -> _CellTable:
         """The cells as arrays, read by ``_cells`` on first use and kept: a spec and its cells are immutable."""
         return _cells(self)
+
+
+def _sensor_cells(sensor: SensorModel, forces: list, memristor: MemristorModel, states: list,
+                  switch: SwitchModel) -> tuple:
+    """``CrossbarSpec._sensor_array``'s grid of ``CellState``s, from its checked forces and states (nested lists)."""
+    return tuple(
+        tuple(
+            CellState(config=CellConfig.TWO_T1M1S, memristor=replace(memristor, state_w=state), vl_switch=switch,
+                      hl_switch=switch, sensor=sensor, force_f=force)
+            for force, state in zip(force_row, state_row)
+        )
+        for force_row, state_row in zip(forces, states)
+    )
 
 
 def ideal_mac_vl(v: Sequence[float], g: np.ndarray) -> np.ndarray:
@@ -233,8 +256,8 @@ def _cells(spec: CrossbarSpec) -> _CellTable:
     ``CellState`` has rejected negative and non-finite forces, so the
     sensor runs ``fsr_conductance``'s formula without its check.  Every
     reader of a spec shares its one table (``CrossbarSpec._table``), so the
-    arrays are read-only.  ``pipeline.build_sensor_crossbar`` fills the
-    same rows from arrays with these formulas, so the two stay in step.
+    arrays are read-only.  ``CrossbarSpec._sensor_array`` fills the same
+    rows from arrays with these formulas, so the two stay in step.
     """
     table, configs = [], set()
     for row in spec.cells:

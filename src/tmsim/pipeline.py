@@ -43,9 +43,8 @@ from . import braille
 from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
 from .config import _INDEX_LIMIT, SimConfig, _dot_increment
-from .crossbar import CrossbarSpec, Readout, _CellTable, _line_sums, solve_nodal, weights_to_differential
-from .devices import (CellConfig, CellState, MemristorModel, SwitchModel, _fsr_affine, _reciprocal_sum,
-                      fsr_conductance, memristor_conductance)
+from .crossbar import CrossbarSpec, _line_sums, solve_nodal, weights_to_differential
+from .devices import SwitchModel, _fsr_affine, _reciprocal_sum, fsr_conductance, memristor_conductance
 
 __all__ = [
     "NetworkArch",
@@ -299,48 +298,14 @@ def build_sensor_crossbar(
     ``parasitic`` swaps in the calibrated wire resistance and switch
     off-conductance so ``solve_nodal`` exposes the sneak-path droop;
     without it the array is ideal: ideal wires and switches that do not leak.
-
-    The spec's cell table comes straight from the arrays, through the
-    formulas ``crossbar._cells`` applies cell by cell, so every readout is
-    bit-identical to that of the same grid of ``CellState``s.  That grid
-    is built only if the spec's ``cells`` is read.
+    Its cell table comes straight from the arrays (``CrossbarSpec._sensor_array``).
     """
     forces, states = _check_sensor_arrays(forces, states)
-    g_off = cfg.parasitics.switch_g_off if parasitic else 0.0
-    wire = cfg.parasitics.wire_resistance if parasitic else 0.0
-    switch = SwitchModel(g_on=cfg.switch_g_on, g_off=g_off, selected=True)
-    table = np.empty((6, SENSOR_ROWS * SENSOR_COLS))  # sensor, memristor, on (vl, hl), off (vl, hl)
-    table[0] = _fsr_affine(cfg.sensor, forces).ravel()
-    table[1] = memristor_conductance(cfg.memristor, states).ravel()
-    table[2:4], table[4:] = switch.g_on, g_off
-    table.flags.writeable = False  # and so every row view of it, which the spec shares with its readers
-    return CrossbarSpec._from_table(
-        _CellTable(table[0], table[1], table[2:4], table[4:], frozenset({CellConfig.TWO_T1M1S})),
-        functools.partial(_sensor_cells, forces.tolist(), states.tolist(), cfg, switch),
-        m=SENSOR_ROWS,
-        n=SENSOR_COLS,
-        wire_resistance_per_segment=wire,
-        readout=Readout.VL_AND_HL,
+    switch = SwitchModel(g_on=cfg.switch_g_on, g_off=cfg.parasitics.switch_g_off if parasitic else 0.0)
+    return CrossbarSpec._sensor_array(
+        cfg.sensor, forces, cfg.memristor, states, switch,
+        wire_resistance_per_segment=cfg.parasitics.wire_resistance if parasitic else 0.0,
         termination_conductance=cfg.parasitics.termination_conductance,
-    )
-
-
-def _sensor_cells(forces: list, states: list, cfg: SimConfig, switch: SwitchModel) -> tuple:
-    """``build_sensor_crossbar``'s grid of ``CellState``s, from checked forces and states (nested lists)."""
-    r_on, r_off = cfg.memristor.r_on, cfg.memristor.r_off
-    return tuple(
-        tuple(
-            CellState(
-                config=CellConfig.TWO_T1M1S,
-                memristor=MemristorModel(r_on, r_off, state),
-                vl_switch=switch,
-                hl_switch=switch,
-                sensor=cfg.sensor,
-                force_f=force,
-            )
-            for force, state in zip(force_row, state_row)
-        )
-        for force_row, state_row in zip(forces, states)
     )
 
 
@@ -559,9 +524,11 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
 
     Returns the networks of the levels before the first level whose loss
     diverges, then that level's ``TrainingError``, built at its loss's first
-    divergence.  A diverged level trains on in NaNs, which reach no other
-    level, so the levels before it still train to the end; the run ends as
-    soon as level 0 diverges, since then no network is returned.
+    divergence.  Once a level has diverged, it and every level after it
+    leave the stack at the end of that step: each array drops its rows from
+    that level on, and the levels before it train on to the end unchanged.
+    The run ends as soon as level 0 diverges, since then no network is
+    returned.
     """
     n_items, k = len(dots), len(sigma2s)
     n_out, batch_size = arch.n_out, hyper.batch_size
@@ -629,7 +596,7 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
     # cell conductances (its column for features 0..1, its row for 2..5)
     # scaled by v_supply, the normalization and the O(1) input division
     feat_scale = v_supply / (norm * dot_gain)
-    failed, error = k, None  # the first level that has diverged (k while none has) and its error
+    failed, error = k, None  # the first level that has diverged (the stack's size while none has) and its error
 
     for epoch in range(hyper.epochs):
         order = rng.permutation(n_items)
@@ -681,12 +648,11 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
             # mean cross-entropy is non-finite exactly when a pick is NaN,
             # which the minimum propagates
             if not np.minimum.reduce(picked, axis=None) >= 0.0:
-                i = int(np.flatnonzero(~(np.minimum.reduce(picked, axis=0) >= 0.0))[0])
-                if i < failed:
-                    loss = -np.log(np.maximum(picked[:, i], 1e-300)).mean()
-                    failed, error = i, TrainingError(f"loss diverged at epoch {epoch}: {loss}")
-                    if failed == 0:
-                        return [error]
+                failed = int(np.flatnonzero(~(np.minimum.reduce(picked, axis=0) >= 0.0))[0])
+                loss = -np.log(np.maximum(picked[:, failed], 1e-300)).mean()
+                error = TrainingError(f"loss diverged at epoch {epoch}: {loss}")
+                if failed == 0:
+                    return [error]
 
             dz = probs  # (probs - onehot) / B, in place
             picked -= 1.0
@@ -721,6 +687,19 @@ def _train_stack(dots: np.ndarray, targets: np.ndarray, arch: NetworkArch, hyper
 
             grads *= lr
             params -= grads
+            if failed < len(params):
+                # the diverged level and those after it leave the stack; a level's
+                # rows of every array are its own, so the rest train on unchanged
+                (params, grads, w1, b1, w2, b2, w1_t, w2_t, dw1, db1, dw2, db2, states, x_buf, sigmas) = (
+                    a[:failed] for a in (params, grads, w1, b1, w2, b2, w1_t, w2_t, dw1, db1, dw2, db2, states,
+                                         x_buf, sigmas))
+                pick_offsets, picks_e = pick_offsets[:, :failed], picks_e[:, :failed]
+                noise = None if noise is None else noise[:failed]
+                if analog:
+                    cell_slots_e, level_bins, slotted, slotted_u = (
+                        a[:failed] for a in (cell_slots_e, level_bins, slotted, slotted_u))
+                else:
+                    inputs_e = inputs_e[:failed]
 
     return [
         TrainedNetwork(

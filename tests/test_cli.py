@@ -93,6 +93,18 @@ class TestDataset:
         assert capsys.readouterr().err == f"error: --out {path} is not a directory\n"
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    @pytest.mark.parametrize("command", [["cost"], ["sweep", "--seed", "0"]], ids=["cost", "sweep"])
+    def test_out_below_a_file_is_refused_before_the_work(self, tmp_path, capsys, monkeypatch, command, force):
+        path = tmp_path / "afile"
+        path.write_text("kept\n")
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: calls.append(args))
+        out = path / "sub" / "run"
+        assert main([*command, "--out", str(out), *force]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out {out} is below {path}, which is not a directory\n"
+        assert calls == [] and path.read_text() == "kept\n"
+
     def test_unknown_group_is_config_error(self, tmp_path):
         assert main(["dataset", "--seed", "0", "--groups", "group9",
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG

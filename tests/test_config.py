@@ -1,8 +1,37 @@
 """Config resolution tests: defaults, file overrides, environment overrides."""
 
+from dataclasses import replace
+
 import pytest
 
 from tmsim.config import ConfigError, _DEFAULTS, config_hash, load_config
+
+# the keys that set a field of SimConfig's own; every other key is a field of the model its section names
+OWN_FIELDS = {"switch.g_on": "switch_g_on", "braille.f_press": "f_press", "pipeline.dot_gain": "dot_gain"}
+
+
+def _off_default(key):
+    """A valid value of ``key`` other than its default, of the default's type."""
+    default = _DEFAULTS[key]
+    return default * 2 if isinstance(default, int) else default * 1.5
+
+
+def _field(cfg, key):
+    if key in OWN_FIELDS:
+        return getattr(cfg, OWN_FIELDS[key])
+    section, name = key.split(".")
+    return getattr(getattr(cfg, section), name)
+
+
+def _replaced(cfg, key, value):
+    if key in OWN_FIELDS:
+        return replace(cfg, **{OWN_FIELDS[key]: value})
+    section, name = key.split(".")
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: value})})
+
+
+def _loaded(key, value):
+    return load_config(environ={"TMSIM_" + key.upper().replace(".", "__"): repr(value)})
 
 
 class TestDefaults:
@@ -175,3 +204,24 @@ class TestConfigHash:
         path = tmp_path / "params.cfg"
         path.write_text("sensor.bias_c = 1e-6\n")
         assert config_hash(load_config(path, environ={})) == config_hash(load_config(environ={}))
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("key", sorted(_DEFAULTS))
+    def test_each_key_reads_back_from_its_field(self, cfg, key):
+        value = _off_default(key)
+        loaded = _loaded(key, value)
+        assert _field(loaded, key) == value and type(_field(loaded, key)) is type(value)
+        assert dict(loaded.raw) == {**_DEFAULTS, key: value}
+        assert config_hash(loaded) != config_hash(cfg)
+
+    @pytest.mark.parametrize("key", sorted(_DEFAULTS))
+    def test_a_replaced_field_hashes_as_the_key_loaded_with_its_value(self, cfg, key):
+        value = _off_default(key)
+        replaced, loaded = _replaced(cfg, key, value), _loaded(key, value)
+        assert replaced == loaded and replaced.raw == loaded.raw
+        assert config_hash(replaced) == config_hash(loaded)
+
+    def test_a_replaced_press_force_is_hashed(self, cfg):
+        assert config_hash(replace(cfg, f_press=30.0)) == "b47782ded55e93b9"
+        assert config_hash(load_config(environ={"TMSIM_BRAILLE__F_PRESS": "30"})) == "b47782ded55e93b9"

@@ -561,6 +561,29 @@ class TestTraining:
         batches = -(-len(train_items) // hyper.batch_size)
         assert epoch * batches < len(steps) <= (epoch + 1) * batches < hyper.epochs * batches
 
+    def test_a_stack_drops_its_levels_from_the_first_diverged_one(self, monkeypatch):
+        quick = load_config(environ={"TMSIM_TRAIN__EPOCHS": "3"})
+        train_items, _ = split_holdout(build_dataset(["group1"], copies=5, seed=0, f_press=quick.f_press), copies=5)
+        steps = []  # per softmax call: the levels it sees, and whether every probability is finite
+        softmax_rows = pipeline._softmax_rows
+
+        def counted(logits):
+            probs = softmax_rows(logits)
+            steps.append((len(logits), bool(np.isfinite(probs).all())))
+            return probs
+
+        monkeypatch.setattr(pipeline, "_softmax_rows", counted)
+        # at seed 0, 1e300 diverges in epoch 0: it leaves the stack together with the healthy 0.5 after it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingError, match=r"^loss diverged at epoch 0: nan$") as failed:
+                train(train_items, arch_for(["group1"]), TrainHyper.from_config(quick, seed=0), quick,
+                      sigma2_grid=[0.02, 1e300, 0.5])
+        diverged = next(i for i, (_, finite) in enumerate(steps) if not finite)
+        assert steps[diverged][0] == 3 and len(steps) > diverged + 1
+        assert {levels for levels, _ in steps[diverged + 1:]} == {1}
+        assert len(failed.value.trained) == 1
+
     def test_bad_level_rejected_before_training(self, cfg, g2_split):
         with pytest.raises(ValueError, match="sigma2 must be finite and non-negative, got -0.1"):
             train(g2_split[0], arch_for(["group2"]), TrainHyper(epochs=1), cfg, sigma2_grid=[0.02, -0.1])
