@@ -122,9 +122,12 @@ def _header_lines(cfg: SimConfig, seed: int | None) -> str:
 
 
 def _check_out(args) -> None:
-    """Refuse a run before its work: ``--out`` is or lies below a file, or, without ``--force``, holds an output."""
+    """Refuse a run before its work: ``--out`` is or lies below a file, or, without ``--force``, holds an output.
+
+    A dangling symlink on the way to ``--out`` counts as a file.
+    """
     out = Path(args.out)
-    nearest = next(path for path in (out, *out.parents) if path.exists())
+    nearest = next(path for path in (out, *out.parents) if path.exists() or path.is_symlink())
     if not nearest.is_dir():
         raise UsageError(f"--out {out} is not a directory" if nearest == out
                          else f"--out {out} is below {nearest}, which is not a directory")
@@ -397,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (ValueError, OSError) as exc:  # ConfigError, or a device model's own range check
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -140,6 +140,19 @@ class SimConfig:
             if not _SMALLEST_NORMAL <= value < math.inf:
                 raise ConfigError(f"the {name} (from {', '.join(keys)}) must be finite and at least "
                                   f"{_SMALLEST_NORMAL:.4g}, got {float(value)!r}")
+        # training's state step (pipeline._train_stack) divides by the square of its conditioning term, the
+        # pressed cell's state sensitivity less the unpressed one's in feature units, which grows as 1 / r_on
+        # at state 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_m = memristor_conductance(self.memristor, np.array([0.0, 1.0]))
+            u_pressed, u_unpressed = (_reciprocal_sum((_fsr_affine(self.sensor, force), g_m, self.switch_g_on))
+                                      for force in (self.f_press, 0.0))
+            term = np.max((_state_sensitivity(u_pressed, g_m, self) - _state_sensitivity(u_unpressed, g_m, self))
+                          * (self.sensor.v_supply / (self.feature_norm * self.dot_gain)))
+            if not term * term < math.inf:
+                raise ConfigError(f"memristor.r_on = {self.memristor.r_on!r} and memristor.r_off = "
+                                  f"{self.memristor.r_off!r} give the training state step a conditioning term "
+                                  f"of {float(term):.4g} at states 0 and 1, whose square overflows")
 
     @classmethod
     def from_values(cls, values: dict[str, float | int]) -> "SimConfig":
@@ -149,7 +162,7 @@ class SimConfig:
         for key, path in _FIELDS.items():
             section, _, name = path.rpartition(".")
             (models[section] if section else own)[name] = values[key]
-        return cls(**{section: _MODELS[section](**fields) for section, fields in models.items()}, **own)
+        return cls(**{section: _model(section, fields) for section, fields in models.items()}, **own)
 
     @property
     def raw(self) -> tuple[tuple[str, float | int], ...]:
@@ -165,6 +178,16 @@ _OWN_FIELDS = {"switch.g_on": "switch_g_on", "braille.f_press": "f_press", "pipe
 _FIELDS = {key: _OWN_FIELDS.get(key, key) for key in _DEFAULTS}
 
 
+def _model(section: str, fields: dict):
+    """The section's model of ``fields``; a range error that names only the field gains the section's name."""
+    try:
+        return _MODELS[section](**fields)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _dot_increment(g_m, cfg: SimConfig):
     """Rise of the cell conductance when its dot is pressed, at memristor conductance ``g_m``.
 
@@ -175,6 +198,15 @@ def _dot_increment(g_m, cfg: SimConfig):
     """
     u_on = _reciprocal_sum((_fsr_affine(cfg.sensor, cfg.f_press), g_m, cfg.switch_g_on))
     return u_on - _reciprocal_sum((_fsr_affine(cfg.sensor, 0.0), g_m, cfg.switch_g_on))
+
+
+def _state_sensitivity(u: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """Exact d(cell conductance)/d(state): u^2 / g_m^2 * the memristor span.
+
+    ``u`` is the series cell conductance and ``g_m`` the memristor
+    conductance (``memristor_conductance``) at the same states.
+    """
+    return (u / g_m) ** 2 * cfg.memristor.span
 
 
 def _parse_value(key: str, text: str, source: str) -> float | int:
@@ -245,5 +277,6 @@ def load_config(path: str | Path | None = None, environ: dict[str, str] | None =
 
 def config_hash(config: SimConfig) -> str:
     """Stable digest of every resolved parameter, for run manifests."""
-    payload = "\n".join(f"{key}={value!r}" for key, value in config.raw)
+    # a float key hashes as a float, so that 30 and 30.0 hash alike
+    payload = "\n".join(f"{key}={value if key in _INT_KEYS else float(value)!r}" for key, value in config.raw)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

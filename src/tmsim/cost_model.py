@@ -1,7 +1,9 @@
 """Area/power accounting for the full stack under {analog, binary} x {serial, parallel}.
 
-The counting logic is code; the per-unit costs are data.  A report covers
-four circuit blocks:
+The counting logic is code; the per-unit costs are data.  A report keeps
+its six block figures once, in a read-only mapping keyed and ordered as
+``REFERENCE_BLOCK_FIGURES``: the areas of four circuit blocks and the
+powers of two pools.  The blocks are:
 
 * sensor crossbar (layer 1): 8 sensor patches; area only, its cell power
   is pooled with the other crossbars,
@@ -13,10 +15,10 @@ four circuit blocks:
   style, the data-converter/adder stack in binary style; one per output
   line in parallel processing, a single shared unit in serial processing.
 
-Power is reported in two pools matching how such budgets are usually
-quoted: all crossbar cells together, and amplifiers plus normalizers
-together.  Amplifier and normalizer area is split per layer block, with
-the normalizer circuitry counted inside the layers-2&3 amplifier block.
+The pools match how such budgets are usually quoted: all crossbar cells
+together, and amplifiers plus normalizers together.  Amplifier and
+normalizer area is split per layer block, with the normalizer circuitry
+counted inside the layers-2&3 amplifier block.
 
 ``default_table`` returns unit costs calibrated so that the default
 6-14-125 architecture reproduces the reference design figures recorded in
@@ -28,14 +30,14 @@ units, while the binary style needs per-processing units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .pipeline import N_FEATURES, N_HIDDEN, NetworkArch, SENSOR_COLS, SENSOR_ROWS
 
 __all__ = [
     "REFERENCE_BLOCK_FIGURES",
     "CostTable",
-    "BlockCounts",
     "CostReport",
     "CompareSummary",
     "default_table",
@@ -113,7 +115,7 @@ class CostTable:
 
 
 @dataclass(frozen=True)
-class BlockCounts:
+class _BlockCounts:
     sensors: int
     cells_l23: int
     cells_total: int
@@ -127,31 +129,18 @@ class CostReport:
     style: str
     processing: str
     arch_dims: tuple[int, int, int]  # (inputs, hidden, outputs)
-    counts: BlockCounts
-    area_crossbar_l1: float
-    area_crossbar_l23: float
-    area_amps_l1: float
-    area_amps_l23: float
-    power_crossbars: float
-    power_amps: float
+    figures: Mapping[str, float]  # read-only, keyed and ordered as REFERENCE_BLOCK_FIGURES
 
     @property
     def total_area(self) -> float:
-        return self.area_crossbar_l1 + self.area_crossbar_l23 + self.area_amps_l1 + self.area_amps_l23
+        return sum(value for block, value in self.figures.items() if block.startswith("area_"))
 
     @property
     def total_power(self) -> float:
-        return self.power_crossbars + self.power_amps
+        return sum(value for block, value in self.figures.items() if block.startswith("power_"))
 
     def block_figures(self) -> dict[str, float]:
-        return {
-            "area_crossbar_l1": self.area_crossbar_l1,
-            "area_crossbar_l23": self.area_crossbar_l23,
-            "area_amps_l1": self.area_amps_l1,
-            "area_amps_l23": self.area_amps_l23,
-            "power_crossbars": self.power_crossbars,
-            "power_amps": self.power_amps,
-        }
+        return dict(self.figures)
 
 
 def _check_combination(style: str, processing: str) -> None:
@@ -161,7 +150,7 @@ def _check_combination(style: str, processing: str) -> None:
         raise ValueError(f"processing must be one of {_PROCESSINGS}, got {processing!r}")
 
 
-def _block_counts(arch: NetworkArch, processing: str) -> BlockCounts:
+def _block_counts(n_out: int, processing: str) -> _BlockCounts:
     """Instance counts per circuit block, for a checked ``processing``.
 
     Two crossbar cells realize one dense weight (differential pair).  In
@@ -169,16 +158,16 @@ def _block_counts(arch: NetworkArch, processing: str) -> BlockCounts:
     network output owns a normalizer unit; serial processing multiplexes
     each layer onto one amplifier and shares a single normalizer.
     """
-    cells_l23 = 2 * (N_FEATURES * N_HIDDEN + N_HIDDEN * arch.n_out)
+    cells_l23 = 2 * (N_FEATURES * N_HIDDEN + N_HIDDEN * n_out)
     if processing == "parallel":
         amps_l1 = N_FEATURES
-        amps_l23 = N_HIDDEN + arch.n_out
-        divisions = arch.n_out
+        amps_l23 = N_HIDDEN + n_out
+        divisions = n_out
     else:
         amps_l1 = 1
         amps_l23 = 2  # one shared amplifier per weight layer
         divisions = 1
-    return BlockCounts(
+    return _BlockCounts(
         sensors=N_SENSORS,
         cells_l23=cells_l23,
         cells_total=N_SENSORS + cells_l23,
@@ -186,11 +175,6 @@ def _block_counts(arch: NetworkArch, processing: str) -> BlockCounts:
         amps_l23=amps_l23,
         divisions=divisions,
     )
-
-
-def _reference_counts(processing: str) -> BlockCounts:
-    arch = NetworkArch(labels=tuple(f"out{i}" for i in range(125)))
-    return _block_counts(arch, processing)
 
 
 def default_table(style: str, processing: str) -> CostTable:
@@ -205,7 +189,7 @@ def default_table(style: str, processing: str) -> CostTable:
     """
     _check_combination(style, processing)
     figures = REFERENCE_BLOCK_FIGURES[(style, processing)]
-    counts = _reference_counts(processing)
+    counts = _block_counts(125, processing)  # the reference design's outputs
 
     amp_area_l1 = figures["area_amps_l1"] / counts.amps_l1
     # the layers-2&3 amplifier block houses the normalizer circuitry; its
@@ -233,19 +217,17 @@ def default_table(style: str, processing: str) -> CostTable:
 def estimate(arch: NetworkArch, table: CostTable, style: str, processing: str) -> CostReport:
     """Counts times unit costs for one (style, processing) combination."""
     _check_combination(style, processing)
-    counts = _block_counts(arch, processing)
-    return CostReport(
-        style=style,
-        processing=processing,
-        arch_dims=(N_FEATURES, N_HIDDEN, arch.n_out),
-        counts=counts,
-        area_crossbar_l1=counts.sensors * table.sensor_area,
-        area_crossbar_l23=counts.cells_l23 * table.cell_area,
-        area_amps_l1=counts.amps_l1 * table.amp_area_l1,
-        area_amps_l23=counts.amps_l23 * table.amp_area_l23 + counts.divisions * table.division_area,
-        power_crossbars=counts.cells_total * table.cell_power,
-        power_amps=(counts.amps_l1 + counts.amps_l23) * table.amp_power + counts.divisions * table.division_power,
-    )
+    counts = _block_counts(arch.n_out, processing)
+    figures = {
+        "area_crossbar_l1": counts.sensors * table.sensor_area,
+        "area_crossbar_l23": counts.cells_l23 * table.cell_area,
+        "area_amps_l1": counts.amps_l1 * table.amp_area_l1,
+        "area_amps_l23": counts.amps_l23 * table.amp_area_l23 + counts.divisions * table.division_area,
+        "power_crossbars": counts.cells_total * table.cell_power,
+        "power_amps": (counts.amps_l1 + counts.amps_l23) * table.amp_power + counts.divisions * table.division_power,
+    }
+    return CostReport(style=style, processing=processing, arch_dims=(N_FEATURES, N_HIDDEN, arch.n_out),
+                      figures=MappingProxyType(figures))
 
 
 @dataclass(frozen=True)
@@ -274,7 +256,7 @@ def compare(a: CostReport, b: CostReport) -> CompareSummary:
 
 
 _CSV_BLOCK_ROWS = (
-    # (row label, area field, power pool printed on this row or None)
+    # (row label, area figure, power pool printed on this row or None)
     ("crossbar_layer1", "area_crossbar_l1", "power_crossbars"),
     ("crossbar_layers23", "area_crossbar_l23", None),
     ("amplifiers_layer1", "area_amps_l1", "power_amps"),
@@ -292,21 +274,14 @@ def reports_to_csv(reports: Sequence[CostReport]) -> str:
     """
     if not reports:
         raise ValueError("need at least one report")
-    header = ["block"]
-    for r in reports:
-        header.append(f"{r.style}_{r.processing}_area_m2")
-        header.append(f"{r.style}_{r.processing}_power_w")
+    header = ["block"] + [f"{r.style}_{r.processing}_{unit}" for r in reports for unit in ("area_m2", "power_w")]
     lines = [",".join(header)]
-    for label, area_field, power_field in _CSV_BLOCK_ROWS:
+    for label, area, power in _CSV_BLOCK_ROWS:
         row = [label]
         for r in reports:
-            figures = r.block_figures()
-            row.append(f"{figures[area_field]:.9g}")
-            row.append("" if power_field is None else f"{figures[power_field]:.9g}")
+            row.append(f"{r.figures[area]:.9g}")
+            row.append("" if power is None else f"{r.figures[power]:.9g}")
         lines.append(",".join(row))
-    totals = ["total"]
-    for r in reports:
-        totals.append(f"{r.total_area:.9g}")
-        totals.append(f"{r.total_power:.9g}")
+    totals = ["total"] + [f"{total:.9g}" for r in reports for total in (r.total_area, r.total_power)]
     lines.append(",".join(totals))
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ import numpy as np
 from . import braille
 from .analog_blocks import SoftmaxParams, softmax_circuit
 from .braille import BrailleGroup, label_to_group, symbols
-from .config import _INDEX_LIMIT, SimConfig, _dot_increment
+from .config import _INDEX_LIMIT, SimConfig, _dot_increment, _state_sensitivity
 from .crossbar import CrossbarSpec, _line_sums, solve_nodal, weights_to_differential
 from .devices import SwitchModel, _fsr_affine, _reciprocal_sum, fsr_conductance, memristor_conductance
 
@@ -429,15 +429,6 @@ def _state_increment_ladder(cfg: SimConfig, rng: np.random.Generator) -> np.ndar
     targets = np.linspace(increments[0], increments[-1], SENSOR_ROWS * SENSOR_COLS)
     states = np.interp(targets, increments, w_grid)
     return rng.permutation(states).reshape(SENSOR_ROWS, SENSOR_COLS)
-
-
-def _state_sensitivity(u: np.ndarray, g_m: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """Exact d(cell conductance)/d(state): u^2 / g_m^2 * the memristor span.
-
-    ``u`` is the series cell conductance and ``g_m`` the memristor
-    conductance (``memristor_conductance``) at the same states.
-    """
-    return (u / g_m) ** 2 * cfg.memristor.span
 
 
 def _cell_slots(dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ import pytest
 
 from tmsim import cli
 from tmsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from tmsim.config import _DEFAULTS
 
 GOLDEN_COST_CSV = Path(__file__).parent / "data" / "cost_golden.csv"
 GOLDEN_LEAKAGE_CSV = Path(__file__).parent / "data" / "leakage_golden.csv"
@@ -104,6 +105,19 @@ class TestDataset:
         assert main([*command, "--out", str(out), *force]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --out {out} is below {path}, which is not a directory\n"
         assert calls == [] and path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    @pytest.mark.parametrize("command", [["cost"], ["sweep", "--seed", "0"]], ids=["cost", "sweep"])
+    def test_out_naming_a_dangling_symlink_is_refused_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                                      command, force):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: calls.append(args))
+        assert main([*command, "--out", str(link), *force]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out {link} is not a directory\n"
+        assert calls == [] and link.is_symlink() and link.readlink() == tmp_path / "missing"
+        assert not (tmp_path / "missing").exists()
 
     def test_unknown_group_is_config_error(self, tmp_path):
         assert main(["dataset", "--seed", "0", "--groups", "group9",
@@ -371,6 +385,50 @@ class TestBadFlags:
         assert f"the {quantity} (from " in err and key in err
         assert f"must be finite and at least 2.225e-308, got {got}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("TMSIM_SENSOR__BIAS_C", "-1", "sensor: bias_c must be positive, got -1.0"),
+        ("TMSIM_MEMRISTOR__R_ON", "0", "memristor: need 0 < r_on < r_off, got r_on=0.0, r_off=100000.0"),
+        ("TMSIM_SOFTMAX__V_T", "0", "softmax: v_t must be positive and finite, got 0.0"),
+        ("TMSIM_TRAIN__LR", "0", "train.lr must be positive, got 0.0"),  # names its key already
+    ])
+    def test_a_model_range_error_names_its_section(self, tmp_path, monkeypatch, capsys, name, value, message):
+        monkeypatch.setenv(name, value)
+        out = tmp_path / "l"
+        assert main(["leakage", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r_on", ["1e-150", "1e-308"])
+    @pytest.mark.parametrize("command", [["leakage"], ["train", "--seed", "0", "--groups", "group1"]],
+                             ids=["leakage", "train"])
+    def test_an_on_resistance_that_overflows_the_state_step_exits_before_output(self, tmp_path, monkeypatch,
+                                                                                capsys, command, r_on):
+        # train would overflow its state step, or diverge to NaN at 1e-308 and exit 3
+        monkeypatch.setenv("TMSIM_MEMRISTOR__R_ON", r_on)
+        monkeypatch.setenv("TMSIM_TRAIN__EPOCHS", "2")
+        out = tmp_path / "t"
+        assert main([*command, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: memristor.r_on = {float(r_on)!r} and memristor.r_off = 100000.0 ")
+        assert "whose square overflows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1e-308", "1e-30", "1e30", "1e308"])
+    @pytest.mark.parametrize("key", sorted(_DEFAULTS))
+    def test_every_key_at_an_extreme_value_runs_or_exits_2(self, tmp_path, monkeypatch, capsys, key, value):
+        # a config that cannot run fails at load; only a diverged training is a run-time failure
+        monkeypatch.setenv("TMSIM_TRAIN__EPOCHS", "2")
+        monkeypatch.setenv("TMSIM_" + key.upper().replace(".", "__"), value)
+        for command in (["leakage"], ["train", "--seed", "0", "--groups", "group1"]):
+            with warnings.catch_warnings():  # as the command line runs it
+                warnings.simplefilter("ignore")
+                rc = main([*command, "--out", str(tmp_path / command[0])])
+            err = capsys.readouterr().err
+            if (key, value, command[0]) == ("train.lr", "1e308", "train") and rc == EXIT_RUNTIME:
+                assert "loss diverged" in err
+            else:
+                assert rc in (EXIT_OK, EXIT_CONFIG), f"{command[0]} exits {rc}: {err}"
 
     def test_batch_size_above_the_dataset_trains_on_whole_batches(self, tmp_path, monkeypatch):
         # a batch never holds more than the dataset, whatever batch_size allows

@@ -181,6 +181,11 @@ class TestValueChecks:
         name = "TMSIM_" + key.upper().replace(".", "__")
         load_config(environ={name: value})
 
+    # below about 1e-149 ohm, training's state step would overflow, and the config is rejected (test_cli)
+    @pytest.mark.parametrize("r_on", ["1e-30", "1e-140", "1e-145", "1000"])
+    def test_a_small_on_resistance_still_loads(self, r_on):
+        assert load_config(environ={"TMSIM_MEMRISTOR__R_ON": r_on}).memristor.r_on == float(r_on)
+
 
 class TestConfigHash:
     def test_default_digest_is_pinned(self):
@@ -221,6 +226,12 @@ class TestKeyTable:
         replaced, loaded = _replaced(cfg, key, value), _loaded(key, value)
         assert replaced == loaded and replaced.raw == loaded.raw
         assert config_hash(replaced) == config_hash(loaded)
+
+    def test_an_integral_float_hashes_as_a_float(self, cfg):
+        # an int in a float field equals the float, so it hashes as the float does
+        assert replace(cfg, f_press=30) == replace(cfg, f_press=30.0)
+        assert config_hash(replace(cfg, f_press=30)) == config_hash(replace(cfg, f_press=30.0)) == "b47782ded55e93b9"
+        assert config_hash(cfg) == "1c4d2f6d7d4c8ba6"
 
     def test_a_replaced_press_force_is_hashed(self, cfg):
         assert config_hash(replace(cfg, f_press=30.0)) == "b47782ded55e93b9"

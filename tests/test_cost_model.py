@@ -32,21 +32,21 @@ def _reference_report(style, processing):
 
 class TestBlockCounts:
     def test_reference_architecture_counts(self):
-        counts = _block_counts(REFERENCE_ARCH, "parallel")
+        counts = _block_counts(REFERENCE_ARCH.n_out, "parallel")
         assert counts.sensors == 8
         assert counts.cells_l23 == 2 * (6 * 14 + 14 * 125) == 3668
         assert counts.cells_total == 3676
         assert (counts.amps_l1, counts.amps_l23, counts.divisions) == (6, 139, 125)
 
     def test_serial_processing_multiplexes(self):
-        counts = _block_counts(REFERENCE_ARCH, "serial")
+        counts = _block_counts(REFERENCE_ARCH.n_out, "serial")
         assert (counts.amps_l1, counts.amps_l23, counts.divisions) == (1, 2, 1)
         # crossbar hardware is unchanged by the processing style
-        assert counts.cells_total == _block_counts(REFERENCE_ARCH, "parallel").cells_total
+        assert counts.cells_total == _block_counts(REFERENCE_ARCH.n_out, "parallel").cells_total
 
     def test_counts_scale_with_architecture(self):
         small = NetworkArch(labels=("x", "y"))
-        counts = _block_counts(small, "parallel")
+        counts = _block_counts(small.n_out, "parallel")
         assert counts.cells_l23 == 2 * (6 * 14 + 14 * 2)
         assert counts.divisions == 2
 
@@ -98,6 +98,20 @@ class TestEstimate:
         two = estimate(REFERENCE_ARCH, doubled, "analog", "parallel")
         for block, figure in one.block_figures().items():
             assert two.block_figures()[block] == pytest.approx(2 * figure, rel=1e-12)
+
+    @pytest.mark.parametrize("style,processing", ALL_COMBOS)
+    def test_figures_are_keyed_as_the_reference(self, style, processing):
+        assert list(_reference_report(style, processing).figures) == list(REFERENCE_BLOCK_FIGURES[(style, processing)])
+
+    def test_block_figures_is_a_copy(self):
+        report = _reference_report("analog", "parallel")
+        before = dict(report.figures)
+        copy = report.block_figures()
+        copy["area_crossbar_l1"] = -1.0
+        del copy["power_amps"]
+        assert dict(report.figures) == report.block_figures() == before
+        with pytest.raises(TypeError):
+            report.figures["area_crossbar_l1"] = -1.0
 
     def test_negative_unit_cost_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

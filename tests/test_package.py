@@ -22,7 +22,7 @@ PERFBENCH = ROOT / "perfbench"
 # Types and exceptions that public functions return, raise or hold: a caller
 # meets them without naming them, so they stay public without a user.
 RESULT_TYPES = {
-    "BrailleSymbol", "UnknownSymbolError", "TrainParams", "Parasitics", "BlockCounts",
+    "BrailleSymbol", "UnknownSymbolError", "TrainParams", "Parasitics",
     "CostReport", "CompareSummary", "ReadoutVector", "SingularNetworkError", "WeightRangeError",
     "NodalDetail", "TrainedNetwork", "HardwareNetwork", "EvalEntry", "EvalReport", "SweepRow",
 }
